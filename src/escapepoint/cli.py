@@ -64,7 +64,7 @@ def parse_spec(text: str) -> EnumerationSpec:
     """Parse a JSON spec document into an EnumerationSpec."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise SpecError(f"invalid JSON: {exc}") from None
     return spec_from_jsonable(obj)
 
@@ -384,10 +384,13 @@ def _iteration_budget() -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
+    # lift the int-to-str digit limit for this call only, so the caller's
+    # process keeps its own setting
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         budget = _iteration_budget()
         return args.handler(args, budget)
     # TheoremViolationError is deliberately not handled: it means the library
@@ -395,6 +398,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ from .numerics import (
     as_fraction,
     dyadic_tail_weight,
     format_rational,
-    geometric_block_sum,
     parse_rational,
+    weight_sum,
 )
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "IntervalEnumeration",
     "value_at",
     "eligible_prefix_indices",
+    "affine_cut",
     "tail_weight_sum",
     "tail_hits",
     "intervalize",
@@ -126,13 +127,27 @@ def eligible_prefix_indices(spec: EnumerationSpec, x: RationalLike) -> set[int]:
     return {n for n, v in enumerate(spec.prefix) if v < x}
 
 
+def affine_cut(spec: EnumerationSpec, x: RationalLike) -> int:
+    """Index where the affine tail crosses x, never below the prefix length L.
+
+    The tail indices n >= L with a*n + b < x are [L, cut) when a > 0 and
+    [cut, infinity) when a < 0.  The boundary is strict and computed exactly.
+    """
+    tail = spec.tail
+    boundary = (as_fraction(x, "x") - tail.b) / tail.a
+    cut = math.ceil(boundary) if tail.a > 0 else math.floor(boundary) + 1
+    return max(len(spec.prefix), cut)
+
+
 def tail_weight_sum(spec: EnumerationSpec, x: RationalLike) -> Fraction:
     """Exact total weight of tail indices n >= L with f(n) < x.
 
-    Constant: the whole tail 2^(1-L) or nothing.  Cycle: one geometric block
-    per eligible residue.  Affine: the eligibility set is an initial segment
-    (a > 0) or a final segment (a < 0) of the tail, summed in closed form;
-    boundaries are strict, computed exactly.
+    Constant: the whole tail 2^(1-L) or nothing.  Cycle: every later lap
+    repeats the eligible prefix indices shifted by a multiple of L, so the
+    tail adds W(x) / (2^L - 1), where W(x) is the eligible prefix weight.
+    Affine: the indices on the eligible side of ``affine_cut``, an initial
+    segment (a > 0) or a final segment (a < 0) of the tail, summed in closed
+    form.
     """
     x = as_fraction(x, "x")
     start = len(spec.prefix)
@@ -140,19 +155,11 @@ def tail_weight_sum(spec: EnumerationSpec, x: RationalLike) -> Fraction:
     if isinstance(tail, Constant):
         return dyadic_tail_weight(start) if tail.value < x else Fraction(0)
     if isinstance(tail, Cycle):
-        total = Fraction(0)
-        for i, v in enumerate(spec.prefix):
-            if v < x:
-                total += geometric_block_sum(start + i, start)
-        return total
-    boundary = (x - tail.b) / tail.a
+        return weight_sum(eligible_prefix_indices(spec, x)) / (2**start - 1)
+    cut = affine_cut(spec, x)
     if tail.a > 0:
-        # eligible tail indices are L <= n < boundary
-        cutoff = max(start, math.ceil(boundary))
-        return dyadic_tail_weight(start) - dyadic_tail_weight(cutoff)
-    # a < 0: eligible tail indices are n > boundary, a cofinite segment
-    first = max(start, math.floor(boundary) + 1)
-    return dyadic_tail_weight(first)
+        return dyadic_tail_weight(start) - dyadic_tail_weight(cut)
+    return dyadic_tail_weight(cut)
 
 
 def tail_hits(spec: EnumerationSpec, v: RationalLike) -> bool:

@@ -18,7 +18,6 @@ rather than producing a broken certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -29,6 +28,10 @@ from .enumeration import (
     Cycle,
     EnumerationSpec,
     IntervalEnumeration,
+    SpecError,
+    _expect_keys,
+    _rational_at,
+    affine_cut,
     tail_hits,
 )
 from .fixpoint import (
@@ -38,7 +41,7 @@ from .fixpoint import (
     gfp_descend,
     sup_postfix_oracle,
 )
-from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational, parse_rational
+from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational
 from .weight_map import weight_below, weight_below_bounds
 
 __all__ = [
@@ -141,10 +144,11 @@ def _tail_verdicts(spec: EnumerationSpec, x0: Fraction) -> list[Verdict]:
             out.append(_compare(x0, "tail", v))
         return out
     assert isinstance(tail, Affine)
-    # closest approach of a*n + b to x0 over integer n >= start
-    mu = (x0 - tail.b) / tail.a
+    # closest approach of a*n + b to x0 over integer n >= start: the tail
+    # crosses x0 between the cut and the index before it
+    cut = affine_cut(spec, x0)
     best: Verdict | None = None
-    for n in sorted({max(start, math.floor(mu)), max(start, math.ceil(mu))}):
+    for n in sorted({max(start, cut - 1), cut}):
         v = tail.a * n + tail.b
         if v == x0:
             raise TheoremViolationError(f"escape value {x0} is the tail value at index {n}")
@@ -284,19 +288,6 @@ def certificate_to_jsonable(cert: EscapeCertificate) -> dict:
     }
 
 
-def _cert_fail(path: str, message: str) -> ValueError:
-    return ValueError(f"{path}: {message}")
-
-
-def _cert_rational(obj: object, path: str) -> Fraction:
-    if not isinstance(obj, str):
-        raise _cert_fail(path, f"expected a rational string 'p/q', got {obj!r}")
-    try:
-        return parse_rational(obj)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _cert_fail(path, str(exc)) from None
-
-
 def certificate_from_jsonable(obj: object) -> EscapeCertificate:
     """Rebuild and re-validate a certificate from its JSON form.
 
@@ -305,50 +296,48 @@ def certificate_from_jsonable(obj: object) -> EscapeCertificate:
     a question about the enumeration, not the certificate, so pair this with
     ``compute_escape`` when provenance matters.
     """
+    try:
+        return _certificate_from_dict(obj)
+    except SpecError as exc:
+        # the spec decoder's errors, reported as plain certificate errors
+        raise ValueError(str(exc)) from None
+
+
+def _certificate_from_dict(obj: object) -> EscapeCertificate:
     if not isinstance(obj, dict):
         raise ValueError(f"certificate: expected an object, got {type(obj).__name__}")
-    expected = {"x0", "trace", "verdicts", "oracle_agreement"}
-    if set(obj) != expected:
-        missing = expected - set(obj)
-        extra = set(obj) - expected
-        parts = []
-        if missing:
-            parts.append(f"missing keys {sorted(missing)}")
-        if extra:
-            parts.append(f"unexpected keys {sorted(extra)}")
-        raise ValueError(f"certificate: {'; '.join(parts)}")
-    x0 = _cert_rational(obj["x0"], "x0")
+    _expect_keys(obj, {"x0", "trace", "verdicts", "oracle_agreement"}, "certificate")
+    x0 = _rational_at(obj["x0"], "x0")
     raw_trace = obj["trace"]
     if not isinstance(raw_trace, list) or not raw_trace:
-        raise _cert_fail("trace", "expected a non-empty array of rationals")
-    iterates = tuple(_cert_rational(v, f"trace[{i}]") for i, v in enumerate(raw_trace))
+        raise ValueError("trace: expected a non-empty array of rationals")
+    iterates = tuple(_rational_at(v, f"trace[{i}]") for i, v in enumerate(raw_trace))
     terminated = len(iterates) >= 2 and iterates[-1] == iterates[-2]
     try:
         trace = FixpointTrace(iterates, terminated, len(iterates) - 1)
     except ValueError as exc:
-        raise _cert_fail("trace", str(exc)) from None
+        raise ValueError(f"trace: {exc}") from None
     raw_verdicts = obj["verdicts"]
     if not isinstance(raw_verdicts, list):
-        raise _cert_fail("verdicts", "expected an array")
+        raise ValueError("verdicts: expected an array")
     verdicts = []
     for i, raw in enumerate(raw_verdicts):
         path = f"verdicts[{i}]"
         if not isinstance(raw, dict):
-            raise _cert_fail(path, "expected an object")
-        if set(raw) != {"where", "value", "relation", "gap"}:
-            raise _cert_fail(path, "expected exactly the keys where, value, relation, gap")
+            raise ValueError(f"{path}: expected an object")
+        _expect_keys(raw, {"where", "value", "relation", "gap"}, path)
         where = raw["where"]
         if isinstance(where, bool) or not (isinstance(where, int) or where == "tail"):
-            raise _cert_fail(f"{path}.where", f"expected an index or 'tail', got {where!r}")
-        value = _cert_rational(raw["value"], f"{path}.value")
-        gap = _cert_rational(raw["gap"], f"{path}.gap")
+            raise ValueError(f"{path}.where: expected an index or 'tail', got {where!r}")
+        value = _rational_at(raw["value"], f"{path}.value")
+        gap = _rational_at(raw["gap"], f"{path}.gap")
         try:
             verdicts.append(Verdict(where=where, value=value, relation=raw["relation"], gap=gap))
         except ValueError as exc:
-            raise _cert_fail(path, str(exc)) from None
+            raise ValueError(f"{path}: {exc}") from None
     agreement = obj["oracle_agreement"]
     if not isinstance(agreement, bool):
-        raise _cert_fail("oracle_agreement", f"expected true or false, got {agreement!r}")
+        raise ValueError(f"oracle_agreement: expected true or false, got {agreement!r}")
     try:
         return EscapeCertificate(
             x0=x0,

@@ -12,23 +12,25 @@ to cross-check the descent:
   takes the largest one that is a postfixpoint (the supremum construction);
 * ``subset_fixpoint_oracle`` reads the map literally as a supremum over
   finite index sets: every candidate is weight_sum(S) + tail-state for a
-  prefix subset S, and the largest candidate fixed by the map wins.
+  prefix subset S, and the largest candidate fixed by the map wins.  The map
+  is constant on each plateau, so its tail part is too, and one tail state
+  per plateau covers them all.
 
-``kt_finite`` plus ``FiniteLattice``/``MonotoneTable`` generalize the same
-iteration to arbitrary exhaustively validated finite lattices, so the engine
-itself can be fuzzed against brute force on thousands of unrelated orders.
+``kt_finite`` plus ``FiniteLattice``/``MonotoneTable`` run the same settle
+loop as the descent (``_settle``) on arbitrary exhaustively validated finite
+lattices, so the engine itself can be fuzzed against brute force on
+thousands of unrelated orders.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .enumeration import Affine, Constant, Cycle, EnumerationSpec, tail_weight_sum
-from .numerics import dyadic_tail_weight, dyadic_weight, geometric_block_sum
+from .enumeration import Affine, EnumerationSpec, affine_cut, tail_weight_sum
+from .numerics import dyadic_weight
 from .weight_map import plateau_profile, weight_below
 
 __all__ = [
@@ -99,6 +101,28 @@ class FixpointTrace:
             raise ValueError("a terminated trace must end with the settled value repeated")
 
 
+def _settle(start, step: Callable, below: Callable[[object, object], bool], budget: int) -> list:
+    """Apply ``step`` from ``start`` until an iterate repeats, or ``budget`` runs out.
+
+    Returns every iterate, start included; the walk settled exactly when the
+    last two are equal.  Each move must go down in the order ``below``
+    (a <= b); a move that does not proves the step map is not monotone.
+    """
+    z = start
+    iterates = [z]
+    for _ in range(budget):
+        nz = step(z)
+        iterates.append(nz)
+        if nz == z:
+            break
+        if not below(nz, z):
+            raise RuntimeError(
+                f"iteration moved from {z} to {nz} against the order; step map is not monotone"
+            )
+        z = nz
+    return iterates
+
+
 def descend_from_top(
     step: Callable[[Fraction], Fraction],
     budget: int = DEFAULT_ITERATION_BUDGET,
@@ -111,19 +135,12 @@ def descend_from_top(
     """
     if not isinstance(budget, int) or budget < 1:
         raise ValueError(f"iteration budget must be a positive integer, got {budget!r}")
-    z = _TWO
-    iterates = [z]
-    for _ in range(budget):
-        nz = step(z)
-        iterates.append(nz)
-        if nz == z:
-            trace = FixpointTrace(tuple(iterates), True, len(iterates) - 1)
-            return z, trace
-        if nz > z:
-            raise RuntimeError(f"descent increased from {z} to {nz}; step map is not monotone below 2")
-        z = nz
-    trace = FixpointTrace(tuple(iterates), False, len(iterates) - 1)
-    raise BudgetExceededError(f"descent did not settle within {budget} steps", trace)
+    iterates = _settle(_TWO, step, lambda a, b: a <= b, budget)
+    settled = iterates[-1] == iterates[-2]
+    trace = FixpointTrace(tuple(iterates), settled, len(iterates) - 1)
+    if not settled:
+        raise BudgetExceededError(f"descent did not settle within {budget} steps", trace)
+    return iterates[-1], trace
 
 
 def gfp_descend(
@@ -169,52 +186,6 @@ def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     return max(qualifying)
 
 
-def _tail_states(spec: EnumerationSpec, bound: int = 2**14) -> list[Fraction]:
-    """Every tail weight the map can charge for some x in [0, 2]."""
-    start = len(spec.prefix)
-    tail = spec.tail
-    if isinstance(tail, Constant):
-        states = {_ZERO, dyadic_tail_weight(start)}
-    elif isinstance(tail, Cycle):
-        states = {tail_weight_sum(spec, _ZERO), tail_weight_sum(spec, _TWO)}
-        for v in set(spec.prefix):
-            if _ZERO <= v <= _TWO:
-                # tail weight for x just above the break at v
-                states.add(_cycle_state_at_or_below(spec, v))
-    else:
-        assert isinstance(tail, Affine)
-        if tail.a > 0:
-            # eligible tail indices at x form [start, cutoff(x)); cutoff is
-            # monotone in x and hits every integer between its endpoints
-            m_lo = max(start, math.ceil((_ZERO - tail.b) / tail.a))
-            m_hi = max(start, math.ceil((_TWO - tail.b) / tail.a))
-            if m_hi - m_lo > bound:
-                raise OracleScopeError(
-                    f"{m_hi - m_lo + 1} affine tail states exceed the oracle bound {bound}"
-                )
-            full = dyadic_tail_weight(start)
-            states = {full - dyadic_tail_weight(m) for m in range(m_lo, m_hi + 1)}
-        else:
-            # eligible tail indices at x form [first(x), infinity)
-            m_min = max(start, math.floor((_TWO - tail.b) / tail.a) + 1)
-            m_max = max(start, math.floor((_ZERO - tail.b) / tail.a) + 1)
-            if m_max - m_min > bound:
-                raise OracleScopeError(
-                    f"{m_max - m_min + 1} affine tail states exceed the oracle bound {bound}"
-                )
-            states = {dyadic_tail_weight(m) for m in range(m_min, m_max + 1)}
-    return sorted(states)
-
-
-def _cycle_state_at_or_below(spec: EnumerationSpec, v: Fraction) -> Fraction:
-    start = len(spec.prefix)
-    total = _ZERO
-    for i, p in enumerate(spec.prefix):
-        if p <= v:
-            total += geometric_block_sum(start + i, start)
-    return total
-
-
 def subset_fixpoint_oracle(spec: EnumerationSpec, k_max: int = 12) -> Fraction:
     """The escape value by literal enumeration of finite-subset candidates.
 
@@ -223,16 +194,24 @@ def subset_fixpoint_oracle(spec: EnumerationSpec, k_max: int = 12) -> Fraction:
     ladder, subset sums are exactly {k * 2^-(L-1) : 0 <= k < 2^L}, so each
     (tail state, map plateau) pair admits a single divisibility test instead
     of a 2^L loop; the candidate set and the returned maximum fixpoint are
-    identical to the naive enumeration.  Scope guards: prefix length <= k_max
-    (<= 16) and at most 2^14 affine tail states.
+    identical to the naive enumeration.  The realizable tail states are the
+    tail weights at the plateaus, one per plateau.  Scope guards: prefix
+    length <= k_max (<= 16) and at most 2^14 affine tail states, checked
+    before any plateau is built.
     """
     length = len(spec.prefix)
     if not isinstance(k_max, int) or not 0 <= k_max <= 16:
         raise OracleScopeError(f"k_max must be between 0 and 16, got {k_max!r}")
     if length > k_max:
         raise OracleScopeError(f"prefix length {length} exceeds the oracle bound k_max={k_max}")
-    states = _tail_states(spec)
+    if isinstance(spec.tail, Affine):
+        # the tail's cut moves through every index between its cuts at 0 and 2
+        lo, hi = sorted((affine_cut(spec, _ZERO), affine_cut(spec, _TWO)))
+        bound = 2**14
+        if hi - lo > bound:
+            raise OracleScopeError(f"{hi - lo + 1} affine tail states exceed the oracle bound {bound}")
     pieces = _plateaus(spec)
+    states = {tail_weight_sum(spec, hi) for _, _, hi, _ in pieces}
     unit = dyadic_weight(length - 1) if length else None
     subset_count = 1 << length
     best: Fraction | None = None
@@ -440,20 +419,17 @@ class MonotoneTable:
 def kt_finite(lattice: FiniteLattice, table: MonotoneTable) -> tuple:
     """(least, greatest) fixpoint of a monotone table by chain iteration.
 
-    Ascends from bottom and descends from top; on a finite lattice both
-    chains settle within len(lattice) applications.
+    Ascends from bottom (a descent in the dual order) and descends from top,
+    with the escape value's settle loop; on a finite lattice both chains
+    settle within len(lattice) applications.
     """
-
-    def settle(start):
-        z = start
-        for _ in range(len(lattice) + 1):
-            nz = table(z)
-            if nz == z:
-                return z
-            z = nz
-        raise RuntimeError("iteration failed to settle on a finite lattice")
-
-    return settle(lattice.bottom), settle(lattice.top)
+    budget = len(lattice) + 1
+    ascent = _settle(lattice.bottom, table, lambda a, b: lattice.leq(b, a), budget)
+    descent = _settle(lattice.top, table, lattice.leq, budget)
+    for chain in (ascent, descent):
+        if chain[-1] != chain[-2]:
+            raise RuntimeError("iteration failed to settle on a finite lattice")
+    return ascent[-1], descent[-1]
 
 
 def brute_extreme_fixpoints(lattice: FiniteLattice, table: MonotoneTable) -> tuple:

@@ -35,7 +35,7 @@ Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def as_fraction(value: RationalLike, what: str = "value") -> Fraction:

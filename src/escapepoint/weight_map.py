@@ -14,7 +14,6 @@ true value from both sides, charging every unseen index to a tail allowance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from .enumeration import (
     Cycle,
     EnumerationSpec,
     IntervalEnumeration,
+    affine_cut,
     eligible_prefix_indices,
     tail_weight_sum,
 )
@@ -33,7 +33,6 @@ from .numerics import (
     as_fraction,
     dyadic_tail_weight,
     dyadic_weight,
-    geometric_block_sum,
     interval_strictly_below,
     weight_sum,
 )
@@ -116,8 +115,10 @@ def plateau_profile(
 
         weight_below(spec, x) = base + sum of jumps at breaks strictly below x.
 
-    Affine tails contribute one break per index whose value lands in [0, 2];
-    that is at most 2/|a| + 1 indices, so cost grows as the slope flattens.
+    A cycle tail repeats every prefix jump in each later lap, which scales
+    it by 2^L / (2^L - 1).  Affine tails contribute one break per index whose
+    value lands in [0, 2], found between the cuts at 0 and 2; that is at most
+    2/|a| + 1 indices, so cost grows as the slope flattens.
     """
     base = weight_below(spec, _ZERO)
     jumps: dict[Fraction, Fraction] = {}
@@ -126,22 +127,17 @@ def plateau_profile(
         if _ZERO <= value <= _TWO:
             jumps[value] = jumps.get(value, _ZERO) + weight
 
-    for i, v in enumerate(spec.prefix):
-        bump(v, dyadic_weight(i))
     start = len(spec.prefix)
     tail = spec.tail
+    lap = Fraction(2**start, 2**start - 1) if isinstance(tail, Cycle) else 1
+    for i, v in enumerate(spec.prefix):
+        bump(v, dyadic_weight(i) * lap)
     if isinstance(tail, Constant):
         bump(tail.value, dyadic_tail_weight(start))
-    elif isinstance(tail, Cycle):
-        for i, v in enumerate(spec.prefix):
-            bump(v, geometric_block_sum(start + i, start))
     elif isinstance(tail, Affine):
-        if tail.a > 0:
-            lo_n = max(start, math.ceil((_ZERO - tail.b) / tail.a))
-            hi_n = math.floor((_TWO - tail.b) / tail.a)
-        else:
-            lo_n = max(start, math.ceil((_TWO - tail.b) / tail.a))
-            hi_n = math.floor((_ZERO - tail.b) / tail.a)
-        for n in range(lo_n, hi_n + 1):
+        # a value exactly at the upper bound 2 sits just before the lower cut
+        # when a < 0; bump drops the one or two indices outside [0, 2]
+        lo, hi = sorted((affine_cut(spec, _ZERO), affine_cut(spec, _TWO)))
+        for n in range(max(start, lo - 1), hi + 1):
             bump(tail.a * n + tail.b, dyadic_weight(n))
     return base, tuple(sorted(jumps.items()))

@@ -73,6 +73,8 @@ class TestErrorHandling:
         ('{"prefix": [], "tail": {"kind": "fancy"}}', "unknown tail kind"),
         ('{"prefix": ["1/0"], "tail": {"kind": "cycle"}}', "zero denominator"),
         ('{"prefix": [], "tail": {"kind": "constant", "value": 2}}', "tail.value"),
+        # nesting deeper than the recursion limit
+        pytest.param("[" * 200_000, "invalid JSON", id="deep-nesting"),
     ])
     def test_malformed_specs_fail_with_position(self, tmp_path, capsys, text, fragment):
         path = tmp_path / "bad.json"
@@ -142,6 +144,18 @@ class TestSelfTestCommand:
     def test_small_battery(self, capsys):
         assert main(["kt-selftest", "--count", "5", "--seed", "2"]) == 0
         assert "5 lattices checked, 0 failures" in capsys.readouterr().out
+
+
+class TestProcessState:
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_int_digit_limit_is_restored(self, capsys):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert main(["kt-selftest", "--count", "1"]) == 0
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestModuleEntryPoint:

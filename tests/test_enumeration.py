@@ -119,6 +119,20 @@ class TestTailWeightSum:
         assert tail_weight_sum(spec, 3) == F(7, 4)
         assert tail_weight_sum(spec, F(5, 2)) == F(7, 4)
 
+    def test_negative_slope_boundary_is_strict(self):
+        # f(n) = -n: at x = -3 the indices n >= 4 are below, just above it n >= 3
+        spec = EnumerationSpec(prefix=(), tail=Affine(-1, 0))
+        assert tail_weight_sum(spec, -3) == F(1, 8)
+        assert tail_weight_sum(spec, F(-5, 2)) == F(1, 4)
+
+    def test_cut_clamped_at_prefix_length(self):
+        # both lines cross x = 1 inside the prefix (L = 2), so the tail lies
+        # wholly on one side of it
+        rising = EnumerationSpec(prefix=(F(5), F(5)), tail=Affine(1, 0))
+        assert tail_weight_sum(rising, 1) == 0
+        falling = EnumerationSpec(prefix=(F(5), F(5)), tail=Affine(-1, 1))
+        assert tail_weight_sum(falling, 1) == F(1, 2)
+
 
 class TestTailHits:
     @given(spec_indices, st.integers(min_value=0, max_value=80))

@@ -112,6 +112,16 @@ class TestComputeEscape:
         for n in range(len(spec.prefix), len(spec.prefix) + 60):
             assert abs(value_at(spec, n) - cert.x0) >= witness.gap
 
+    def test_affine_verdict_clamped_at_prefix_length(self):
+        # the line comes closest to x0 at a negative index, so the witness is
+        # the first tail index L = 1
+        rising = compute_escape(EnumerationSpec(prefix=(F(5),), tail=Affine(1, 10)))
+        assert rising.x0 == 0
+        assert rising.verdicts[-1] == Verdict(where=1, value=F(11), relation="above", gap=F(11))
+        falling = compute_escape(EnumerationSpec(prefix=(F(5),), tail=Affine(-1, -10)))
+        assert falling.x0 == 1
+        assert falling.verdicts[-1] == Verdict(where=1, value=F(-11), relation="below", gap=F(12))
+
 
 class TestCertificateValidation:
     def test_witness_must_match(self):

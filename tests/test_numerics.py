@@ -39,6 +39,7 @@ class TestParseFormat:
 
     @pytest.mark.parametrize("bad", [
         "0.5", "1e3", " 1", "1 ", "1 /2", "1/-2", "", "+5", "3.", "--1", "1//2", "nan",
+        "\u0663/\u0664",  # Arabic-Indic digits: int() reads them, the format is ASCII
     ])
     def test_rejects_inexact_or_malformed(self, bad):
         with pytest.raises(ValueError):

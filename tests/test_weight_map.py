@@ -94,6 +94,15 @@ class TestPlateauProfile:
         _, breaks = plateau_profile(spec)
         assert len(breaks) == 33  # values k/16 in [0, 2]
 
+    def test_negative_slope_lands_on_both_ends(self):
+        # f(n) = 2 - n/4 takes the value 2 at n = 0 and 0 at n = 8
+        spec = EnumerationSpec(prefix=(), tail=Affine(F(-1, 4), 2))
+        base, breaks = plateau_profile(spec)
+        assert [at for at, _ in breaks] == [F(k, 4) for k in range(9)]
+        for x in [F(k, 8) for k in range(17)]:
+            rebuilt = base + sum((j for at, j in breaks if at < x), F(0))
+            assert rebuilt == weight_below(spec, x), x
+
 
 class TestWeightBelowBounds:
     def test_hand_case(self):
