@@ -8,8 +8,9 @@ stays below every iterate by induction).
 Two oracles recompute the same value through different routes and exist only
 to cross-check the descent:
 
-* ``sup_postfix_oracle`` enumerates the map's plateau values on [0, 2] and
-  takes the largest one that is a postfixpoint (the supremum construction);
+* ``sup_postfix_oracle`` sweeps the map's plateau values on [0, 2] from the
+  top down and stops at the first postfixpoint, the largest (the supremum
+  construction);
 * ``subset_fixpoint_oracle`` reads the map literally as a supremum over
   finite index sets: every candidate is weight_sum(S) + tail-state for a
   prefix subset S, and the largest candidate fixed by the map wins.  The map
@@ -157,33 +158,33 @@ def _plateaus(spec: EnumerationSpec) -> list[tuple[Fraction, Fraction, Fraction,
     Each entry is (value, lo, hi, lo_closed): the map equals ``value`` on
     (lo, hi], or on [lo, hi] when lo_closed (the leading piece).
     """
-    base, breaks = plateau_profile(spec)
-    if not breaks:
-        return [(base, _ZERO, _TWO, True)]
-    pieces = [(base, _ZERO, breaks[0][0], True)]
-    cum = base
-    for i, (at, jump) in enumerate(breaks):
-        cum += jump
-        hi = breaks[i + 1][0] if i + 1 < len(breaks) else _TWO
+    value, breaks = plateau_profile(spec)
+    edges = [at for at, _ in breaks] + [_TWO]
+    pieces = [(value, _ZERO, edges[0], True)]
+    for (at, jump), hi in zip(breaks, edges[1:]):
+        value += jump
         if at < hi:
-            pieces.append((cum, at, hi, False))
+            pieces.append((value, at, hi, False))
     return pieces
 
 
 def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     """The escape value as a supremum: largest plateau value v with v <= map(v).
 
-    Candidates are the map's value at 0, its value just above every break in
-    [0, 2], and its value at 2; the true greatest postfixpoint is a fixpoint,
-    hence one of these, and every qualifying candidate is a postfixpoint, so
-    the maximum is exact.  Independent of the descent.
+    Candidates are the map's value at 2, then its plateau values on [0, 2]
+    from the top down; every jump is positive, so they descend and the first
+    postfixpoint met is the largest.  The true greatest postfixpoint is a
+    fixpoint, hence a candidate, so the sweep is exact and stops after one
+    test per distinct value above it (a repeat is not tested twice).
+    Independent of the descent.
     """
-    candidates = {piece[0] for piece in _plateaus(spec)}
-    candidates.add(weight_below(spec, _TWO))
-    qualifying = [v for v in candidates if v <= weight_below(spec, v)]
-    if not qualifying:
-        raise RuntimeError("no candidate is a postfixpoint; map evaluation is inconsistent")
-    return max(qualifying)
+    candidates = [weight_below(spec, _TWO)] + [piece[0] for piece in reversed(_plateaus(spec))]
+    failed = None
+    for v in candidates:
+        if v != failed and v <= weight_below(spec, v):
+            return v
+        failed = v
+    raise RuntimeError("no candidate is a postfixpoint; map evaluation is inconsistent")
 
 
 def subset_fixpoint_oracle(spec: EnumerationSpec, k_max: int = 12) -> Fraction:
@@ -195,9 +196,10 @@ def subset_fixpoint_oracle(spec: EnumerationSpec, k_max: int = 12) -> Fraction:
     (tail state, map plateau) pair admits a single divisibility test instead
     of a 2^L loop; the candidate set and the returned maximum fixpoint are
     identical to the naive enumeration.  The realizable tail states are the
-    tail weights at the plateaus, one per plateau.  Scope guards: prefix
-    length <= k_max (<= 16) and at most 2^14 affine tail states, checked
-    before any plateau is built.
+    tail weights at the plateaus, one per plateau.  Only plateaus holding
+    their own value are tried, from the top down, so the first hit is the
+    largest.  Scope guards: prefix length <= k_max (<= 16) and at most 2^14
+    affine tail states, checked before any plateau is built.
     """
     length = len(spec.prefix)
     if not isinstance(k_max, int) or not 0 <= k_max <= 16:
@@ -212,28 +214,15 @@ def subset_fixpoint_oracle(spec: EnumerationSpec, k_max: int = 12) -> Fraction:
             raise OracleScopeError(f"{hi - lo + 1} affine tail states exceed the oracle bound {bound}")
     pieces = _plateaus(spec)
     states = {tail_weight_sum(spec, hi) for _, _, hi, _ in pieces}
-    unit = dyadic_weight(length - 1) if length else None
-    subset_count = 1 << length
-    best: Fraction | None = None
-    for t in states:
-        for value, lo, hi, lo_closed in pieces:
-            if value > hi or value < lo or (value == lo and not lo_closed):
-                continue  # the map does not take this value at itself here
-            diff = value - t
-            if diff < 0:
-                continue
-            if unit is None:
-                if diff != 0:
-                    continue
-            else:
-                k = diff / unit
-                if k.denominator != 1 or k >= subset_count:
-                    continue
-            if best is None or value > best:
-                best = value
-    if best is None:
-        raise RuntimeError("subset enumeration found no fixpoint; map evaluation is inconsistent")
-    return best
+    # with no prefix the only subset sum is 0, which any unit divides
+    unit = dyadic_weight(length - 1) if length else Fraction(1)
+    for value, lo, hi, lo_closed in reversed(pieces):
+        if lo < value <= hi or (lo_closed and value == lo):
+            for t in states:
+                k = (value - t) / unit
+                if k.denominator == 1 and 0 <= k < 1 << length:
+                    return value
+    raise RuntimeError("subset enumeration found no fixpoint; map evaluation is inconsistent")
 
 
 # -- generic finite-lattice engine -------------------------------------------

@@ -92,11 +92,16 @@ def dyadic_tail_weight(start: int) -> Fraction:
 
 
 def weight_sum(indices: Iterable[int]) -> Fraction:
-    """Exact sum of 2^-n over a finite set of naturals (duplicates ignored)."""
-    total = Fraction(0)
-    for n in set(indices):
-        total += dyadic_weight(n)
-    return total
+    """Exact sum of 2^-n over a finite set of naturals (duplicates ignored).
+
+    The sum is one integer over 2^top, top the largest index: one Fraction.
+    """
+    distinct = set(indices)
+    for n in distinct:
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"weight index must be a natural number, got {n!r}")
+    top = max(distinct, default=0)
+    return Fraction(sum(1 << (top - n) for n in distinct), 1 << top)
 
 
 def geometric_block_sum(first: int, period: int) -> Fraction:

@@ -32,7 +32,6 @@ from .numerics import (
     Tribool,
     as_fraction,
     dyadic_tail_weight,
-    dyadic_weight,
     interval_strictly_below,
     weight_sum,
 )
@@ -118,26 +117,33 @@ def plateau_profile(
     A cycle tail repeats every prefix jump in each later lap, which scales
     it by 2^L / (2^L - 1).  Affine tails contribute one break per index whose
     value lands in [0, 2], found between the cuts at 0 and 2; that is at most
-    2/|a| + 1 indices, so cost grows as the slope flattens.
+    2/|a| + 1 indices, so cost grows as the slope flattens.  Jumps add up as
+    integers over one denominator, 2^top for the deepest index top (times
+    2^L - 1 for a cycle); each break makes one Fraction at the end.
     """
-    base = weight_below(spec, _ZERO)
-    jumps: dict[Fraction, Fraction] = {}
-
-    def bump(value: Fraction, weight: Fraction) -> None:
-        if _ZERO <= value <= _TWO:
-            jumps[value] = jumps.get(value, _ZERO) + weight
-
     start = len(spec.prefix)
     tail = spec.tail
-    lap = Fraction(2**start, 2**start - 1) if isinstance(tail, Cycle) else 1
-    for i, v in enumerate(spec.prefix):
-        bump(v, dyadic_weight(i) * lap)
-    if isinstance(tail, Constant):
-        bump(tail.value, dyadic_tail_weight(start))
-    elif isinstance(tail, Affine):
+    run = range(0)  # the affine tail indices that can land in [0, 2]
+    if isinstance(tail, Affine):
         # a value exactly at the upper bound 2 sits just before the lower cut
-        # when a < 0; bump drops the one or two indices outside [0, 2]
+        # when a < 0; the one or two indices outside [0, 2] are dropped below
         lo, hi = sorted((affine_cut(spec, _ZERO), affine_cut(spec, _TWO)))
-        for n in range(max(start, lo - 1), hi + 1):
-            bump(tail.a * n + tail.b, dyadic_weight(n))
-    return base, tuple(sorted(jumps.items()))
+        run = range(max(start, lo - 1), hi + 1)
+    top = max(start, run.stop)
+    lap = start if isinstance(tail, Cycle) else 0
+    den = max(1, (1 << lap) - 1) << top
+    # (value, shift): the enumerated value carries weight 2^shift / den
+    weighted = [(v, top - i + lap) for i, v in enumerate(spec.prefix)]
+    if isinstance(tail, Constant):
+        weighted.append((tail.value, top - start + 1))
+    weighted += [(tail.a * n + tail.b, top - n) for n in run]
+    jumps: dict[Fraction, int] = {}
+    for value, shift in weighted:
+        if _ZERO <= value <= _TWO:
+            jumps[value] = jumps.get(value, 0) + (1 << shift)
+    breaks = []
+    for at, jump in sorted(jumps.items()):
+        # cancel the shared twos first, so that Fraction's gcd stays cheap
+        twos = min((jump & -jump).bit_length() - 1, top)
+        breaks.append((at, Fraction(jump >> twos, den >> twos)))
+    return weight_below(spec, _ZERO), tuple(breaks)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_spec
+from escapepoint import fixpoint
 from escapepoint import (
     Affine,
     BudgetExceededError,
@@ -125,6 +126,35 @@ class TestOracles:
         flat = EnumerationSpec((), Affine(F(1, 10**5), 0))
         with pytest.raises(OracleScopeError):
             subset_fixpoint_oracle(flat)
+
+    @pytest.mark.parametrize("slope", [F(1, 256), F(-1, 256)])
+    @pytest.mark.parametrize("intercept", [0, 1, 2])
+    def test_subset_oracle_on_flat_affine_tails(self, slope, intercept):
+        # 513 plateaus, of which only a handful hold their own value
+        spec = EnumerationSpec((), Affine(slope, intercept))
+        assert subset_fixpoint_oracle(spec) == gfp_descend(spec)[0]
+
+
+class TestSupremumSweep:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stops_at_the_first_postfixpoint(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        spec = EnumerationSpec(
+            tuple(F(rng.randint(-8, 24), rng.randint(1, 12)) for _ in range(64)), Cycle()
+        )
+        x0, _ = gfp_descend(spec)
+        above = sum(1 for piece in fixpoint._plateaus(spec) if piece[0] > x0)
+        calls = []
+        real = fixpoint.weight_below
+        monkeypatch.setattr(fixpoint, "weight_below", lambda s, x: calls.append(x) or real(s, x))
+        assert sup_postfix_oracle(spec) == x0
+        # the map at 2, then one test per candidate down to x0
+        assert len(calls) <= above + 2
+
+    def test_map_below_every_candidate_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(fixpoint, "weight_below", lambda spec, x: x - 1)
+        with pytest.raises(RuntimeError, match="no candidate is a postfixpoint"):
+            sup_postfix_oracle(SPEC2)
 
 
 def divisor_lattice(n):

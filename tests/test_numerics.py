@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from escapepoint import (
@@ -96,6 +96,18 @@ class TestWeights:
     def test_weight_sum_rejects_negative_index(self):
         with pytest.raises(ValueError):
             weight_sum([0, -1])
+
+    @given(st.lists(st.integers(min_value=0, max_value=4096), max_size=40))
+    @example([])
+    def test_weight_sum_matches_termwise_sum(self, indices):
+        # every third index repeated, so duplicates are always in play
+        expected = sum((dyadic_weight(n) for n in set(indices)), F(0))
+        assert weight_sum(indices + indices[::3]) == expected
+
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_weight_sum_rejects_non_naturals(self, bad):
+        with pytest.raises(ValueError):
+            weight_sum([0, 4096, bad])
 
 
 class TestGeometricBlockSum:
