@@ -395,8 +395,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args, budget)
     # TheoremViolationError is deliberately not handled: it means the library
     # itself is inconsistent, and that should crash loudly.
-    except (ValueError, ZeroDivisionError, OSError, BudgetExceededError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BudgetExceededError as exc:
+        iterates = exc.trace.iterates
+        print(f"error: {exc}", file=sys.stderr)
+        print(
+            f"partial trace: {len(iterates)} iterates, last {format_rational(iterates[-1])}",
+            file=sys.stderr,
+        )
         return 1
     finally:
         if limit is not None:

@@ -216,7 +216,8 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
         skew = min(jitter, half)
         if n % 2:
             skew = -skew
-        return RatInterval(value + skew - half, value + skew + half)
+        center = value + skew
+        return RatInterval(center - half, center + half)
 
     return IntervalEnumeration(oracle)
 

@@ -42,7 +42,7 @@ from .fixpoint import (
     sup_postfix_oracle,
 )
 from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational
-from .weight_map import weight_below, weight_below_bounds
+from .weight_map import bounds_from_boxes, query_boxes, weight_below
 
 __all__ = [
     "TheoremViolationError",
@@ -248,14 +248,15 @@ def enclose_escape_traced(
 
     Runs the descent twice, once on the lower and once on the upper weight
     bound; both bound maps are monotone and bracket the true map, so the pair
-    of settled values brackets the true escape value.
+    of settled values brackets the true escape value.  Each index
+    0, ..., n_known-1 is queried once, before either descent, and both
+    descents classify those stored boxes: O(n_known) boxes held in memory.
+    The IntervalEnumeration contract makes answers deterministic per
+    (n, eps), so the bounds are those ``weight_below_bounds`` gives.
     """
-    lo, lo_trace = descend_from_top(
-        lambda z: weight_below_bounds(ienum, n_known, eps, z).lower, budget
-    )
-    hi, hi_trace = descend_from_top(
-        lambda z: weight_below_bounds(ienum, n_known, eps, z).upper, budget
-    )
+    boxes = tuple(query_boxes(ienum, n_known, eps))
+    lo, lo_trace = descend_from_top(lambda z: bounds_from_boxes(boxes, z).lower, budget)
+    hi, hi_trace = descend_from_top(lambda z: bounds_from_boxes(boxes, z).upper, budget)
     return RatInterval(lo, hi), lo_trace, hi_trace
 
 

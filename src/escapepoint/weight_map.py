@@ -10,12 +10,15 @@ function: ``plateau_profile`` materializes that step structure, which the
 fixpoint oracles consume.  ``weight_below_bounds`` is the semi-decidable
 variant: with only n_known interval queries at precision eps it brackets the
 true value from both sides, charging every unseen index to a tail allowance.
+It is ``query_boxes`` followed by ``bounds_from_boxes``; an enclosure calls
+the first once and the second at every step of both descents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .enumeration import (
     Affine,
@@ -28,6 +31,7 @@ from .enumeration import (
     tail_weight_sum,
 )
 from .numerics import (
+    RatInterval,
     RationalLike,
     Tribool,
     as_fraction,
@@ -40,6 +44,8 @@ __all__ = [
     "WeightBounds",
     "weight_below",
     "weight_below_bounds",
+    "query_boxes",
+    "bounds_from_boxes",
     "plateau_profile",
 ]
 
@@ -73,6 +79,39 @@ class WeightBounds:
             raise ValueError(f"bounds out of order: {self.lower} > {self.upper}")
 
 
+def query_boxes(
+    ienum: IntervalEnumeration,
+    n_known: int,
+    eps: RationalLike,
+) -> Iterator[RatInterval]:
+    """The boxes of indices 0, ..., n_known-1 at width eps, in index order.
+
+    n_known and eps are checked at the call; each index is queried once, as
+    the returned iterator reaches it.
+    """
+    if isinstance(n_known, bool) or not isinstance(n_known, int) or n_known < 1:
+        raise ValueError(f"n_known must be a positive integer, got {n_known!r}")
+    eps = as_fraction(eps, "eps")
+    return (ienum.at(n, eps) for n in range(n_known))
+
+
+def bounds_from_boxes(boxes: Sequence[RatInterval], x: RationalLike) -> WeightBounds:
+    """Bracket the weight map at x from the boxes of indices 0, ..., len(boxes)-1."""
+    x = as_fraction(x, "x")
+    certain: set[int] = set()
+    undecided: set[int] = set()
+    for n, box in enumerate(boxes):
+        verdict = interval_strictly_below(box, x)
+        if verdict is Tribool.CERTAIN_TRUE:
+            certain.add(n)
+        elif verdict is Tribool.UNKNOWN:
+            undecided.add(n)
+    allowance = dyadic_tail_weight(len(boxes))
+    lower = weight_sum(certain)
+    upper = lower + weight_sum(undecided) + allowance
+    return WeightBounds(lower, upper, frozenset(certain), frozenset(undecided), allowance)
+
+
 def weight_below_bounds(
     ienum: IntervalEnumeration,
     n_known: int,
@@ -82,24 +121,13 @@ def weight_below_bounds(
     """Bracket the weight map at x from n_known interval queries at width eps.
 
     Sound for any oracle meeting the IntervalEnumeration contract: the exact
-    map value always lies in [lower, upper].
+    map value always lies in [lower, upper].  Each index is queried once;
+    an enclosure queries the boxes once and both of its descents share them
+    through ``bounds_from_boxes``, the classifier this function ends in.
     """
-    if not isinstance(n_known, int) or n_known < 1:
-        raise ValueError(f"n_known must be a positive integer, got {n_known!r}")
-    eps = as_fraction(eps, "eps")
-    x = as_fraction(x, "x")
-    certain: set[int] = set()
-    undecided: set[int] = set()
-    for n in range(n_known):
-        verdict = interval_strictly_below(ienum.at(n, eps), x)
-        if verdict is Tribool.CERTAIN_TRUE:
-            certain.add(n)
-        elif verdict is Tribool.UNKNOWN:
-            undecided.add(n)
-    allowance = dyadic_tail_weight(n_known)
-    lower = weight_sum(certain)
-    upper = lower + weight_sum(undecided) + allowance
-    return WeightBounds(lower, upper, frozenset(certain), frozenset(undecided), allowance)
+    boxes = query_boxes(ienum, n_known, eps)
+    x = as_fraction(x, "x")  # checked before the first query
+    return bounds_from_boxes(tuple(boxes), x)
 
 
 def plateau_profile(

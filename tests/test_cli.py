@@ -91,7 +91,10 @@ class TestErrorHandling:
     def test_budget_from_environment(self, spec2_file, capsys, monkeypatch):
         monkeypatch.setenv("ESCAPE_ITER_BUDGET", "2")
         assert main(["escape", spec2_file]) == 1
-        assert "did not settle within 2 steps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "did not settle within 2 steps" in err
+        # the descent 2 -> 3/2 -> 1/2 is cut before its confirming step
+        assert "partial trace: 3 iterates, last 1/2" in err
         monkeypatch.setenv("ESCAPE_ITER_BUDGET", "3")
         assert main(["escape", spec2_file]) == 0
 

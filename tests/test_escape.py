@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -14,17 +15,20 @@ from escapepoint import (
     EnumerationSpec,
     EscapeCertificate,
     FixpointTrace,
+    IntervalEnumeration,
     Verdict,
     adjoin_escape_demo,
     certificate_from_jsonable,
     certificate_to_jsonable,
     compute_escape,
+    descend_from_top,
     dyadic_weight,
     enclose_escape,
     enclose_escape_traced,
     gfp_descend,
     intervalize,
     value_at,
+    weight_below_bounds,
 )
 
 spec_indices = st.integers(min_value=0, max_value=2999)
@@ -194,6 +198,36 @@ class TestEnclosure:
         # query can certify it is not below 2, so the upper bound stays there
         enc = enclose_escape(intervalize(SPEC2), 8, F(1, 100))
         assert (enc.lo, enc.hi) == (F(1, 2), F(2))
+
+    @pytest.mark.parametrize("spec, n_known, eps", [
+        (SPEC1, 5, F(1, 100)),
+        (SPEC2, 8, F(1, 100)),
+        *((spec, 16, F(1, 128)) for spec in build_corpus(12)),
+    ])
+    def test_queries_each_index_once(self, spec, n_known, eps):
+        asked = Counter()
+        exact = intervalize(spec)
+
+        def counting_oracle(n, at_eps):
+            asked[n] += 1
+            return exact.at(n, at_eps)
+
+        enclose_escape_traced(IntervalEnumeration(counting_oracle), n_known, eps)
+        assert asked == Counter(range(n_known))
+
+    @given(
+        spec_indices,
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from([F(1, 10), F(1, 128), F(1, 10**6)]),
+        st.sampled_from([F(0), F(1, 1000), F(1, 7)]),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_descents_match_the_public_bound_maps(self, index, n_known, eps, jitter):
+        oracle = intervalize(corpus_spec(index), jitter)
+        _, lo_trace, hi_trace = enclose_escape_traced(oracle, n_known, eps)
+        _, lo_ref = descend_from_top(lambda z: weight_below_bounds(oracle, n_known, eps, z).lower)
+        _, hi_ref = descend_from_top(lambda z: weight_below_bounds(oracle, n_known, eps, z).upper)
+        assert (lo_trace, hi_trace) == (lo_ref, hi_ref)
 
     @given(
         spec_indices,

@@ -12,6 +12,7 @@ from escapepoint import (
     EnumerationSpec,
     WeightBounds,
     dyadic_weight,
+    enclose_escape_traced,
     intervalize,
     plateau_profile,
     value_at,
@@ -113,9 +114,12 @@ class TestWeightBelowBounds:
         assert bounds.undecided == frozenset()
         assert bounds.tail_allowance == F(1, 2)
 
-    def test_rejects_zero_n_known(self):
-        with pytest.raises(ValueError):
-            weight_below_bounds(intervalize(SPEC2), 0, F(1, 100), F(1))
+    @pytest.mark.parametrize("n_known", [0, True])
+    def test_rejects_zero_n_known(self, n_known):
+        with pytest.raises(ValueError, match="n_known must be a positive integer"):
+            weight_below_bounds(intervalize(SPEC2), n_known, F(1, 100), F(1))
+        with pytest.raises(ValueError, match="n_known must be a positive integer"):
+            enclose_escape_traced(intervalize(SPEC2), n_known, F(1, 100))
 
     def test_bounds_ordering_enforced(self):
         with pytest.raises(ValueError):
