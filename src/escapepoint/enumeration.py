@@ -155,11 +155,20 @@ def tail_weight_sum(spec: EnumerationSpec, x: RationalLike) -> Fraction:
     if isinstance(tail, Constant):
         return dyadic_tail_weight(start) if tail.value < x else Fraction(0)
     if isinstance(tail, Cycle):
-        return weight_sum(eligible_prefix_indices(spec, x)) / (2**start - 1)
+        return _cycle_tail_weight(weight_sum(eligible_prefix_indices(spec, x)), start)
     cut = affine_cut(spec, x)
     if tail.a > 0:
         return dyadic_tail_weight(start) - dyadic_tail_weight(cut)
     return dyadic_tail_weight(cut)
+
+
+def _cycle_tail_weight(prefix_weight: Fraction, length: int) -> Fraction:
+    """A cycle tail's weight below x, from the eligible prefix weight W(x).
+
+    Every later lap repeats the eligible prefix indices shifted by a
+    multiple of L, so the tail adds W(x) / (2^L - 1).
+    """
+    return prefix_weight / ((1 << length) - 1)
 
 
 def tail_hits(spec: EnumerationSpec, v: RationalLike) -> bool:

@@ -45,6 +45,8 @@ from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational
 from .weight_map import bounds_from_boxes, query_boxes, weight_below
 
 __all__ = [
+    "MAX_TAIL_CUT",
+    "ExponentBoundError",
     "TheoremViolationError",
     "DemoNotApplicableError",
     "Verdict",
@@ -58,10 +60,24 @@ __all__ = [
 ]
 
 _RELATIONS = ("below", "above")
+_ZERO = Fraction(0)
+_TWO = Fraction(2)
+
+
+# Deepest affine tail cut at 0 or at 2 that compute_escape accepts.  The
+# map's closed forms build 2^n for n up to the cuts, and a flat slope has
+# about 2/|a| plateaus.  Affine(1/8192, 0) (cut 16384) is inside; near the
+# bound, Affine(-1/8191, 2) takes about 2 s and 33 MB peak on a 2-core x86
+# host, since its sweep tests all 16383 plateaus.
+MAX_TAIL_CUT = 1 << 14
 
 
 class TheoremViolationError(RuntimeError):
     """An internal consistency check failed; the computation cannot be trusted."""
+
+
+class ExponentBoundError(ValueError):
+    """An affine tail meets 0 or 2 only past MAX_TAIL_CUT: its weights would need 2^n past it."""
 
 
 class DemoNotApplicableError(ValueError):
@@ -173,8 +189,17 @@ def compute_escape(
     The returned value is the greatest postfixpoint of the spec's weight map;
     the certificate shows it is a genuine fixpoint, matches the independent
     supremum oracle, and differs from every enumerated value by an explicit
-    positive gap.
+    positive gap.  An affine tail whose cut at 0 or at 2 lies past
+    ``MAX_TAIL_CUT`` is refused with ``ExponentBoundError`` before the map
+    is evaluated.
     """
+    if isinstance(spec.tail, Affine):
+        cut = max(affine_cut(spec, _ZERO), affine_cut(spec, _TWO))
+        if cut > MAX_TAIL_CUT:
+            raise ExponentBoundError(
+                f"the affine tail crosses [0, 2] at index {cut}, past the bound "
+                f"{MAX_TAIL_CUT} on dyadic exponents"
+            )
     x0, trace = gfp_descend(spec, budget)
     witness = weight_below(spec, x0)
     if witness != x0:

@@ -28,11 +28,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
+from itertools import chain
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .enumeration import Affine, EnumerationSpec, affine_cut, tail_weight_sum
 from .numerics import dyadic_weight
-from .weight_map import plateau_profile, weight_below
+from .weight_map import StepStructure, step_structure, weight_below
 
 __all__ = [
     "DEFAULT_ITERATION_BUDGET",
@@ -158,14 +159,28 @@ def _plateaus(spec: EnumerationSpec) -> list[tuple[Fraction, Fraction, Fraction,
     Each entry is (value, lo, hi, lo_closed): the map equals ``value`` on
     (lo, hi], or on [lo, hi] when lo_closed (the leading piece).
     """
-    value, breaks = plateau_profile(spec)
-    edges = [at for at, _ in breaks] + [_TWO]
-    pieces = [(value, _ZERO, edges[0], True)]
-    for (at, jump), hi in zip(breaks, edges[1:]):
-        value += jump
+    steps = step_structure(spec)
+    edges = [steps.at(k) for k in range(len(steps.jumps))] + [_TWO]
+    total = steps.base
+    pieces = [(steps.fraction(total), _ZERO, edges[0], True)]
+    for jump, at, hi in zip(steps.jumps, edges, edges[1:]):
+        total += jump
         if at < hi:
-            pieces.append((value, at, hi, False))
+            pieces.append((steps.fraction(total), at, hi, False))
     return pieces
+
+
+def _plateau_values_top_down(steps: StepStructure) -> Iterator[Fraction]:
+    """The plateau values on [0, 2] from the top down, each made when asked for."""
+    jumps = steps.jumps
+    count = len(jumps)
+    if count and steps.at(count - 1) == _TWO:
+        count -= 1  # a break at 2 opens no plateau inside [0, 2]
+    total = steps.base + sum(jumps[:count])
+    yield steps.fraction(total)
+    for k in range(count - 1, -1, -1):
+        total -= jumps[k]
+        yield steps.fraction(total)
 
 
 def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
@@ -175,10 +190,13 @@ def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     from the top down; every jump is positive, so they descend and the first
     postfixpoint met is the largest.  The true greatest postfixpoint is a
     fixpoint, hence a candidate, so the sweep is exact and stops after one
-    test per distinct value above it (a repeat is not tested twice).
+    test per distinct value above it (a repeat is not tested twice).  The
+    running plateau value is an integer over the step structure's
+    denominator; only a candidate the sweep reaches becomes a Fraction.
     Independent of the descent.
     """
-    candidates = [weight_below(spec, _TWO)] + [piece[0] for piece in reversed(_plateaus(spec))]
+    steps = step_structure(spec)
+    candidates = chain((weight_below(spec, _TWO),), _plateau_values_top_down(steps))
     failed = None
     for v in candidates:
         if v != failed and v <= weight_below(spec, v):

@@ -6,8 +6,9 @@ value lies strictly below x:
     weight_below(spec, x)  =  sum of 2^-n over { n : f(n) < x }.
 
 It is monotone, bounded by [0, 2], and (restricted to [0, 2]) a finite step
-function: ``plateau_profile`` materializes that step structure, which the
-fixpoint oracles consume.  ``weight_below_bounds`` is the semi-decidable
+function: ``step_structure`` builds that structure once, as integers over
+one denominator, for the fixpoint oracles; ``plateau_profile`` is its
+Fraction view.  ``weight_below_bounds`` is the semi-decidable
 variant: with only n_known interval queries at precision eps it brackets the
 true value from both sides, charging every unseen index to a tail allowance.
 It is ``query_boxes`` followed by ``bounds_from_boxes``; an enclosure calls
@@ -16,9 +17,10 @@ the first once and the second at every step of both descents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Union
 
 from .enumeration import (
     Affine,
@@ -26,6 +28,7 @@ from .enumeration import (
     Cycle,
     EnumerationSpec,
     IntervalEnumeration,
+    _cycle_tail_weight,
     affine_cut,
     eligible_prefix_indices,
     tail_weight_sum,
@@ -41,13 +44,21 @@ from .numerics import (
 )
 
 __all__ = [
+    "MAX_N_KNOWN",
+    "StepStructure",
     "WeightBounds",
     "weight_below",
     "weight_below_bounds",
     "query_boxes",
     "bounds_from_boxes",
     "plateau_profile",
+    "step_structure",
 ]
+
+# Most indices one bound map or enclosure may query.  An enclosure holds
+# every box (a few hundred bytes each, about 17 MB at this bound) and the
+# tail allowance is 2^(1 - n_known); a larger n_known is refused up front.
+MAX_N_KNOWN = 1 << 16
 
 _ZERO = Fraction(0)
 _TWO = Fraction(2)
@@ -56,7 +67,10 @@ _TWO = Fraction(2)
 def weight_below(spec: EnumerationSpec, x: RationalLike) -> Fraction:
     """Exact value of the weight map at x."""
     x = as_fraction(x, "x")
-    return weight_sum(eligible_prefix_indices(spec, x)) + tail_weight_sum(spec, x)
+    prefix = weight_sum(eligible_prefix_indices(spec, x))
+    if isinstance(spec.tail, Cycle):
+        return prefix + _cycle_tail_weight(prefix, len(spec.prefix))
+    return prefix + tail_weight_sum(spec, x)
 
 
 @dataclass(frozen=True)
@@ -86,11 +100,13 @@ def query_boxes(
 ) -> Iterator[RatInterval]:
     """The boxes of indices 0, ..., n_known-1 at width eps, in index order.
 
-    n_known and eps are checked at the call; each index is queried once, as
-    the returned iterator reaches it.
+    n_known (at most ``MAX_N_KNOWN``) and eps are checked at the call; each
+    index is queried once, as the returned iterator reaches it.
     """
     if isinstance(n_known, bool) or not isinstance(n_known, int) or n_known < 1:
         raise ValueError(f"n_known must be a positive integer, got {n_known!r}")
+    if n_known > MAX_N_KNOWN:
+        raise ValueError(f"n_known {n_known} exceeds the bound {MAX_N_KNOWN} on interval queries")
     eps = as_fraction(eps, "eps")
     return (ienum.at(n, eps) for n in range(n_known))
 
@@ -130,10 +146,107 @@ def weight_below_bounds(
     return bounds_from_boxes(tuple(boxes), x)
 
 
+@dataclass(frozen=True)
+class StepStructure:
+    """The weight map on [0, 2] as integers over one denominator.
+
+    For x in [0, 2]:
+
+        weight_below(spec, x) = (base + sum of jumps[k] over breaks k below x) / den
+
+    ``jumps[k]`` belongs to the k-th break in ascending order.  Every jump is
+    positive, so the plateau values base, base + jumps[0], ... ascend.  A
+    break is a prefix or constant tail value (a Fraction), or an affine tail
+    index n (an int) that stands for its value (A*n + B) / D, where
+    ``line`` = (A, B, D); ``at`` turns either into a Fraction.  ``den`` is
+    2^top for the deepest index top, times 2^L - 1 for a cycle.
+    """
+
+    den: int
+    base: int
+    jumps: list[int]
+    breaks: list[Union[Fraction, int]]
+    line: tuple[int, int, int]
+
+    def at(self, k: int) -> Fraction:
+        """The enumerated value at the k-th break."""
+        point = self.breaks[k]
+        if isinstance(point, int):
+            slope, intercept, scale = self.line
+            return Fraction(slope * point + intercept, scale)
+        return point
+
+    def fraction(self, num: int) -> Fraction:
+        """num / den, with the shared twos cancelled first so that Fraction's gcd stays cheap."""
+        both = num | self.den
+        twos = (both & -both).bit_length() - 1
+        return Fraction(num >> twos, self.den >> twos)
+
+
+def step_structure(spec: EnumerationSpec) -> StepStructure:
+    """Build the step structure of the weight map on [0, 2].
+
+    A cycle tail repeats every prefix jump in each later lap, which scales
+    it by 2^L / (2^L - 1).  An affine tail contributes one break per index
+    whose value lands in [0, 2], found between the cuts at 0 and 2: at most
+    2/|a| + 1 indices.  Their values (A*n + B) / D, with D the lcm of the
+    denominators of a and b, are distinct and monotone in n, so the run is
+    walked as an integer progression, with no Fraction, hash or sort per
+    index.  The at most L prefix values (and a constant tail value) in
+    [0, 2] are merged in by position; one that lands on the line adds its
+    jump to that index's jump.
+    """
+    start = len(spec.prefix)
+    tail = spec.tail
+    line = (0, 0, 1)
+    run = range(0)  # the affine tail indices with values in [0, 2], by ascending value
+    top = start
+    if isinstance(tail, Affine):
+        scale = math.lcm(tail.a.denominator, tail.b.denominator)
+        slope = tail.a.numerator * (scale // tail.a.denominator)
+        intercept = tail.b.numerator * (scale // tail.b.denominator)
+        line = (slope, intercept, scale)
+        lo, hi = sorted((affine_cut(spec, _ZERO), affine_cut(spec, _TWO)))
+        top = max(start, hi + 1)
+        # the cuts are strict, so each end may hold one index just outside [0, 2]
+        first, last = max(start, lo - 1), hi
+        if not 0 <= slope * first + intercept <= 2 * scale:
+            first += 1
+        if not 0 <= slope * last + intercept <= 2 * scale:
+            last -= 1
+        run = range(first, last + 1) if slope > 0 else range(last, first - 1, -1)
+    lap = start if isinstance(tail, Cycle) else 0
+    den = max(1, (1 << lap) - 1) << top
+    points: dict[Fraction, int] = {}
+    for i, v in enumerate(spec.prefix):
+        if _ZERO <= v <= _TWO:
+            points[v] = points.get(v, 0) + (1 << (top - i + lap))
+    if isinstance(tail, Constant) and _ZERO <= tail.value <= _TWO:
+        points[tail.value] = points.get(tail.value, 0) + (1 << (top - start + 1))
+    jumps = [1 << (top - n) for n in run]
+    breaks: list[Union[Fraction, int]] = list(run)
+    # from the top value down, so that each insertion leaves lower slots in place
+    for v, jump in sorted(points.items(), reverse=True):
+        pos = 0  # where v sits among the line's values, counted from the lowest
+        if run:
+            n = affine_cut(spec, v) - (slope < 0)  # the index whose value may equal v
+            pos = (n - run.start) * run.step
+            on_line = v.numerator * scale == v.denominator * (slope * n + intercept)
+            if 0 <= pos < len(run) and on_line:
+                jumps[pos] += jump
+                continue
+            pos = min(max(pos, 0), len(run))
+        jumps.insert(pos, jump)
+        breaks.insert(pos, v)
+    # g(0) is a sum of weights that den is a common denominator of
+    g0 = weight_below(spec, _ZERO)
+    return StepStructure(den, g0.numerator * (den // g0.denominator), jumps, breaks, line)
+
+
 def plateau_profile(
     spec: EnumerationSpec,
 ) -> tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]]:
-    """Step structure of the weight map on [0, 2].
+    """Step structure of the weight map on [0, 2], as Fractions.
 
     Returns ``(base, breaks)`` where ``base`` is the map value at 0 (weight of
     everything already below zero) and ``breaks`` lists, in ascending order,
@@ -142,36 +255,8 @@ def plateau_profile(
 
         weight_below(spec, x) = base + sum of jumps at breaks strictly below x.
 
-    A cycle tail repeats every prefix jump in each later lap, which scales
-    it by 2^L / (2^L - 1).  Affine tails contribute one break per index whose
-    value lands in [0, 2], found between the cuts at 0 and 2; that is at most
-    2/|a| + 1 indices, so cost grows as the slope flattens.  Jumps add up as
-    integers over one denominator, 2^top for the deepest index top (times
-    2^L - 1 for a cycle); each break makes one Fraction at the end.
+    A view of ``step_structure``, which builds the integers it divides out.
     """
-    start = len(spec.prefix)
-    tail = spec.tail
-    run = range(0)  # the affine tail indices that can land in [0, 2]
-    if isinstance(tail, Affine):
-        # a value exactly at the upper bound 2 sits just before the lower cut
-        # when a < 0; the one or two indices outside [0, 2] are dropped below
-        lo, hi = sorted((affine_cut(spec, _ZERO), affine_cut(spec, _TWO)))
-        run = range(max(start, lo - 1), hi + 1)
-    top = max(start, run.stop)
-    lap = start if isinstance(tail, Cycle) else 0
-    den = max(1, (1 << lap) - 1) << top
-    # (value, shift): the enumerated value carries weight 2^shift / den
-    weighted = [(v, top - i + lap) for i, v in enumerate(spec.prefix)]
-    if isinstance(tail, Constant):
-        weighted.append((tail.value, top - start + 1))
-    weighted += [(tail.a * n + tail.b, top - n) for n in run]
-    jumps: dict[Fraction, int] = {}
-    for value, shift in weighted:
-        if _ZERO <= value <= _TWO:
-            jumps[value] = jumps.get(value, 0) + (1 << shift)
-    breaks = []
-    for at, jump in sorted(jumps.items()):
-        # cancel the shared twos first, so that Fraction's gcd stays cheap
-        twos = min((jump & -jump).bit_length() - 1, top)
-        breaks.append((at, Fraction(jump >> twos, den >> twos)))
-    return weight_below(spec, _ZERO), tuple(breaks)
+    steps = step_structure(spec)
+    breaks = tuple((steps.at(k), steps.fraction(jump)) for k, jump in enumerate(steps.jumps))
+    return steps.fraction(steps.base), breaks

@@ -115,6 +115,26 @@ class TestErrorHandling:
             main(["escape", spec2_file, "--mode", "bogus"])
 
 
+class TestBoundsUpFront:
+    @pytest.mark.parametrize("text, args, fragment", [
+        ('{"prefix": [], "tail": {"kind": "affine", "a": "1/10000000000", "b": "0"}}',
+         [], "past the bound 16384"),
+        ('{"prefix": [], "tail": {"kind": "affine", "a": "1", "b": "-1000000000000"}}',
+         [], "past the bound 16384"),
+        (SPEC2_TEXT, ["--mode", "interval", "--n-known", "65537"], "exceeds the bound 65536"),
+    ], ids=["tiny-slope", "huge-intercept", "n-known"])
+    def test_refused_with_exit_1_and_no_traceback(self, text, args, fragment):
+        proc = subprocess.run(
+            [sys.executable, "-m", "escapepoint", "escape", "-", *args],
+            input=text, capture_output=True, text=True, check=False, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert fragment in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestCheckCommand:
     def test_all_invariants_pass(self, spec2_file, capsys):
         assert main(["check", spec2_file]) == 0

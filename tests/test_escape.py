@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus, random_spec
+from escapepoint import escape
 from escapepoint import (
+    MAX_N_KNOWN,
+    MAX_TAIL_CUT,
     Affine,
     Constant,
     Cycle,
     DemoNotApplicableError,
     EnumerationSpec,
     EscapeCertificate,
+    ExponentBoundError,
     FixpointTrace,
     IntervalEnumeration,
     Verdict,
@@ -127,6 +131,31 @@ class TestComputeEscape:
         assert falling.verdicts[-1] == Verdict(where=1, value=F(-11), relation="below", gap=F(12))
 
 
+class TestExponentBound:
+    @pytest.mark.parametrize("tail", [
+        Affine(F(1, 10**10), 0),  # the cut at 2 is index 2 * 10^10
+        Affine(1, -10**12),  # the line reaches 0 at index 10^12
+        Affine(-1, 10**12),  # ... and 2 just before it
+        Affine(F(1, MAX_TAIL_CUT), -F(1, MAX_TAIL_CUT)),  # one index past the bound
+    ])
+    def test_refused_before_the_map_runs(self, tail, monkeypatch):
+        def no_descent(*args):
+            raise AssertionError("the map was evaluated")
+
+        monkeypatch.setattr(escape, "gfp_descend", no_descent)
+        with pytest.raises(ExponentBoundError, match=f"past the bound {MAX_TAIL_CUT}"):
+            compute_escape(EnumerationSpec(prefix=(), tail=tail))
+
+    @pytest.mark.parametrize("tail", [
+        Affine(F(1, 4096), 0),
+        Affine(F(-1, 4096), 2),
+        Affine(F(1, MAX_TAIL_CUT // 2), 0),  # its cut at 2 is the bound itself
+    ])
+    def test_flat_tails_within_the_bound_compute(self, tail):
+        spec = EnumerationSpec(prefix=(), tail=tail)
+        assert compute_escape(spec).x0 == gfp_descend(spec)[0]
+
+
 class TestCertificateValidation:
     def test_witness_must_match(self):
         trace = FixpointTrace((F(2), F(1), F(1)), True, 2)
@@ -214,6 +243,16 @@ class TestEnclosure:
 
         enclose_escape_traced(IntervalEnumeration(counting_oracle), n_known, eps)
         assert asked == Counter(range(n_known))
+
+    def test_n_known_past_the_bound_is_refused_before_any_query(self):
+        asked = []
+        exact = intervalize(SPEC2)
+        oracle = IntervalEnumeration(lambda n, eps: asked.append(n) or exact.at(n, eps))
+        with pytest.raises(ValueError, match=f"exceeds the bound {MAX_N_KNOWN}"):
+            enclose_escape_traced(oracle, MAX_N_KNOWN + 1, F(1, 100))
+        with pytest.raises(ValueError, match=f"exceeds the bound {MAX_N_KNOWN}"):
+            weight_below_bounds(oracle, MAX_N_KNOWN + 1, F(1, 100), F(1))
+        assert asked == []
 
     @given(
         spec_indices,

@@ -151,6 +151,24 @@ class TestSupremumSweep:
         # the map at 2, then one test per candidate down to x0
         assert len(calls) <= above + 2
 
+    @pytest.mark.parametrize("slope", [F(1, 256), F(-1, 256)])
+    @pytest.mark.parametrize("intercept", [0, 1, 2, F(1, 7)])
+    @pytest.mark.parametrize("prefix", [(), (F(1, 2), F(2), F(0))])
+    def test_tests_every_plateau_above_x0_on_flat_affine_tails(
+        self, slope, intercept, prefix, monkeypatch
+    ):
+        # up to 513 plateaus; 1/2, 0 and 2 land on the line for most intercepts
+        spec = EnumerationSpec(prefix, Affine(slope, intercept))
+        x0, _ = gfp_descend(spec)
+        above = sum(1 for piece in fixpoint._plateaus(spec) if piece[0] > x0)
+        calls = []
+        real = fixpoint.weight_below
+        monkeypatch.setattr(fixpoint, "weight_below", lambda s, x: calls.append(x) or real(s, x))
+        assert sup_postfix_oracle(spec) == x0
+        # the map at 2, then one test per plateau value from the top down to
+        # x0: no fewer, so that no candidate goes untested
+        assert len(calls) == above + 2
+
     def test_map_below_every_candidate_is_an_error(self, monkeypatch):
         monkeypatch.setattr(fixpoint, "weight_below", lambda spec, x: x - 1)
         with pytest.raises(RuntimeError, match="no candidate is a postfixpoint"):

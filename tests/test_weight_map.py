@@ -19,11 +19,31 @@ from escapepoint import (
     weight_below,
     weight_below_bounds,
 )
+from escapepoint.enumeration import affine_cut
 
 spec_indices = st.integers(min_value=0, max_value=2999)
 unit_range = st.fractions(min_value=0, max_value=2, max_denominator=1000)
 
 SPEC2 = EnumerationSpec(prefix=(F(3, 2), F(1, 8)), tail=Constant(2))
+
+
+@st.composite
+def affine_specs(draw):
+    a = F(draw(st.integers(min_value=-64, max_value=64).filter(bool)),
+          draw(st.integers(min_value=1, max_value=64)))
+    # intercepts that put a tail value exactly on 0 or on 2, or anywhere
+    b = draw(st.one_of(
+        st.integers(min_value=-8, max_value=8).map(lambda k: -a * k),
+        st.integers(min_value=-8, max_value=8).map(lambda k: 2 - a * k),
+        st.fractions(min_value=-4, max_value=4, max_denominator=64),
+    ))
+    # prefix values on the tail's line, at the ends of [0, 2], or anywhere
+    value = st.one_of(
+        st.integers(min_value=0, max_value=300).map(lambda n: a * n + b),
+        st.sampled_from([F(0), F(2)]),
+        st.fractions(min_value=-1, max_value=3, max_denominator=64),
+    )
+    return EnumerationSpec(tuple(draw(st.lists(value, max_size=8))), Affine(a, b))
 
 
 def corpus_spec(index: int) -> EnumerationSpec:
@@ -94,6 +114,18 @@ class TestPlateauProfile:
         spec = EnumerationSpec(prefix=(), tail=Affine(F(1, 16), 0))
         _, breaks = plateau_profile(spec)
         assert len(breaks) == 33  # values k/16 in [0, 2]
+
+    @given(affine_specs())
+    @settings(deadline=None)
+    def test_affine_matches_brute_force(self, spec):
+        # past the larger cut every value lies outside [0, 2]
+        hi = max(affine_cut(spec, F(0)), affine_cut(spec, F(2)))
+        jumps = {}
+        for n in range(hi + 1):
+            v = value_at(spec, n)
+            if 0 <= v <= 2:
+                jumps[v] = jumps.get(v, F(0)) + dyadic_weight(n)
+        assert plateau_profile(spec) == (weight_below(spec, F(0)), tuple(sorted(jumps.items())))
 
     def test_negative_slope_lands_on_both_ends(self):
         # f(n) = 2 - n/4 takes the value 2 at n = 0 and 0 at n = 8
