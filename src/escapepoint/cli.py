@@ -25,6 +25,7 @@ from .enumeration import (
     Affine,
     EnumerationSpec,
     SpecError,
+    check_exponent_bound,
     eligible_prefix_indices,
     intervalize,
     spec_from_jsonable,
@@ -88,7 +89,10 @@ def run_invariant_battery(
     Returns (name, passed, note) triples in execution order; the note carries
     the failure reason, or an informational remark on a pass.  The battery
     never aborts early -- a crash inside one check is that check's failure.
+    An affine tail past the exponent bound is refused up front with
+    ``ExponentBoundError``, as ``compute_escape`` refuses it.
     """
+    check_exponent_bound(spec)
     rng = random.Random(seed)
     length = len(spec.prefix)
     points = _sample_points(spec, rng)
@@ -272,7 +276,7 @@ def _print_certificate(cert: EscapeCertificate) -> None:
 
 
 def _cmd_escape(args: argparse.Namespace, budget: int) -> int:
-    spec = parse_spec(_read_text(args.spec))
+    spec = args.spec
     if args.mode == "exact":
         cert = compute_escape(spec, budget)
         if args.output == "structured":
@@ -280,9 +284,8 @@ def _cmd_escape(args: argparse.Namespace, budget: int) -> int:
         else:
             _print_certificate(cert)
         return 0
-    eps = parse_rational(args.eps)
     enclosure, lo_trace, hi_trace = enclose_escape_traced(
-        intervalize(spec), args.n_known, eps, budget
+        intervalize(spec), args.n_known, args.eps, budget
     )
     if args.output == "structured":
         _emit_json({
@@ -300,8 +303,7 @@ def _cmd_escape(args: argparse.Namespace, budget: int) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, budget: int) -> int:
-    spec = parse_spec(_read_text(args.spec))
-    results = run_invariant_battery(spec, seed=args.seed, budget=budget)
+    results = run_invariant_battery(args.spec, seed=args.seed, budget=budget)
     for name, passed, note in results:
         status = "PASS" if passed else "FAIL"
         suffix = f" ({note})" if note else ""
@@ -312,7 +314,7 @@ def _cmd_check(args: argparse.Namespace, budget: int) -> int:
 
 
 def _cmd_demo_adjoin(args: argparse.Namespace, budget: int) -> int:
-    spec = parse_spec(_read_text(args.spec))
+    spec = args.spec
     before, extended, after = adjoin_escape_demo(spec, budget)
     step = dyadic_weight(len(spec.prefix))
     print(f"escape value before: {format_rational(before.x0)}")
@@ -384,14 +386,20 @@ def _iteration_budget() -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # lift the int-to-str digit limit for this call only, so the caller's
-    # process keeps its own setting
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         budget = _iteration_budget()
+        # parse the input under the interpreter's int digit limit, so that an
+        # oversized number is refused instead of costing quadratic time; then
+        # lift the limit for this call only, since results and the messages
+        # quoting them can need more digits (2^-16384 has 4933)
+        if "spec" in args:
+            args.spec = parse_spec(_read_text(args.spec))
+        if getattr(args, "mode", None) == "interval":
+            args.eps = parse_rational(args.eps)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         return args.handler(args, budget)
     # TheoremViolationError is deliberately not handled: it means the library
     # itself is inconsistent, and that should crash loudly.

@@ -17,9 +17,10 @@ for the semi-decidable mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
+from functools import cmp_to_key
+from typing import Callable, Collection, Union
 
 from .numerics import (
     RatInterval,
@@ -39,9 +40,12 @@ __all__ = [
     "TailRule",
     "EnumerationSpec",
     "IntervalEnumeration",
+    "MAX_TAIL_CUT",
+    "ExponentBoundError",
     "value_at",
     "eligible_prefix_indices",
     "affine_cut",
+    "check_exponent_bound",
     "tail_weight_sum",
     "tail_hits",
     "intervalize",
@@ -52,8 +56,20 @@ __all__ = [
 ]
 
 
+# Deepest affine tail cut at 0 or at 2 that the map's closed forms accept.
+# They build 2^n for n up to the cuts, and a flat slope has about 2/|a|
+# plateaus.  Affine(1/8192, 0) (cut 16384) is inside; near the bound,
+# Affine(-1/8191, 2) takes about 2 s and 33 MB peak in compute_escape on a
+# 2-core x86 host, since its sweep tests all 16383 plateaus.
+MAX_TAIL_CUT = 1 << 14
+
+
 class SpecError(ValueError):
     """A malformed enumeration description."""
+
+
+class ExponentBoundError(ValueError):
+    """An affine tail meets 0 or 2 only past MAX_TAIL_CUT: its weights would need 2^n past it."""
 
 
 @dataclass(frozen=True)
@@ -88,14 +104,21 @@ TailRule = Union[Constant, Cycle, Affine]
 
 @dataclass(frozen=True)
 class EnumerationSpec:
-    """A total map f : N -> Q: finite prefix f(0..L-1) plus a tail rule."""
+    """A total map f : N -> Q: finite prefix f(0..L-1) plus a tail rule.
+
+    ``prefix_pairs`` holds each prefix value as its reduced (numerator,
+    denominator) pair, read once here, so that order questions about the
+    prefix are answered by integer cross-multiplication.
+    """
 
     prefix: tuple[Fraction, ...]
     tail: TailRule
+    prefix_pairs: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         values = tuple(as_fraction(v, f"prefix[{i}]") for i, v in enumerate(self.prefix))
         object.__setattr__(self, "prefix", values)
+        object.__setattr__(self, "prefix_pairs", tuple((v.numerator, v.denominator) for v in values))
         tail = self.tail
         if isinstance(tail, Affine) and tail.a == 0:
             tail = Constant(tail.b)  # degenerate slope: same map, simpler rule
@@ -124,7 +147,8 @@ def value_at(spec: EnumerationSpec, n: int) -> Fraction:
 def eligible_prefix_indices(spec: EnumerationSpec, x: RationalLike) -> set[int]:
     """Prefix indices n with f(n) strictly below x."""
     x = as_fraction(x, "x")
-    return {n for n, v in enumerate(spec.prefix) if v < x}
+    num, den = x.numerator, x.denominator
+    return {n for n, (p, q) in enumerate(spec.prefix_pairs) if p * den < num * q}
 
 
 def affine_cut(spec: EnumerationSpec, x: RationalLike) -> int:
@@ -137,6 +161,26 @@ def affine_cut(spec: EnumerationSpec, x: RationalLike) -> int:
     boundary = (as_fraction(x, "x") - tail.b) / tail.a
     cut = math.ceil(boundary) if tail.a > 0 else math.floor(boundary) + 1
     return max(len(spec.prefix), cut)
+
+
+def check_exponent_bound(spec: EnumerationSpec) -> None:
+    """Raise ``ExponentBoundError`` if an affine tail's cut at 0 or 2 lies past ``MAX_TAIL_CUT``."""
+    if isinstance(spec.tail, Affine):
+        cut = max(affine_cut(spec, 0), affine_cut(spec, 2))
+        if cut > MAX_TAIL_CUT:
+            raise ExponentBoundError(
+                f"the affine tail crosses [0, 2] at index {cut}, past the bound "
+                f"{MAX_TAIL_CUT} on dyadic exponents"
+            )
+
+
+def _ascending(pairs: Collection[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Distinct (numerator, denominator) pairs, denominators positive, by ascending value.
+
+    Each comparison is one integer cross-multiplication: p/q sorts before
+    r/s when p*s < r*q.
+    """
+    return sorted(pairs, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
 
 
 def tail_weight_sum(spec: EnumerationSpec, x: RationalLike) -> Fraction:
@@ -179,7 +223,7 @@ def tail_hits(spec: EnumerationSpec, v: RationalLike) -> bool:
     if isinstance(tail, Constant):
         return tail.value == v
     if isinstance(tail, Cycle):
-        return any(p == v for p in spec.prefix)
+        return (v.numerator, v.denominator) in spec.prefix_pairs
     n = (v - tail.b) / tail.a
     return n.denominator == 1 and n >= start
 

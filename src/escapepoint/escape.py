@@ -11,9 +11,12 @@ verdict per place the enumeration could have produced it:
   strictly monotone in the index, so every other tail value is at least as
   far away as the witnessed one.
 
-All gaps are positive by construction; a zero gap anywhere means the claimed
-escape value is actually enumerated and raises ``TheoremViolationError``
-rather than producing a broken certificate.
+Every verdict compares by exact integer cross-multiplication: for a value
+p/q and x0 = n/d, diff = p*d - n*q gives the relation by its sign and the
+gap |diff| / (q*d), computed once per distinct value.  A zero diff means the
+claimed escape value is actually enumerated and raises
+``TheoremViolationError`` rather than producing a broken certificate.  The
+certificate audit checks every verdict again the same way.
 """
 
 from __future__ import annotations
@@ -23,15 +26,19 @@ from fractions import Fraction
 from typing import Union
 
 from .enumeration import (
+    MAX_TAIL_CUT,
     Affine,
     Constant,
     Cycle,
     EnumerationSpec,
+    ExponentBoundError,
     IntervalEnumeration,
     SpecError,
+    _ascending,
     _expect_keys,
     _rational_at,
     affine_cut,
+    check_exponent_bound,
     tail_hits,
 )
 from .fixpoint import (
@@ -60,24 +67,10 @@ __all__ = [
 ]
 
 _RELATIONS = ("below", "above")
-_ZERO = Fraction(0)
-_TWO = Fraction(2)
-
-
-# Deepest affine tail cut at 0 or at 2 that compute_escape accepts.  The
-# map's closed forms build 2^n for n up to the cuts, and a flat slope has
-# about 2/|a| plateaus.  Affine(1/8192, 0) (cut 16384) is inside; near the
-# bound, Affine(-1/8191, 2) takes about 2 s and 33 MB peak on a 2-core x86
-# host, since its sweep tests all 16383 plateaus.
-MAX_TAIL_CUT = 1 << 14
 
 
 class TheoremViolationError(RuntimeError):
     """An internal consistency check failed; the computation cannot be trusted."""
-
-
-class ExponentBoundError(ValueError):
-    """An affine tail meets 0 or 2 only past MAX_TAIL_CUT: its weights would need 2^n past it."""
 
 
 class DemoNotApplicableError(ValueError):
@@ -110,7 +103,7 @@ class Verdict:
         if self.relation not in _RELATIONS:
             raise ValueError(f"relation must be 'below' or 'above', got {self.relation!r}")
         object.__setattr__(self, "gap", as_fraction(self.gap, "verdict gap"))
-        if self.gap <= 0:
+        if self.gap.numerator <= 0:
             raise ValueError(f"verdict gap must be positive, got {self.gap}")
 
 
@@ -120,7 +113,10 @@ class EscapeCertificate:
 
     ``fixpoint_witness`` is the weight map evaluated at ``x0`` and must equal
     ``x0``; the trace must be a settled descent ending there; the verdicts
-    separate ``x0`` from every enumerated value.
+    separate ``x0`` from every enumerated value.  Construction audits each
+    verdict by exact integer cross-multiplication: with value p/q, x0 = n/d
+    and diff = p*d - n*q, the diff is nonzero, its sign gives the relation,
+    and the gap is |diff| / (q*d).
     """
 
     x0: Fraction
@@ -139,45 +135,41 @@ class EscapeCertificate:
             )
         if not self.trace.terminated or self.trace.iterates[-1] != self.x0:
             raise ValueError("certificate trace must be a settled descent ending at the escape value")
+        num, den = self.x0.numerator, self.x0.denominator
         for i, v in enumerate(self.verdicts):
-            expected = "below" if v.value < self.x0 else "above"
-            if v.value == self.x0 or v.relation != expected or v.gap != abs(v.value - self.x0):
+            p, q = v.value.numerator, v.value.denominator
+            diff = p * den - num * q
+            expected = "below" if diff < 0 else "above"
+            gap = v.gap
+            if diff == 0 or v.relation != expected or gap.numerator * q * den != abs(diff) * gap.denominator:
                 raise ValueError(f"verdict {i} is inconsistent with escape value {self.x0}")
 
 
-def _tail_verdicts(spec: EnumerationSpec, x0: Fraction) -> list[Verdict]:
+def _tail_verdicts(spec: EnumerationSpec, x0: Fraction, distinct: dict) -> list[Verdict]:
+    """The tail's verdicts; ``distinct`` maps each prefix pair to its first verdict."""
     tail = spec.tail
     start = len(spec.prefix)
     if isinstance(tail, Constant):
-        if tail.value == x0:
-            raise TheoremViolationError(f"escape value {x0} equals the constant tail value")
         return [_compare(x0, "tail", tail.value)]
     if isinstance(tail, Cycle):
-        out = []
-        for v in sorted(set(spec.prefix)):
-            if v == x0:
-                raise TheoremViolationError(f"escape value {x0} recurs in the cycling tail")
-            out.append(_compare(x0, "tail", v))
-        return out
+        # the distinct prefix values, ascending, with the prefix's relations and gaps
+        firsts = (distinct[pair] for pair in _ascending(distinct))
+        return [Verdict("tail", v.value, v.relation, v.gap) for v in firsts]
     assert isinstance(tail, Affine)
     # closest approach of a*n + b to x0 over integer n >= start: the tail
     # crosses x0 between the cut and the index before it
     cut = affine_cut(spec, x0)
-    best: Verdict | None = None
-    for n in sorted({max(start, cut - 1), cut}):
-        v = tail.a * n + tail.b
-        if v == x0:
-            raise TheoremViolationError(f"escape value {x0} is the tail value at index {n}")
-        verdict = _compare(x0, n, v)
-        if best is None or (verdict.gap, verdict.relation != "below") < (best.gap, best.relation != "below"):
-            best = verdict
-    assert best is not None
-    return [best]
+    near = (_compare(x0, n, tail.a * n + tail.b) for n in sorted({max(start, cut - 1), cut}))
+    return [min(near, key=lambda v: (v.gap, v.relation != "below"))]
 
 
 def _compare(x0: Fraction, where: Union[int, str], value: Fraction) -> Verdict:
-    relation = "below" if value < x0 else "above"
-    return Verdict(where=where, value=value, relation=relation, gap=abs(value - x0))
+    """The verdict on one value, by one integer cross-multiplication with x0."""
+    q, den = value.denominator, x0.denominator
+    diff = value.numerator * den - x0.numerator * q
+    if diff == 0:
+        raise TheoremViolationError(f"escape value {x0} is the enumerated value at {where!r}")
+    return Verdict(where, value, "below" if diff < 0 else "above", Fraction(abs(diff), q * den))
 
 
 def compute_escape(
@@ -193,13 +185,7 @@ def compute_escape(
     ``MAX_TAIL_CUT`` is refused with ``ExponentBoundError`` before the map
     is evaluated.
     """
-    if isinstance(spec.tail, Affine):
-        cut = max(affine_cut(spec, _ZERO), affine_cut(spec, _TWO))
-        if cut > MAX_TAIL_CUT:
-            raise ExponentBoundError(
-                f"the affine tail crosses [0, 2] at index {cut}, past the bound "
-                f"{MAX_TAIL_CUT} on dyadic exponents"
-            )
+    check_exponent_bound(spec)
     x0, trace = gfp_descend(spec, budget)
     witness = weight_below(spec, x0)
     if witness != x0:
@@ -214,11 +200,15 @@ def compute_escape(
     if tail_hits(spec, x0):
         raise TheoremViolationError(f"escape value {x0} is produced by the tail rule")
     verdicts = []
-    for i, v in enumerate(spec.prefix):
-        if v == x0:
-            raise TheoremViolationError(f"escape value {x0} appears at prefix index {i}")
-        verdicts.append(_compare(x0, i, v))
-    verdicts.extend(_tail_verdicts(spec, x0))
+    distinct: dict[tuple[int, int], Verdict] = {}  # each prefix pair's first verdict
+    for i, (value, pair) in enumerate(zip(spec.prefix, spec.prefix_pairs)):
+        first = distinct.get(pair)
+        if first is None:
+            distinct[pair] = first = _compare(x0, i, value)
+            verdicts.append(first)
+        else:
+            verdicts.append(Verdict(i, value, first.relation, first.gap))
+    verdicts.extend(_tail_verdicts(spec, x0, distinct))
     return EscapeCertificate(
         x0=x0,
         fixpoint_witness=witness,

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
-from .enumeration import Affine, EnumerationSpec, affine_cut, tail_weight_sum
+from .enumeration import MAX_TAIL_CUT, Affine, EnumerationSpec, affine_cut, tail_weight_sum
 from .numerics import dyadic_weight
 from .weight_map import StepStructure, step_structure, weight_below
 
@@ -216,8 +216,8 @@ def subset_fixpoint_oracle(spec: EnumerationSpec, k_max: int = 12) -> Fraction:
     identical to the naive enumeration.  The realizable tail states are the
     tail weights at the plateaus, one per plateau.  Only plateaus holding
     their own value are tried, from the top down, so the first hit is the
-    largest.  Scope guards: prefix length <= k_max (<= 16) and at most 2^14
-    affine tail states, checked before any plateau is built.
+    largest.  Scope guards: prefix length <= k_max (<= 16) and at most
+    ``MAX_TAIL_CUT`` affine tail states, checked before any plateau is built.
     """
     length = len(spec.prefix)
     if not isinstance(k_max, int) or not 0 <= k_max <= 16:
@@ -227,9 +227,8 @@ def subset_fixpoint_oracle(spec: EnumerationSpec, k_max: int = 12) -> Fraction:
     if isinstance(spec.tail, Affine):
         # the tail's cut moves through every index between its cuts at 0 and 2
         lo, hi = sorted((affine_cut(spec, _ZERO), affine_cut(spec, _TWO)))
-        bound = 2**14
-        if hi - lo > bound:
-            raise OracleScopeError(f"{hi - lo + 1} affine tail states exceed the oracle bound {bound}")
+        if hi - lo > MAX_TAIL_CUT:
+            raise OracleScopeError(f"{hi - lo + 1} affine tail states exceed the oracle bound {MAX_TAIL_CUT}")
     pieces = _plateaus(spec)
     states = {tail_weight_sum(spec, hi) for _, _, hi, _ in pieces}
     # with no prefix the only subset sum is 0, which any unit divides

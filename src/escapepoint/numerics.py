@@ -25,7 +25,6 @@ __all__ = [
     "dyadic_weight",
     "dyadic_tail_weight",
     "weight_sum",
-    "geometric_block_sum",
     "interval_strictly_below",
 ]
 
@@ -102,19 +101,6 @@ def weight_sum(indices: Iterable[int]) -> Fraction:
             raise ValueError(f"weight index must be a natural number, got {n!r}")
     top = max(distinct, default=0)
     return Fraction(sum(1 << (top - n) for n in distinct), 1 << top)
-
-
-def geometric_block_sum(first: int, period: int) -> Fraction:
-    """Closed form for sum over j >= 0 of 2^-(first + j*period).
-
-    Equals 2^-first * 2^period / (2^period - 1).  ``period`` = 0 is rejected.
-    """
-    if not isinstance(first, int) or first < 0:
-        raise ValueError(f"first index must be a natural number, got {first!r}")
-    if not isinstance(period, int) or period < 1:
-        raise ValueError(f"invalid period {period!r}: must be a positive integer")
-    block = 2**period
-    return Fraction(block, (block - 1) * 2**first)
 
 
 class Tribool(enum.Enum):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Sequence, Union
 
 from .enumeration import (
@@ -28,6 +29,7 @@ from .enumeration import (
     Cycle,
     EnumerationSpec,
     IntervalEnumeration,
+    _ascending,
     _cycle_tail_weight,
     affine_cut,
     eligible_prefix_indices,
@@ -193,8 +195,9 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     denominators of a and b, are distinct and monotone in n, so the run is
     walked as an integer progression, with no Fraction, hash or sort per
     index.  The at most L prefix values (and a constant tail value) in
-    [0, 2] are merged in by position; one that lands on the line adds its
-    jump to that index's jump.
+    [0, 2] are keyed by their (numerator, denominator) pairs, ordered by one
+    integer key each, and merged in by position; one that lands on the line
+    adds its jump to that index's jump.
     """
     start = len(spec.prefix)
     tail = spec.tail
@@ -217,21 +220,25 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
         run = range(first, last + 1) if slope > 0 else range(last, first - 1, -1)
     lap = start if isinstance(tail, Cycle) else 0
     den = max(1, (1 << lap) - 1) << top
-    points: dict[Fraction, int] = {}
-    for i, v in enumerate(spec.prefix):
-        if _ZERO <= v <= _TWO:
-            points[v] = points.get(v, 0) + (1 << (top - i + lap))
-    if isinstance(tail, Constant) and _ZERO <= tail.value <= _TWO:
-        points[tail.value] = points.get(tail.value, 0) + (1 << (top - start + 1))
+    # (value, pair, shift): each prefix value and a constant tail value weighs 2^shift / den
+    entries = zip(spec.prefix, spec.prefix_pairs, range(top + lap, top + lap - start, -1))
+    if isinstance(tail, Constant):
+        c = tail.value
+        entries = chain(entries, [(c, (c.numerator, c.denominator), top - start + 1)])
+    points: dict[tuple[int, int], list] = {}  # pair in [0, 2] -> [value, jump]
+    for v, (p, q), shift in entries:
+        if 0 <= p <= 2 * q:
+            points.setdefault((p, q), [v, 0])[1] += 1 << shift
     jumps = [1 << (top - n) for n in run]
     breaks: list[Union[Fraction, int]] = list(run)
     # from the top value down, so that each insertion leaves lower slots in place
-    for v, jump in sorted(points.items(), reverse=True):
+    for p, q in reversed(_ascending(points)):
+        v, jump = points[p, q]
         pos = 0  # where v sits among the line's values, counted from the lowest
         if run:
             n = affine_cut(spec, v) - (slope < 0)  # the index whose value may equal v
             pos = (n - run.start) * run.step
-            on_line = v.numerator * scale == v.denominator * (slope * n + intercept)
+            on_line = p * scale == q * (slope * n + intercept)
             if 0 <= pos < len(run) and on_line:
                 jumps[pos] += jump
                 continue

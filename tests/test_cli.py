@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from escapepoint.cli import main
 SPEC2_TEXT = '{"prefix": ["3/2", "1/8"], "tail": {"kind": "constant", "value": "2"}}'
 AFFINE_TEXT = '{"prefix": [], "tail": {"kind": "affine", "a": "1", "b": "0"}}'
 CYCLE_TEXT = '{"prefix": ["0", "1"], "tail": {"kind": "cycle"}}'
+TINY_SLOPE_TEXT = '{"prefix": [], "tail": {"kind": "affine", "a": "1/10000000000", "b": "0"}}'
 
 
 @pytest.fixture
@@ -117,12 +119,14 @@ class TestErrorHandling:
 
 class TestBoundsUpFront:
     @pytest.mark.parametrize("text, args, fragment", [
-        ('{"prefix": [], "tail": {"kind": "affine", "a": "1/10000000000", "b": "0"}}',
-         [], "past the bound 16384"),
+        (TINY_SLOPE_TEXT, [], "past the bound 16384"),
         ('{"prefix": [], "tail": {"kind": "affine", "a": "1", "b": "-1000000000000"}}',
          [], "past the bound 16384"),
         (SPEC2_TEXT, ["--mode", "interval", "--n-known", "65537"], "exceeds the bound 65536"),
-    ], ids=["tiny-slope", "huge-intercept", "n-known"])
+        # a cut near 10^8000: its message quotes more digits than the input holds
+        ('{"prefix": [], "tail": {"kind": "affine", "a": "1/1' + "0" * 4000 + '", "b": "-1'
+         + "0" * 4000 + '"}}', [], "past the bound 16384"),
+    ], ids=["tiny-slope", "huge-intercept", "n-known", "cut-past-the-digit-limit"])
     def test_refused_with_exit_1_and_no_traceback(self, text, args, fragment):
         proc = subprocess.run(
             [sys.executable, "-m", "escapepoint", "escape", "-", *args],
@@ -133,6 +137,57 @@ class TestBoundsUpFront:
         assert fragment in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_check_refuses_a_tiny_slope(self):
+        # the battery's closed-form checks would build 2^n for n near 2 * 10^10
+        # and run until the timeout stops them
+        proc = subprocess.run(
+            [sys.executable, "-m", "escapepoint", "check", "-"],
+            input=TINY_SLOPE_TEXT, capture_output=True, text=True, check=False, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "past the bound 16384" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+class TestDigitLimit:
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        yield
+        sys.set_int_max_str_digits(previous)
+
+    def test_megabyte_numerator_is_refused_at_parsing(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"prefix": ["' + "7" * 10**6 + '/3"], "tail": {"kind": "cycle"}}', encoding="utf-8"
+        )
+        # a lifted limit would parse it in quadratic time, about a minute
+        start = time.monotonic()
+        assert main(["escape", str(path)]) == 1
+        assert time.monotonic() - start < 30
+        err = capsys.readouterr().err
+        assert err.startswith("error: prefix[0]: Exceeds the limit")
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+    @pytest.mark.parametrize("output", ["structured", "text"])
+    def test_denominator_past_the_limit_still_prints(self, tmp_path, capsys, output):
+        # the weights reach 2^-16383, a denominator of 4932 digits
+        path = tmp_path / "flat.json"
+        path.write_text('{"prefix": [], "tail": {"kind": "affine", "a": "1/8192", "b": "0"}}',
+                        encoding="utf-8")
+        assert main(["escape", str(path), "--output", output]) == 0
+        out = capsys.readouterr().out
+        if output == "structured":
+            x0 = json.loads(out)["x0"]
+        else:
+            x0 = out.splitlines()[0].removeprefix("escape value: ")
+        assert len(x0.partition("/")[2]) > sys.int_info.default_max_str_digits
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
 
 
 class TestCheckCommand:

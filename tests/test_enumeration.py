@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus, random_spec
+from escapepoint import enumeration
 from escapepoint import (
     Affine,
     Constant,
@@ -27,6 +29,8 @@ from escapepoint import (
 
 spec_indices = st.integers(min_value=0, max_value=2999)
 rationals = st.fractions(max_denominator=1000)
+# negative values, and values exactly at the ends 0 and 2 of the map's domain
+edge_rationals = st.one_of(st.sampled_from([F(0), F(2), F(-2), F(1, 3)]), rationals)
 
 
 def corpus_spec(index: int) -> EnumerationSpec:
@@ -55,6 +59,15 @@ class TestConstruction:
     def test_unknown_tail_rejected(self):
         with pytest.raises(SpecError):
             EnumerationSpec(prefix=(), tail="constant")
+
+    def test_prefix_pairs_are_reduced_and_not_compared(self):
+        spec = EnumerationSpec(prefix=(2, F(2, 4), F(-6, 3)), tail=Cycle())
+        assert spec.prefix_pairs == ((2, 1), (1, 2), (-2, 1))
+        assert "prefix_pairs" not in repr(spec)
+        same = EnumerationSpec(prefix=(F(4, 2), F(1, 2), -2), tail=Cycle())
+        assert same == spec and hash(same) == hash(spec)
+        shorter = dataclasses.replace(spec, prefix=spec.prefix[:1])
+        assert shorter.prefix_pairs == ((2, 1),)
 
 
 class TestValueAt:
@@ -93,6 +106,28 @@ class TestEligibility:
         if x > y:
             x, y = y, x
         assert eligible_prefix_indices(spec, x) <= eligible_prefix_indices(spec, y)
+
+    @given(st.lists(edge_rationals, max_size=16), st.one_of(edge_rationals, st.integers(-3, 3)))
+    @example([F(0), F(2), F(0), F(-1, 3)], F(0))
+    @example([F(2), F(0), F(2)], F(2))
+    def test_matches_fraction_order(self, values, x):
+        # every third value repeated, so duplicates are always in play
+        prefix = tuple(values + values[::3])
+        spec = EnumerationSpec(prefix=prefix, tail=Constant(0))
+        assert eligible_prefix_indices(spec, x) == {n for n, v in enumerate(prefix) if v < x}
+
+
+class TestAscendingPairs:
+    @given(st.sets(edge_rationals, max_size=24))
+    def test_matches_fraction_order(self, values):
+        pairs = [(v.numerator, v.denominator) for v in values]
+        assert enumeration._ascending(pairs) == [(v.numerator, v.denominator) for v in sorted(values)]
+
+    def test_many_large_denominators_keep_their_order(self):
+        rng = random.Random(3)
+        values = {F(rng.getrandbits(4096) - (1 << 4095), rng.getrandbits(4096) | 1) for _ in range(64)}
+        pairs = [(v.numerator, v.denominator) for v in values]
+        assert enumeration._ascending(pairs) == [(v.numerator, v.denominator) for v in sorted(values)]
 
 
 class TestTailWeightSum:

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus, random_spec
@@ -120,6 +121,23 @@ class TestComputeEscape:
         for n in range(len(spec.prefix), len(spec.prefix) + 60):
             assert abs(value_at(spec, n) - cert.x0) >= witness.gap
 
+    @given(st.lists(st.fractions(min_value=-3, max_value=5, max_denominator=40), min_size=1, max_size=12))
+    @example([F(0), F(2), F(0), F(1, 3), F(2), F(-1)])
+    @settings(deadline=None)
+    def test_cycle_verdicts_are_one_compare_per_distinct_value(self, values):
+        # every other value repeated, so a value recurs inside the prefix too
+        spec = EnumerationSpec(prefix=tuple(values + values[::2]), tail=Cycle())
+        cert = compute_escape(spec)
+        x0, length = cert.x0, len(spec.prefix)
+        assert cert.verdicts[length:] == tuple(
+            escape._compare(x0, "tail", v) for v in sorted(set(spec.prefix))
+        )
+        # and every verdict agrees with Fraction arithmetic
+        for v, where in zip(cert.verdicts, [*range(length), *["tail"] * len(set(spec.prefix))]):
+            assert (v.where, v.relation, v.gap) == (where, "below" if v.value < x0 else "above",
+                                                    abs(v.value - x0))
+        assert [v.value for v in cert.verdicts[:length]] == list(spec.prefix)
+
     def test_affine_verdict_clamped_at_prefix_length(self):
         # the line comes closest to x0 at a negative index, so the witness is
         # the first tail index L = 1
@@ -172,6 +190,33 @@ class TestCertificateValidation:
         bad_gap = Verdict(where=0, value=F(3), relation="above", gap=F(1))
         with pytest.raises(ValueError, match="verdict"):
             EscapeCertificate(F(1), F(1), trace, (bad_gap,), True)
+
+    @pytest.mark.parametrize("index", range(40))
+    def test_audit_rejects_each_tampered_verdict(self, index):
+        cert = compute_escape(corpus_spec(index))
+        flipped = {"below": "above", "above": "below"}
+        for i, v in enumerate(cert.verdicts):
+            off_by_one = (
+                F(v.gap.numerator + 1, v.gap.denominator),
+                F(v.gap.numerator - 1, v.gap.denominator),
+            )
+            tampered = [dataclasses.replace(v, gap=gap) for gap in off_by_one if gap > 0]
+            tampered.append(dataclasses.replace(v, relation=flipped[v.relation]))
+            for bad in tampered:
+                verdicts = cert.verdicts[:i] + (bad,) + cert.verdicts[i + 1:]
+                with pytest.raises(ValueError, match=f"verdict {i} is inconsistent"):
+                    dataclasses.replace(cert, verdicts=verdicts)
+
+    @pytest.mark.parametrize("relation", ["below", "above"])
+    def test_audit_rejects_a_verdict_at_the_escape_value(self, relation):
+        cert = compute_escape(SPEC2)
+        at_x0 = Verdict(where=0, value=cert.x0, relation=relation, gap=F(1))
+        with pytest.raises(ValueError, match="verdict 0 is inconsistent"):
+            dataclasses.replace(cert, verdicts=(at_x0,) + cert.verdicts[1:])
+        obj = certificate_to_jsonable(cert)
+        obj["verdicts"][0].update(value=obj["x0"], relation=relation)
+        with pytest.raises(ValueError, match="certificate: verdict 0 is inconsistent"):
+            certificate_from_jsonable(obj)
 
 
 class TestAdjoinDemo:

@@ -10,7 +10,6 @@ from escapepoint import (
     dyadic_tail_weight,
     dyadic_weight,
     format_rational,
-    geometric_block_sum,
     interval_strictly_below,
     make_rational,
     parse_rational,
@@ -108,23 +107,6 @@ class TestWeights:
     def test_weight_sum_rejects_non_naturals(self, bad):
         with pytest.raises(ValueError):
             weight_sum([0, 4096, bad])
-
-
-class TestGeometricBlockSum:
-    def test_known_values(self):
-        assert geometric_block_sum(0, 1) == 2
-        assert geometric_block_sum(2, 2) == F(1, 3)
-
-    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=12))
-    def test_peel_one_term(self, first, period):
-        total = geometric_block_sum(first, period)
-        assert total == dyadic_weight(first) + geometric_block_sum(first + period, period)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            geometric_block_sum(0, 0)
-        with pytest.raises(ValueError):
-            geometric_block_sum(-1, 2)
 
 
 class TestTribool:
