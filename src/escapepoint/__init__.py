@@ -60,21 +60,17 @@ from .fixpoint import (
 )
 from .numerics import (
     RatInterval,
-    Rational,
     Tribool,
     as_fraction,
     dyadic_tail_weight,
     dyadic_weight,
     format_rational,
     interval_strictly_below,
-    make_rational,
     parse_rational,
     weight_sum,
 )
 from .weight_map import (
     MAX_N_KNOWN,
-    WeightBounds,
-    plateau_profile,
     weight_below,
     weight_below_bounds,
 )
@@ -84,11 +80,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # numerics
-    "Rational",
     "RatInterval",
     "Tribool",
     "as_fraction",
-    "make_rational",
     "parse_rational",
     "format_rational",
     "dyadic_weight",
@@ -114,10 +108,8 @@ __all__ = [
     "spec_from_jsonable",
     # the weight map
     "weight_below",
-    "WeightBounds",
     "weight_below_bounds",
     "MAX_N_KNOWN",
-    "plateau_profile",
     # fixpoint engine
     "DEFAULT_ITERATION_BUDGET",
     "BudgetExceededError",

@@ -270,8 +270,8 @@ def enclose_escape_traced(
     (n, eps), so the bounds are those ``weight_below_bounds`` gives.
     """
     boxes = tuple(query_boxes(ienum, n_known, eps))
-    lo, lo_trace = descend_from_top(lambda z: bounds_from_boxes(boxes, z).lower, budget)
-    hi, hi_trace = descend_from_top(lambda z: bounds_from_boxes(boxes, z).upper, budget)
+    lo, lo_trace = descend_from_top(lambda z: bounds_from_boxes(boxes, z).lo, budget)
+    hi, hi_trace = descend_from_top(lambda z: bounds_from_boxes(boxes, z).hi, budget)
     return RatInterval(lo, hi), lo_trace, hi_trace
 
 

@@ -6,7 +6,9 @@ exactly, and the settled value is the greatest postfixpoint (any x <= map(x)
 stays below every iterate by induction).
 
 Two oracles recompute the same value through different routes and exist only
-to cross-check the descent:
+to cross-check the descent.  Both walk ``StepStructure.plateaus``, which the
+descent and the closed-form map never read, so a fault in the walk shows as
+a disagreement:
 
 * ``sup_postfix_oracle`` sweeps the map's plateau values on [0, 2] from the
   top down and stops at the first postfixpoint, the largest (the supremum
@@ -29,11 +31,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .enumeration import MAX_TAIL_CUT, Affine, EnumerationSpec, affine_cut, tail_weight_sum
 from .numerics import dyadic_weight
-from .weight_map import StepStructure, step_structure, weight_below
+from .weight_map import step_structure, weight_below
 
 __all__ = [
     "DEFAULT_ITERATION_BUDGET",
@@ -153,36 +155,6 @@ def gfp_descend(
     return descend_from_top(lambda z: weight_below(spec, z), budget)
 
 
-def _plateaus(spec: EnumerationSpec) -> list[tuple[Fraction, Fraction, Fraction, bool]]:
-    """Constant pieces of the weight map on [0, 2].
-
-    Each entry is (value, lo, hi, lo_closed): the map equals ``value`` on
-    (lo, hi], or on [lo, hi] when lo_closed (the leading piece).
-    """
-    steps = step_structure(spec)
-    edges = [steps.at(k) for k in range(len(steps.jumps))] + [_TWO]
-    total = steps.base
-    pieces = [(steps.fraction(total), _ZERO, edges[0], True)]
-    for jump, at, hi in zip(steps.jumps, edges, edges[1:]):
-        total += jump
-        if at < hi:
-            pieces.append((steps.fraction(total), at, hi, False))
-    return pieces
-
-
-def _plateau_values_top_down(steps: StepStructure) -> Iterator[Fraction]:
-    """The plateau values on [0, 2] from the top down, each made when asked for."""
-    jumps = steps.jumps
-    count = len(jumps)
-    if count and steps.at(count - 1) == _TWO:
-        count -= 1  # a break at 2 opens no plateau inside [0, 2]
-    total = steps.base + sum(jumps[:count])
-    yield steps.fraction(total)
-    for k in range(count - 1, -1, -1):
-        total -= jumps[k]
-        yield steps.fraction(total)
-
-
 def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     """The escape value as a supremum: largest plateau value v with v <= map(v).
 
@@ -196,7 +168,8 @@ def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     Independent of the descent.
     """
     steps = step_structure(spec)
-    candidates = chain((weight_below(spec, _TWO),), _plateau_values_top_down(steps))
+    plateau_values = (steps.fraction(t) for t, _ in steps.plateaus())
+    candidates = chain((weight_below(spec, _TWO),), plateau_values)
     failed = None
     for v in candidates:
         if v != failed and v <= weight_below(spec, v):
@@ -229,15 +202,20 @@ def subset_fixpoint_oracle(spec: EnumerationSpec, k_max: int = 12) -> Fraction:
         lo, hi = sorted((affine_cut(spec, _ZERO), affine_cut(spec, _TWO)))
         if hi - lo > MAX_TAIL_CUT:
             raise OracleScopeError(f"{hi - lo + 1} affine tail states exceed the oracle bound {MAX_TAIL_CUT}")
-    pieces = _plateaus(spec)
-    states = {tail_weight_sum(spec, hi) for _, _, hi, _ in pieces}
+    steps = step_structure(spec)
+    plateaus = list(steps.plateaus())
+    # plateau k ends at break k, the top plateau at 2
+    edges = [steps.at(k) for k in range(plateaus[0][1])] + [_TWO]
+    states = {tail_weight_sum(spec, hi) for hi in edges}
     # with no prefix the only subset sum is 0, which any unit divides
     unit = dyadic_weight(length - 1) if length else Fraction(1)
-    for value, lo, hi, lo_closed in reversed(pieces):
-        if lo < value <= hi or (lo_closed and value == lo):
-            for t in states:
-                k = (value - t) / unit
-                if k.denominator == 1 and 0 <= k < 1 << length:
+    for t, k in plateaus:
+        value = steps.fraction(t)
+        lo = edges[k - 1] if k else _ZERO
+        if lo < value <= edges[k] or (k == 0 and value == lo):
+            for state in states:
+                multiple = (value - state) / unit
+                if multiple.denominator == 1 and 0 <= multiple < 1 << length:
                     return value
     raise RuntimeError("subset enumeration found no fixpoint; map evaluation is inconsistent")
 

@@ -16,10 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 __all__ = [
-    "Rational",
     "Tribool",
     "RatInterval",
-    "make_rational",
     "parse_rational",
     "format_rational",
     "dyadic_weight",
@@ -27,10 +25,6 @@ __all__ = [
     "weight_sum",
     "interval_strictly_below",
 ]
-
-# Arbitrary-precision exact rational, canonical form (reduced, den > 0)
-# guaranteed by Fraction itself.
-Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 
@@ -46,13 +40,6 @@ def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
     raise TypeError(f"{what} must be an exact rational (Fraction or int), got {value!r}")
 
 
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Exact num/den in canonical form.  den = 0 raises ZeroDivisionError."""
-    if not isinstance(num, int) or not isinstance(den, int):
-        raise TypeError(f"make_rational needs integers, got {num!r}/{den!r}")
-    return Fraction(num, den)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (optional leading '-').  No decimals, no whitespace."""
     if not isinstance(text, str):
@@ -61,7 +48,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not an exact rational (expected 'p/q' or 'p'): {text!r}")
     num, _, den = text.partition("/")
     if den:
-        return make_rational(int(num), int(den))
+        return Fraction(int(num), int(den))
     return Fraction(int(num))
 
 
@@ -114,10 +101,6 @@ class Tribool(enum.Enum):
         raise TypeError(
             "Tribool has three states; match on CERTAIN_TRUE/CERTAIN_FALSE/UNKNOWN explicitly"
         )
-
-    @property
-    def is_certain(self) -> bool:
-        return self is not Tribool.UNKNOWN
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ value lies strictly below x:
 
 It is monotone, bounded by [0, 2], and (restricted to [0, 2]) a finite step
 function: ``step_structure`` builds that structure once, as integers over
-one denominator, for the fixpoint oracles; ``plateau_profile`` is its
-Fraction view.  ``weight_below_bounds`` is the semi-decidable
-variant: with only n_known interval queries at precision eps it brackets the
-true value from both sides, charging every unseen index to a tail allowance.
-It is ``query_boxes`` followed by ``bounds_from_boxes``; an enclosure calls
-the first once and the second at every step of both descents.
+one denominator, and ``StepStructure.plateaus`` walks its plateaus from the
+top down for both fixpoint oracles.  ``weight_below_bounds`` is the
+semi-decidable variant: with only n_known interval queries at precision eps
+it brackets the true value from both sides in a ``RatInterval``, charging
+every unseen index to a tail allowance.  It is ``query_boxes`` followed by
+``bounds_from_boxes``; an enclosure calls the first once and the second at
+every step of both descents.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .numerics import (
     RationalLike,
     Tribool,
     as_fraction,
-    dyadic_tail_weight,
     interval_strictly_below,
     weight_sum,
 )
@@ -48,12 +48,10 @@ from .numerics import (
 __all__ = [
     "MAX_N_KNOWN",
     "StepStructure",
-    "WeightBounds",
     "weight_below",
     "weight_below_bounds",
     "query_boxes",
     "bounds_from_boxes",
-    "plateau_profile",
     "step_structure",
 ]
 
@@ -75,26 +73,6 @@ def weight_below(spec: EnumerationSpec, x: RationalLike) -> Fraction:
     return prefix + tail_weight_sum(spec, x)
 
 
-@dataclass(frozen=True)
-class WeightBounds:
-    """Two-sided enclosure of the weight map value at some x.
-
-    ``lower`` counts indices certainly below x; ``upper`` adds the undecided
-    indices and a tail allowance 2^-(n_known-1) for everything unexamined.
-    Invariant: upper - lower = sum of undecided weights + tail_allowance.
-    """
-
-    lower: Fraction
-    upper: Fraction
-    certain: frozenset[int]
-    undecided: frozenset[int]
-    tail_allowance: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise ValueError(f"bounds out of order: {self.lower} > {self.upper}")
-
-
 def query_boxes(
     ienum: IntervalEnumeration,
     n_known: int,
@@ -113,21 +91,22 @@ def query_boxes(
     return (ienum.at(n, eps) for n in range(n_known))
 
 
-def bounds_from_boxes(boxes: Sequence[RatInterval], x: RationalLike) -> WeightBounds:
-    """Bracket the weight map at x from the boxes of indices 0, ..., len(boxes)-1."""
+def bounds_from_boxes(boxes: Sequence[RatInterval], x: RationalLike) -> RatInterval:
+    """Bracket the weight map at x from the boxes of indices 0, ..., len(boxes)-1.
+
+    The lower end weighs the indices certainly below x; the upper end adds
+    the undecided ones and 2^(1 - len(boxes)) for every index not queried.
+    """
     x = as_fraction(x, "x")
-    certain: set[int] = set()
-    undecided: set[int] = set()
+    top = len(boxes)
+    lower = undecided = 0
     for n, box in enumerate(boxes):
         verdict = interval_strictly_below(box, x)
         if verdict is Tribool.CERTAIN_TRUE:
-            certain.add(n)
+            lower += 1 << (top - n)
         elif verdict is Tribool.UNKNOWN:
-            undecided.add(n)
-    allowance = dyadic_tail_weight(len(boxes))
-    lower = weight_sum(certain)
-    upper = lower + weight_sum(undecided) + allowance
-    return WeightBounds(lower, upper, frozenset(certain), frozenset(undecided), allowance)
+            undecided += 1 << (top - n)
+    return RatInterval(Fraction(lower, 1 << top), Fraction(lower + undecided + 2, 1 << top))
 
 
 def weight_below_bounds(
@@ -135,13 +114,13 @@ def weight_below_bounds(
     n_known: int,
     eps: RationalLike,
     x: RationalLike,
-) -> WeightBounds:
+) -> RatInterval:
     """Bracket the weight map at x from n_known interval queries at width eps.
 
     Sound for any oracle meeting the IntervalEnumeration contract: the exact
-    map value always lies in [lower, upper].  Each index is queried once;
-    an enclosure queries the boxes once and both of its descents share them
-    through ``bounds_from_boxes``, the classifier this function ends in.
+    map value always lies in the returned interval.  Each index is queried
+    once; an enclosure queries the boxes once and both of its descents share
+    them through ``bounds_from_boxes``, the classifier this function ends in.
     """
     boxes = query_boxes(ienum, n_known, eps)
     x = as_fraction(x, "x")  # checked before the first query
@@ -177,6 +156,24 @@ class StepStructure:
             slope, intercept, scale = self.line
             return Fraction(slope * point + intercept, scale)
         return point
+
+    def plateaus(self) -> Iterator[tuple[int, int]]:
+        """Each plateau on [0, 2] from the top down, as (value numerator over den, k).
+
+        Plateau k is the piece (break k-1, break k] on which the map is
+        (base + jumps[0] + ... + jumps[k-1]) / den: plateau 0 starts at 0 and
+        is closed there, and the top plateau ends at 2.  The values descend,
+        since every jump is positive.
+        """
+        jumps = self.jumps
+        count = len(jumps)
+        if count and self.at(count - 1) == _TWO:
+            count -= 1  # a break at 2 opens no plateau inside [0, 2]
+        total = self.base + sum(jumps[:count])
+        yield total, count
+        for k in range(count - 1, -1, -1):
+            total -= jumps[k]
+            yield total, k
 
     def fraction(self, num: int) -> Fraction:
         """num / den, with the shared twos cancelled first so that Fraction's gcd stays cheap."""
@@ -248,22 +245,3 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     # g(0) is a sum of weights that den is a common denominator of
     g0 = weight_below(spec, _ZERO)
     return StepStructure(den, g0.numerator * (den // g0.denominator), jumps, breaks, line)
-
-
-def plateau_profile(
-    spec: EnumerationSpec,
-) -> tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]]:
-    """Step structure of the weight map on [0, 2], as Fractions.
-
-    Returns ``(base, breaks)`` where ``base`` is the map value at 0 (weight of
-    everything already below zero) and ``breaks`` lists, in ascending order,
-    each distinct enumeration value t in [0, 2] with the total weight that
-    becomes eligible once x passes t.  So for x in [0, 2]:
-
-        weight_below(spec, x) = base + sum of jumps at breaks strictly below x.
-
-    A view of ``step_structure``, which builds the integers it divides out.
-    """
-    steps = step_structure(spec)
-    breaks = tuple((steps.at(k), steps.fraction(jump)) for k, jump in enumerate(steps.jumps))
-    return steps.fraction(steps.base), breaks

@@ -309,8 +309,8 @@ class TestEnclosure:
     def test_descents_match_the_public_bound_maps(self, index, n_known, eps, jitter):
         oracle = intervalize(corpus_spec(index), jitter)
         _, lo_trace, hi_trace = enclose_escape_traced(oracle, n_known, eps)
-        _, lo_ref = descend_from_top(lambda z: weight_below_bounds(oracle, n_known, eps, z).lower)
-        _, hi_ref = descend_from_top(lambda z: weight_below_bounds(oracle, n_known, eps, z).upper)
+        _, lo_ref = descend_from_top(lambda z: weight_below_bounds(oracle, n_known, eps, z).lo)
+        _, hi_ref = descend_from_top(lambda z: weight_below_bounds(oracle, n_known, eps, z).hi)
         assert (lo_trace, hi_trace) == (lo_ref, hi_ref)
 
     @given(

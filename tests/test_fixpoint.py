@@ -27,8 +27,10 @@ from escapepoint import (
     run_kt_battery,
     subset_fixpoint_oracle,
     sup_postfix_oracle,
+    value_at,
     weight_below,
 )
+from escapepoint.enumeration import affine_cut
 
 spec_indices = st.integers(min_value=0, max_value=2999)
 
@@ -37,6 +39,16 @@ SPEC2 = EnumerationSpec(prefix=(F(3, 2), F(1, 8)), tail=Constant(2))
 
 def corpus_spec(index: int) -> EnumerationSpec:
     return random_spec(random.Random(index), index)
+
+
+def plateau_values(spec: EnumerationSpec) -> set[F]:
+    """The map's values on [0, 2]: at 0, at each enumerated value in [0, 2], and at 2."""
+    last = len(spec.prefix)
+    if isinstance(spec.tail, Affine):
+        # past the larger cut every tail value lies outside [0, 2]
+        last = max(last, affine_cut(spec, F(0)), affine_cut(spec, F(2)))
+    breaks = {v for v in (value_at(spec, n) for n in range(last + 1)) if 0 <= v <= 2}
+    return {weight_below(spec, x) for x in breaks | {F(0), F(2)}}
 
 
 class TestFixpointTrace:
@@ -143,7 +155,7 @@ class TestSupremumSweep:
             tuple(F(rng.randint(-8, 24), rng.randint(1, 12)) for _ in range(64)), Cycle()
         )
         x0, _ = gfp_descend(spec)
-        above = sum(1 for piece in fixpoint._plateaus(spec) if piece[0] > x0)
+        above = sum(1 for value in plateau_values(spec) if value > x0)
         calls = []
         real = fixpoint.weight_below
         monkeypatch.setattr(fixpoint, "weight_below", lambda s, x: calls.append(x) or real(s, x))
@@ -160,7 +172,7 @@ class TestSupremumSweep:
         # up to 513 plateaus; 1/2, 0 and 2 land on the line for most intercepts
         spec = EnumerationSpec(prefix, Affine(slope, intercept))
         x0, _ = gfp_descend(spec)
-        above = sum(1 for piece in fixpoint._plateaus(spec) if piece[0] > x0)
+        above = sum(1 for value in plateau_values(spec) if value > x0)
         calls = []
         real = fixpoint.weight_below
         monkeypatch.setattr(fixpoint, "weight_below", lambda s, x: calls.append(x) or real(s, x))

@@ -11,7 +11,6 @@ from escapepoint import (
     dyadic_weight,
     format_rational,
     interval_strictly_below,
-    make_rational,
     parse_rational,
     weight_sum,
 )
@@ -51,22 +50,6 @@ class TestParseFormat:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             parse_rational("1/0")
-
-
-class TestMakeRational:
-    def test_reduces(self):
-        assert make_rational(3, 6) == F(1, 2)
-        assert make_rational(5) == 5
-
-    def test_rejects_floats(self):
-        with pytest.raises(TypeError):
-            make_rational(1.5, 2)
-        with pytest.raises(TypeError):
-            make_rational(1, 2.0)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            make_rational(1, 0)
 
 
 class TestWeights:
@@ -114,11 +97,6 @@ class TestTribool:
     def test_never_coerces_to_bool(self, state):
         with pytest.raises(TypeError):
             bool(state)
-
-    def test_is_certain(self):
-        assert Tribool.CERTAIN_TRUE.is_certain
-        assert Tribool.CERTAIN_FALSE.is_certain
-        assert not Tribool.UNKNOWN.is_certain
 
 
 class TestRatInterval:

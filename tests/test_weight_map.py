@@ -10,16 +10,16 @@ from escapepoint import (
     Affine,
     Constant,
     EnumerationSpec,
-    WeightBounds,
+    RatInterval,
     dyadic_weight,
     enclose_escape_traced,
     intervalize,
-    plateau_profile,
     value_at,
     weight_below,
     weight_below_bounds,
 )
 from escapepoint.enumeration import affine_cut
+from escapepoint.weight_map import step_structure
 
 spec_indices = st.integers(min_value=0, max_value=2999)
 unit_range = st.fractions(min_value=0, max_value=2, max_denominator=1000)
@@ -48,6 +48,27 @@ def affine_specs(draw):
 
 def corpus_spec(index: int) -> EnumerationSpec:
     return random_spec(random.Random(index), index)
+
+
+def profile(spec: EnumerationSpec) -> tuple[F, tuple[tuple[F, F], ...]]:
+    """The map's value at 0 and its ascending (break, jump) pairs, from step_structure."""
+    steps = step_structure(spec)
+    breaks = tuple((steps.at(k), steps.fraction(jump)) for k, jump in enumerate(steps.jumps))
+    return steps.fraction(steps.base), breaks
+
+
+def walk_plateaus(spec: EnumerationSpec) -> list[tuple[F, int]]:
+    """StepStructure.plateaus() as (value, k), checked against weight_below at each upper edge."""
+    steps = step_structure(spec)
+    walk = [(steps.fraction(t), k) for t, k in steps.plateaus()]
+    top = walk[0][1]
+    assert [k for _, k in walk] == list(range(top, -1, -1))
+    values = [value for value, _ in walk]
+    assert all(a > b for a, b in zip(values, values[1:]))
+    for value, k in walk:
+        edge = F(2) if k == top else steps.at(k)
+        assert value == weight_below(spec, edge), (spec, k)
+    return walk
 
 
 class TestWeightBelow:
@@ -84,15 +105,15 @@ class TestWeightBelow:
             assert weight_below(spec, y) >= weight_below(spec, v) + dyadic_weight(n)
 
 
-class TestPlateauProfile:
+class TestStepStructure:
     def test_base_is_value_at_zero(self):
         for spec in build_corpus(60):
-            base, _ = plateau_profile(spec)
+            base, _ = profile(spec)
             assert base == weight_below(spec, F(0))
 
     def test_breaks_sorted_with_positive_jumps(self):
         for spec in build_corpus(60):
-            _, breaks = plateau_profile(spec)
+            _, breaks = profile(spec)
             ats = [at for at, _ in breaks]
             assert ats == sorted(set(ats))
             assert all(0 <= at <= 2 for at in ats)
@@ -102,7 +123,7 @@ class TestPlateauProfile:
         # the step structure must reproduce weight_below across [0, 2],
         # including exactly at the breakpoints (strict eligibility)
         for spec in build_corpus(60, seed=4):
-            base, breaks = plateau_profile(spec)
+            base, breaks = profile(spec)
             probes = {F(0), F(2), F(1, 3)}
             for at, _ in breaks:
                 probes.update({at, min(F(2), at + F(1, 10**6))})
@@ -112,7 +133,7 @@ class TestPlateauProfile:
 
     def test_affine_break_count_tracks_slope(self):
         spec = EnumerationSpec(prefix=(), tail=Affine(F(1, 16), 0))
-        _, breaks = plateau_profile(spec)
+        _, breaks = profile(spec)
         assert len(breaks) == 33  # values k/16 in [0, 2]
 
     @given(affine_specs())
@@ -125,26 +146,45 @@ class TestPlateauProfile:
             v = value_at(spec, n)
             if 0 <= v <= 2:
                 jumps[v] = jumps.get(v, F(0)) + dyadic_weight(n)
-        assert plateau_profile(spec) == (weight_below(spec, F(0)), tuple(sorted(jumps.items())))
+        assert profile(spec) == (weight_below(spec, F(0)), tuple(sorted(jumps.items())))
 
     def test_negative_slope_lands_on_both_ends(self):
         # f(n) = 2 - n/4 takes the value 2 at n = 0 and 0 at n = 8
         spec = EnumerationSpec(prefix=(), tail=Affine(F(-1, 4), 2))
-        base, breaks = plateau_profile(spec)
+        base, breaks = profile(spec)
         assert [at for at, _ in breaks] == [F(k, 4) for k in range(9)]
         for x in [F(k, 8) for k in range(17)]:
             rebuilt = base + sum((j for at, j in breaks if at < x), F(0))
             assert rebuilt == weight_below(spec, x), x
 
 
+class TestPlateaus:
+    def test_breaks_at_both_ends(self):
+        # f(n) = 2 - n/4 has breaks k/4 for k = 0..8; the one at 2 opens no
+        # plateau and the one at 0 closes plateau 0 at [0, 0]
+        spec = EnumerationSpec(prefix=(), tail=Affine(F(-1, 4), 2))
+        assert len(step_structure(spec).jumps) == 9
+        walk = walk_plateaus(spec)
+        assert [k for _, k in walk] == list(range(8, -1, -1))
+        assert walk[0][0] == weight_below(spec, F(2)) == 1
+        assert walk[-1][0] == weight_below(spec, F(0)) == F(1, 256)
+
+    def test_corpus_sample(self):
+        for spec in build_corpus(60, seed=5):
+            walk_plateaus(spec)
+
+    @given(affine_specs())
+    @settings(deadline=None)
+    def test_affine_specs(self, spec):
+        walk_plateaus(spec)
+
+
 class TestWeightBelowBounds:
     def test_hand_case(self):
+        # index 1 (value 1/8) is certainly below 1, index 0 (3/2) certainly
+        # not, and the tail past index 1 is charged 2^-1
         bounds = weight_below_bounds(intervalize(SPEC2), 2, F(1, 100), F(1))
-        assert bounds.lower == F(1, 2)
-        assert bounds.upper == F(1)
-        assert bounds.certain == frozenset({1})
-        assert bounds.undecided == frozenset()
-        assert bounds.tail_allowance == F(1, 2)
+        assert bounds == RatInterval(F(1, 2), F(1))
 
     @pytest.mark.parametrize("n_known", [0, True])
     def test_rejects_zero_n_known(self, n_known):
@@ -152,10 +192,6 @@ class TestWeightBelowBounds:
             weight_below_bounds(intervalize(SPEC2), n_known, F(1, 100), F(1))
         with pytest.raises(ValueError, match="n_known must be a positive integer"):
             enclose_escape_traced(intervalize(SPEC2), n_known, F(1, 100))
-
-    def test_bounds_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            WeightBounds(F(1), F(0), frozenset(), frozenset(), F(0))
 
     @given(
         spec_indices,
@@ -167,10 +203,16 @@ class TestWeightBelowBounds:
     @settings(deadline=None, max_examples=60)
     def test_sound_and_accounted(self, index, n_known, eps, x, jitter):
         spec = corpus_spec(index)
-        bounds = weight_below_bounds(intervalize(spec, jitter), n_known, eps, x)
-        assert bounds.lower <= weight_below(spec, x) <= bounds.upper
-        undecided_weight = sum((dyadic_weight(n) for n in bounds.undecided), F(0))
-        assert bounds.upper - bounds.lower == undecided_weight + bounds.tail_allowance
+        oracle = intervalize(spec, jitter)
+        bounds = weight_below_bounds(oracle, n_known, eps, x)
+        assert bounds.lo <= weight_below(spec, x) <= bounds.hi
+        boxes = [oracle.at(n, eps) for n in range(n_known)]
+        certain = sum((dyadic_weight(n) for n, box in enumerate(boxes) if box.hi < x), F(0))
+        undecided = sum(
+            (dyadic_weight(n) for n, box in enumerate(boxes) if box.lo < x <= box.hi), F(0)
+        )
+        assert bounds.lo == certain
+        assert bounds.hi - bounds.lo == undecided + F(2, 2**n_known)
 
     @given(spec_indices, st.integers(min_value=1, max_value=10), unit_range)
     @settings(deadline=None, max_examples=60)
@@ -180,5 +222,5 @@ class TestWeightBelowBounds:
         fine_eps = weight_below_bounds(oracle, n_known, F(1, 100), x)
         fine_n = weight_below_bounds(oracle, n_known + 1, F(1, 10), x)
         for tighter in (fine_eps, fine_n):
-            assert wide.lower <= tighter.lower
-            assert tighter.upper <= wide.upper
+            assert wide.lo <= tighter.lo
+            assert tighter.hi <= wide.hi
