@@ -23,6 +23,7 @@ from functools import cmp_to_key
 from typing import Callable, Collection, Union
 
 from .numerics import (
+    ExponentBoundError,
     RatInterval,
     RationalLike,
     as_fraction,
@@ -66,10 +67,6 @@ MAX_TAIL_CUT = 1 << 14
 
 class SpecError(ValueError):
     """A malformed enumeration description."""
-
-
-class ExponentBoundError(ValueError):
-    """An affine tail meets 0 or 2 only past MAX_TAIL_CUT: its weights would need 2^n past it."""
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 from fractions import Fraction as F
 
+import operator
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from escapepoint.numerics import MAX_EXACT_EXPONENT, DyadicTail, ExponentBoundError
 from escapepoint import (
     RatInterval,
     Tribool,
@@ -90,6 +93,43 @@ class TestWeights:
     def test_weight_sum_rejects_non_naturals(self, bad):
         with pytest.raises(ValueError):
             weight_sum([0, 4096, bad])
+
+
+small_rationals = st.fractions(max_denominator=2**48)
+comparisons = [operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge]
+
+
+class TestDyadicTail:
+    @given(small_rationals, st.sampled_from([1, -1]), st.integers(0, 60), small_rationals,
+           small_rationals)
+    @example(F(1, 2), -1, 3, F(3, 8), F(0))  # other equal to the value
+    @example(F(1, 2), 1, 3, F(1, 2), F(0))  # other equal to the base
+    def test_agrees_with_the_built_fraction(self, base, sign, exponent, other, shift):
+        lazy, exact = DyadicTail(base, sign, exponent), base + F(sign, 2**exponent)
+        pairs = [(lazy, exact), (lazy + shift, exact + shift), (shift + lazy, shift + exact),
+                 (lazy - shift, exact - shift), (shift - lazy, shift - exact), (-lazy, -exact)]
+        for got, want in pairs:
+            assert isinstance(got, DyadicTail)
+            for op in comparisons:
+                assert op(got, other) == op(want, other)
+                assert op(other, got) == op(other, want)  # reflected first: a subclass
+            assert bool(got) == bool(want)
+
+    def test_weight_past_the_bound_is_lazy(self):
+        assert type(dyadic_tail_weight(MAX_EXACT_EXPONENT)) is F
+        start = 10**10  # 2^start would take over a gigabyte
+        weight = dyadic_tail_weight(start)
+        assert isinstance(weight, DyadicTail)
+        assert 0 < weight < dyadic_weight(MAX_EXACT_EXPONENT)
+        assert F(1, 2) - weight < F(1, 2) < F(1, 2) + weight
+
+    @pytest.mark.parametrize("use", [
+        lambda w: w.numerator, lambda w: w.denominator, str, hash, float, format_rational,
+        lambda w: w * 2, lambda w: 2 / w, lambda w: w + w, lambda w: w < w,
+    ])
+    def test_needing_its_digits_raises(self, use):
+        with pytest.raises(ExponentBoundError, match="2\\^-10000000000"):
+            use(dyadic_tail_weight(10**10 + 1))
 
 
 class TestTribool:
