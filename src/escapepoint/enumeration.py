@@ -42,7 +42,6 @@ __all__ = [
     "EnumerationSpec",
     "IntervalEnumeration",
     "MAX_TAIL_CUT",
-    "ExponentBoundError",
     "value_at",
     "eligible_prefix_indices",
     "affine_cut",

@@ -26,12 +26,10 @@ from fractions import Fraction
 from typing import Union
 
 from .enumeration import (
-    MAX_TAIL_CUT,
     Affine,
     Constant,
     Cycle,
     EnumerationSpec,
-    ExponentBoundError,
     IntervalEnumeration,
     SpecError,
     _ascending,
@@ -52,8 +50,6 @@ from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational
 from .weight_map import bounds_from_boxes, query_boxes, weight_below
 
 __all__ = [
-    "MAX_TAIL_CUT",
-    "ExponentBoundError",
     "TheoremViolationError",
     "DemoNotApplicableError",
     "Verdict",

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Union
 __all__ = [
     "Tribool",
     "RatInterval",
+    "as_fraction",
     "parse_rational",
     "format_rational",
     "dyadic_weight",

@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
+from escapepoint import cli
 from escapepoint.cli import main
 
 SPEC2_TEXT = '{"prefix": ["3/2", "1/8"], "tail": {"kind": "constant", "value": "2"}}'
@@ -201,6 +203,27 @@ class TestCheckCommand:
     def test_seed_changes_nothing_observable(self, affine_file, capsys):
         assert main(["check", affine_file, "--seed", "1"]) == 0
         assert main(["check", affine_file, "--seed", "99"]) == 0
+
+    def test_a_failing_invariant_exits_1(self, spec2_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sup_postfix_oracle", lambda spec: Fraction(7, 4))
+        assert main(["check", spec2_file]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count(
+            "check proof-equivalence: FAIL (supremum oracle found 7/4, descent found 1/2)"
+        ) == 1
+        assert len([line for line in lines if line.startswith("check ")]) == 12
+        assert lines[-1] == "invariants: 11/12 passed"
+
+    def test_a_crashing_check_does_not_stop_the_battery(self, spec2_file, capsys, monkeypatch):
+        def crash(spec, x):
+            raise RuntimeError("closed form unavailable")
+
+        monkeypatch.setattr(cli, "tail_weight_sum", crash)
+        assert main(["check", spec2_file]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("check tail-closed-form: FAIL (RuntimeError: closed form unavailable)") == 1
+        assert len([line for line in lines if line.startswith("check ") and ": PASS" in line]) == 11
+        assert lines[-1] == "invariants: 11/12 passed"
 
 
 class TestDemoAdjoinCommand:

@@ -1,7 +1,10 @@
-"""Every exported name resolves, and no export list names one twice."""
+"""Every exported name resolves, has one home module, and the package re-exports those lists."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -26,3 +29,34 @@ def test_all_resolves_without_duplicates(name):
     assert len(exported) == len(set(exported)), sorted(n for n in exported if exported.count(n) > 1)
     assert [n for n in exported if not hasattr(module, n)] == []
 
+
+HOMES = [
+    importlib.import_module(f"escapepoint.{name}")
+    for name in ("numerics", "enumeration", "weight_map", "fixpoint", "escape")
+]
+
+
+def test_package_reexports_exactly_the_module_lists():
+    assert escapepoint.__all__ == ["__version__"] + [n for home in HOMES for n in home.__all__]
+
+
+def test_every_name_has_one_home():
+    homes = {}
+    for home in HOMES:
+        for name in home.__all__:
+            homes.setdefault(name, []).append(home.__name__)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == {}
+
+
+def test_top_level_names_are_their_home_objects():
+    for home in HOMES:
+        assert [n for n in home.__all__ if getattr(escapepoint, n) is not getattr(home, n)] == []
+
+
+def test_import_does_not_load_the_command_line():
+    probe = "import sys, escapepoint; print(sorted({'argparse', 'escapepoint.cli'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(escapepoint.__file__))},
+    ).stdout
+    assert out.strip() == "[]"
