@@ -239,10 +239,13 @@ class IntervalEnumeration:
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"enumeration index must be a natural number, got {n!r}")
         eps = as_fraction(eps, "eps")
-        if eps <= 0:
+        if eps.numerator <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
         box = self.oracle(n, eps)
-        if box.width > eps:
+        lo, hi = box.lo, box.hi
+        # hi - lo > eps, cross-multiplied over the three positive denominators
+        width = (hi.numerator * lo.denominator - lo.numerator * hi.denominator) * eps.denominator
+        if width > eps.numerator * hi.denominator * lo.denominator:
             raise ValueError(f"interval oracle broke its width contract at n={n}: {box}")
         return box
 
@@ -254,19 +257,25 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
     (skewed alternately up and down so jitter is actually exercised).  The
     true value is always inside, and intervals for the same n are nested as
     eps shrinks.  jitter = 0 gives exactly centered intervals.
+
+    Each endpoint value + skew -/+ half is built as one Fraction over
+    q*g*f, for value p/q, jitter j/g and half = eps/2 = e/f: the skew
+    min(jitter, half) is k/(g*f), k = min(j*f, e*g), and half is e*g/(g*f).
     """
     jitter = as_fraction(jitter, "jitter")
     if jitter < 0:
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
+    j, g = jitter.numerator, jitter.denominator
 
     def oracle(n: int, eps: Fraction) -> RatInterval:
         value = value_at(spec, n)
-        half = eps / 2
-        skew = min(jitter, half)
+        p, q = value.numerator, value.denominator
+        e, f = eps.numerator, 2 * eps.denominator
+        k = j * f if j * f < e * g else e * g
         if n % 2:
-            skew = -skew
-        center = value + skew
-        return RatInterval(center - half, center + half)
+            k = -k
+        center, half, den = p * g * f + k * q, e * g * q, q * g * f
+        return RatInterval(Fraction(center - half, den), Fraction(center + half, den))
 
     return IntervalEnumeration(oracle)
 

@@ -47,7 +47,7 @@ from .fixpoint import (
     sup_postfix_oracle,
 )
 from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational
-from .weight_map import bounds_from_boxes, query_boxes, weight_below
+from .weight_map import box_classifier, query_boxes, weight_below
 
 __all__ = [
     "TheoremViolationError",
@@ -261,13 +261,14 @@ def enclose_escape_traced(
     bound; both bound maps are monotone and bracket the true map, so the pair
     of settled values brackets the true escape value.  Each index
     0, ..., n_known-1 is queried once, before either descent, and both
-    descents classify those stored boxes: O(n_known) boxes held in memory.
+    descents share one ``box_classifier`` over those boxes, which reads
+    their endpoints into integers once: O(n_known) boxes held in memory.
     The IntervalEnumeration contract makes answers deterministic per
     (n, eps), so the bounds are those ``weight_below_bounds`` gives.
     """
-    boxes = tuple(query_boxes(ienum, n_known, eps))
-    lo, lo_trace = descend_from_top(lambda z: bounds_from_boxes(boxes, z).lo, budget)
-    hi, hi_trace = descend_from_top(lambda z: bounds_from_boxes(boxes, z).hi, budget)
+    bounds = box_classifier(tuple(query_boxes(ienum, n_known, eps)))
+    lo, lo_trace = descend_from_top(lambda z: bounds(z).lo, budget)
+    hi, hi_trace = descend_from_top(lambda z: bounds(z).hi, budget)
     return RatInterval(lo, hi), lo_trace, hi_trace
 
 

@@ -1,4 +1,4 @@
-"""Exact rational substrate: dyadic weights, three-valued comparison, intervals.
+"""Exact rational substrate: dyadic weights and intervals.
 
 Every quantity in this package is an exact ``fractions.Fraction``; nothing is
 ever rounded and no float survives past an argument check.  The serialized
@@ -9,7 +9,6 @@ on output.
 
 from __future__ import annotations
 
-import enum
 import operator
 import re
 from dataclasses import dataclass
@@ -17,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 __all__ = [
-    "Tribool",
     "RatInterval",
     "as_fraction",
     "parse_rational",
@@ -28,7 +26,6 @@ __all__ = [
     "MAX_EXACT_EXPONENT",
     "ExponentBoundError",
     "weight_sum",
-    "interval_strictly_below",
 ]
 
 RationalLike = Union[Fraction, int]
@@ -205,19 +202,6 @@ def weight_sum(indices: Iterable[int]) -> Fraction:
     return Fraction(sum(1 << (top - n) for n in distinct), 1 << top)
 
 
-class Tribool(enum.Enum):
-    """Semi-decidable comparison outcome.  Never coerces to bool silently."""
-
-    CERTAIN_TRUE = "certain-true"
-    CERTAIN_FALSE = "certain-false"
-    UNKNOWN = "unknown"
-
-    def __bool__(self) -> bool:
-        raise TypeError(
-            "Tribool has three states; match on CERTAIN_TRUE/CERTAIN_FALSE/UNKNOWN explicitly"
-        )
-
-
 @dataclass(frozen=True)
 class RatInterval:
     """Closed interval [lo, hi] with exact rational endpoints, lo <= hi."""
@@ -228,7 +212,7 @@ class RatInterval:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", as_fraction(self.lo, "lo"))
         object.__setattr__(self, "hi", as_fraction(self.hi, "hi"))
-        if self.lo > self.hi:
+        if self.lo.numerator * self.hi.denominator > self.hi.numerator * self.lo.denominator:
             raise ValueError(f"empty interval: lo {self.lo} > hi {self.hi}")
 
     @property
@@ -242,16 +226,3 @@ class RatInterval:
     def encloses(self, other: "RatInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-
-def interval_strictly_below(interval: RatInterval, x: RationalLike) -> Tribool:
-    """Is every point of ``interval`` strictly below x?  Three-valued.
-
-    Certain-True iff interval.hi < x; Certain-False iff interval.lo >= x
-    (no point can be strictly below); Unknown otherwise.
-    """
-    x = as_fraction(x, "x")
-    if interval.hi < x:
-        return Tribool.CERTAIN_TRUE
-    if interval.lo >= x:
-        return Tribool.CERTAIN_FALSE
-    return Tribool.UNKNOWN

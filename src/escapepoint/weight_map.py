@@ -12,8 +12,12 @@ top down for both fixpoint oracles.  ``weight_below_bounds`` is the
 semi-decidable variant: with only n_known interval queries at precision eps
 it brackets the true value from both sides in a ``RatInterval``, charging
 every unseen index to a tail allowance.  It is ``query_boxes`` followed by
-``bounds_from_boxes``; an enclosure calls the first once and the second at
-every step of both descents.
+``box_classifier``: the classifier reads each box's endpoints into integer
+pairs once, and then places x against every box by cross-multiplication,
+in one linear scan with no Fraction comparison.  An enclosure queries and
+reads the boxes once and calls the classifier at every step of both
+descents; they take about two steps each, too few for sorting the boxes to
+pay off.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .enumeration import (
     Affine,
@@ -36,14 +40,7 @@ from .enumeration import (
     eligible_prefix_indices,
     tail_weight_sum,
 )
-from .numerics import (
-    RatInterval,
-    RationalLike,
-    Tribool,
-    as_fraction,
-    interval_strictly_below,
-    weight_sum,
-)
+from .numerics import RatInterval, RationalLike, as_fraction, weight_sum
 
 __all__ = [
     "MAX_N_KNOWN",
@@ -51,6 +48,7 @@ __all__ = [
     "weight_below",
     "weight_below_bounds",
     "query_boxes",
+    "box_classifier",
     "bounds_from_boxes",
     "step_structure",
 ]
@@ -91,22 +89,42 @@ def query_boxes(
     return (ienum.at(n, eps) for n in range(n_known))
 
 
+def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], RatInterval]:
+    """The bound map x -> RatInterval of the boxes of indices 0, ..., len(boxes)-1.
+
+    Each box's endpoints and weight 2^(top - n), top = len(boxes), are read
+    into integers here, once.  At each x the lower end weighs the boxes with
+    hi < x and the upper end those with lo < x (the certain ones plus the
+    undecided lo < x <= hi, since lo <= hi), plus 2^(1 - top) for every
+    index not queried; each test is one cross-multiplication.
+    """
+    top = len(boxes)
+    rows = [
+        (b.lo.numerator, b.lo.denominator, b.hi.numerator, b.hi.denominator, 1 << (top - n))
+        for n, b in enumerate(boxes)
+    ]
+
+    def bounds(x: RationalLike) -> RatInterval:
+        x = as_fraction(x, "x")
+        p, q = x.numerator, x.denominator
+        lower = upper = 0
+        for lo_p, lo_q, hi_p, hi_q, weight in rows:
+            if lo_p * q < p * lo_q:
+                upper += weight
+                if hi_p * q < p * hi_q:
+                    lower += weight
+        return RatInterval(Fraction(lower, 1 << top), Fraction(upper + 2, 1 << top))
+
+    return bounds
+
+
 def bounds_from_boxes(boxes: Sequence[RatInterval], x: RationalLike) -> RatInterval:
     """Bracket the weight map at x from the boxes of indices 0, ..., len(boxes)-1.
 
-    The lower end weighs the indices certainly below x; the upper end adds
-    the undecided ones and 2^(1 - len(boxes)) for every index not queried.
+    One call of ``box_classifier(boxes)``; a caller with many x builds the
+    classifier once instead.
     """
-    x = as_fraction(x, "x")
-    top = len(boxes)
-    lower = undecided = 0
-    for n, box in enumerate(boxes):
-        verdict = interval_strictly_below(box, x)
-        if verdict is Tribool.CERTAIN_TRUE:
-            lower += 1 << (top - n)
-        elif verdict is Tribool.UNKNOWN:
-            undecided += 1 << (top - n)
-    return RatInterval(Fraction(lower, 1 << top), Fraction(lower + undecided + 2, 1 << top))
+    return box_classifier(boxes)(x)
 
 
 def weight_below_bounds(
@@ -120,11 +138,11 @@ def weight_below_bounds(
     Sound for any oracle meeting the IntervalEnumeration contract: the exact
     map value always lies in the returned interval.  Each index is queried
     once; an enclosure queries the boxes once and both of its descents share
-    them through ``bounds_from_boxes``, the classifier this function ends in.
+    them through ``box_classifier``, the classifier this function ends in.
     """
     boxes = query_boxes(ienum, n_known, eps)
     x = as_fraction(x, "x")  # checked before the first query
-    return bounds_from_boxes(tuple(boxes), x)
+    return box_classifier(tuple(boxes))(x)
 
 
 @dataclass(frozen=True)

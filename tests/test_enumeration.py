@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from corpus import build_corpus, random_spec
 from escapepoint import enumeration
+from escapepoint.numerics import MAX_EXACT_EXPONENT, ExponentBoundError
 from escapepoint import (
     Affine,
     Constant,
@@ -17,6 +18,7 @@ from escapepoint import (
     IntervalEnumeration,
     RatInterval,
     SpecError,
+    dyadic_tail_weight,
     dyadic_weight,
     eligible_prefix_indices,
     intervalize,
@@ -240,6 +242,74 @@ class TestIntervalize:
             wide.at(0, F(0))
         with pytest.raises(ValueError):
             wide.at(-1, F(2))
+
+    @pytest.mark.parametrize("excess, accepted", [(F(0), True), (F(1, 10**30), False)])
+    def test_width_contract_at_its_edge(self, excess, accepted):
+        eps = F(1, 7)
+        lo = F(-1, 3)
+        oracle = IntervalEnumeration(lambda n, at_eps: RatInterval(lo, lo + at_eps + excess))
+        if accepted:
+            assert oracle.at(4, eps).width == eps
+        else:
+            with pytest.raises(ValueError, match="broke its width contract at n=4"):
+                oracle.at(4, eps)
+
+    @pytest.mark.parametrize("eps", [0, F(0), F(-1, 10**30), -1])
+    def test_nonpositive_eps_refused_before_the_oracle(self, eps):
+        asked = []
+        oracle = IntervalEnumeration(lambda n, at_eps: asked.append(n) or RatInterval(0, 0))
+        with pytest.raises(ValueError, match="eps must be positive"):
+            oracle.at(0, eps)
+        assert asked == []
+
+    def test_lazy_dyadic_eps_is_a_typed_refusal(self):
+        eps = dyadic_tail_weight(MAX_EXACT_EXPONENT + 2)
+        with pytest.raises(ExponentBoundError):
+            intervalize(corpus_spec(0)).at(0, eps)
+
+
+@st.composite
+def blurred_specs(draw):
+    """Specs with negative values and every tail kind, affine ones included."""
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=1000)
+    prefix = tuple(draw(st.lists(values, min_size=1, max_size=6)))
+    slope = values.filter(bool)
+    tail = draw(st.one_of(
+        st.builds(Constant, values), st.just(Cycle()), st.builds(Affine, slope, values),
+    ))
+    return EnumerationSpec(prefix, tail)
+
+
+@st.composite
+def eps_and_jitter(draw, kind):
+    """eps, and a jitter of the given kind: 0, below eps/2, equal to it or above it."""
+    eps = draw(st.fractions(min_value=F(1, 10**6), max_value=4, max_denominator=10**6))
+
+    def ratios(low, high):
+        return st.fractions(min_value=low, max_value=high, max_denominator=1000)
+
+    ratio = {
+        "zero": st.just(F(0)),
+        "below half": ratios(0, 1).filter(lambda r: 0 < r < 1),
+        "half": st.just(F(1)),
+        "above half": ratios(1, 10).filter(lambda r: r > 1),
+    }[kind]
+    return eps, eps / 2 * draw(ratio)
+
+
+class TestIntervalizeEndpoints:
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("kind", ["zero", "below half", "half", "above half"])
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=50)
+    def test_matches_the_fraction_formula(self, kind, parity, data):
+        spec = data.draw(blurred_specs())
+        n = 2 * data.draw(st.integers(min_value=0, max_value=20)) + parity
+        eps, jitter = data.draw(eps_and_jitter(kind))
+        skew = min(jitter, eps / 2) * (-1 if n % 2 else 1)
+        center = value_at(spec, n) + skew
+        box = intervalize(spec, jitter).at(n, eps)
+        assert (box.lo, box.hi) == (center - eps / 2, center + eps / 2)
 
 
 class TestJsonFormat:

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from escapepoint.numerics import MAX_EXACT_EXPONENT, DyadicTail, ExponentBoundError
 from escapepoint import (
     RatInterval,
-    Tribool,
     dyadic_tail_weight,
     dyadic_weight,
     format_rational,
-    interval_strictly_below,
     parse_rational,
     weight_sum,
 )
@@ -132,17 +130,40 @@ class TestDyadicTail:
             use(dyadic_tail_weight(10**10 + 1))
 
 
-class TestTribool:
-    @pytest.mark.parametrize("state", list(Tribool))
-    def test_never_coerces_to_bool(self, state):
-        with pytest.raises(TypeError):
-            bool(state)
-
-
 class TestRatInterval:
     def test_orders_endpoints(self):
         with pytest.raises(ValueError):
             RatInterval(F(1), F(0))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (F(1, 3) + F(1, 10**30), F(1, 3)),
+        (F(-1, 3), F(-1, 2)),
+        (F(2, 3), 0),
+    ])
+    def test_refuses_lo_above_hi_by_any_margin(self, lo, hi):
+        with pytest.raises(ValueError, match="empty interval"):
+            RatInterval(lo, hi)
+
+    @given(rationals, rationals)
+    def test_accepts_exactly_the_ordered_pairs(self, a, b):
+        if a <= b:
+            assert RatInterval(a, b) == RatInterval(F(a), F(b))
+        else:
+            with pytest.raises(ValueError, match="empty interval"):
+                RatInterval(a, b)
+
+    def test_point_interval(self):
+        assert RatInterval(F(-1, 7), F(-1, 7)).width == 0
+
+    @pytest.mark.parametrize("ends", [
+        lambda tail: (tail, F(1)), lambda tail: (F(-1), tail),
+    ])
+    def test_lazy_dyadic_endpoint_is_a_typed_refusal(self, ends):
+        # the endpoints are ordered by their numerators and denominators,
+        # which a DyadicTail past MAX_EXACT_EXPONENT refuses to build
+        tail = dyadic_tail_weight(MAX_EXACT_EXPONENT + 2)
+        with pytest.raises(ExponentBoundError):
+            RatInterval(*ends(tail))
 
     def test_width_and_containment(self):
         box = RatInterval(F(1, 4), F(3, 4))
@@ -159,25 +180,3 @@ class TestRatInterval:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             RatInterval(0.1, 0.2)
-
-
-class TestIntervalStrictlyBelow:
-    def test_three_outcomes(self):
-        box = RatInterval(F(0), F(1))
-        assert interval_strictly_below(box, F(2)) is Tribool.CERTAIN_TRUE
-        assert interval_strictly_below(box, F(0)) is Tribool.CERTAIN_FALSE
-        assert interval_strictly_below(box, F(1, 2)) is Tribool.UNKNOWN
-        # hi == x: the endpoint itself is not strictly below, but interior is
-        assert interval_strictly_below(box, F(1)) is Tribool.UNKNOWN
-
-    @given(rationals, rationals, rationals)
-    def test_verdicts_are_sound(self, a, b, x):
-        lo, hi = min(a, b), max(a, b)
-        box = RatInterval(lo, hi)
-        verdict = interval_strictly_below(box, x)
-        if verdict is Tribool.CERTAIN_TRUE:
-            assert hi < x
-        elif verdict is Tribool.CERTAIN_FALSE:
-            assert lo >= x  # no point of the interval can be strictly below
-        else:
-            assert lo < x <= hi

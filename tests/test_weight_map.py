@@ -11,6 +11,8 @@ from escapepoint import (
     Constant,
     EnumerationSpec,
     RatInterval,
+    bounds_from_boxes,
+    box_classifier,
     dyadic_weight,
     enclose_escape_traced,
     intervalize,
@@ -224,3 +226,62 @@ class TestWeightBelowBounds:
         for tighter in (fine_eps, fine_n):
             assert wide.lo <= tighter.lo
             assert tighter.hi <= wide.hi
+
+
+box_ends = st.fractions(min_value=-3, max_value=3, max_denominator=1000)
+
+
+@st.composite
+def boxes_and_x(draw):
+    """Boxes of which many have an endpoint exactly at x, and x."""
+    x = draw(box_ends)
+    end = st.one_of(st.just(x), box_ends)
+    pairs = draw(st.lists(st.tuples(end, end), min_size=1, max_size=12))
+    return [RatInterval(min(a, b), max(a, b)) for a, b in pairs], x
+
+
+def three_way(box: RatInterval, x: F) -> str:
+    """Is every point of the box strictly below x, none of them, or undecided?"""
+    if box.hi < x:
+        return "below"
+    if box.lo >= x:
+        return "not below"
+    return "undecided"
+
+
+def reference_bounds(boxes: list[RatInterval], x: F) -> RatInterval:
+    """The bound map at x by Fraction comparisons and Fraction weights."""
+    weights = {"below": F(0), "undecided": F(0), "not below": F(0)}
+    for n, box in enumerate(boxes):
+        weights[three_way(box, x)] += dyadic_weight(n)
+    tail = F(2, 2 ** len(boxes))
+    return RatInterval(weights["below"], weights["below"] + weights["undecided"] + tail)
+
+
+class TestBoxClassifier:
+    @pytest.mark.parametrize("x, expected", [
+        (F(2), (F(1), F(2))),  # the box is certainly below
+        (F(1, 2), (F(0), F(2))),  # undecided
+        (F(1), (F(0), F(2))),  # hi == x: the endpoint is not below, the interior is
+        (F(1, 4), (F(0), F(1))),  # lo == x: no point is strictly below
+        (F(-1), (F(0), F(1))),
+    ])
+    def test_hand_cases(self, x, expected):
+        assert box_classifier([RatInterval(F(1, 4), F(1))])(x) == RatInterval(*expected)
+
+    @given(boxes_and_x())
+    def test_matches_a_three_way_fraction_classification(self, case):
+        boxes, x = case
+        assert box_classifier(boxes)(x) == reference_bounds(boxes, x)
+        assert bounds_from_boxes(boxes, x) == reference_bounds(boxes, x)
+
+    @given(boxes_and_x(), st.lists(box_ends, max_size=6))
+    def test_one_classifier_serves_every_x(self, case, more):
+        boxes, x = case
+        bounds = box_classifier(boxes)
+        for z in [x, *more, x]:
+            assert bounds(z) == reference_bounds(boxes, z)
+
+    def test_rejects_float_x(self):
+        with pytest.raises(TypeError):
+            box_classifier([RatInterval(0, 1)])(0.5)
