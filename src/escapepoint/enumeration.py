@@ -23,11 +23,12 @@ from functools import cmp_to_key
 from typing import Callable, Collection, Union
 
 from .numerics import (
+    MAX_EXACT_EXPONENT,
+    DyadicTail,
     ExponentBoundError,
     RatInterval,
     RationalLike,
     as_fraction,
-    dyadic_tail_weight,
     format_rational,
     parse_rational,
     weight_sum,
@@ -85,14 +86,21 @@ class Cycle:
 
 @dataclass(frozen=True)
 class Affine:
-    """Tail rule f(n) = a*n + b, slope a != 0 after normalization."""
+    """Tail rule f(n) = a*n + b, slope a != 0 after normalization.
+
+    ``line`` = (A, B, D) is the rule over D = lcm of the denominators: f(n) = (A*n + B) / D.
+    """
 
     a: Fraction
     b: Fraction
+    line: tuple[int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", as_fraction(self.a, "affine slope"))
-        object.__setattr__(self, "b", as_fraction(self.b, "affine intercept"))
+        a, b = as_fraction(self.a, "affine slope"), as_fraction(self.b, "affine intercept")
+        scale = math.lcm(a.denominator, b.denominator)
+        line = (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator), scale)
+        for name, value in (("a", a), ("b", b), ("line", line)):
+            object.__setattr__(self, name, value)
 
 
 TailRule = Union[Constant, Cycle, Affine]
@@ -129,15 +137,24 @@ def value_at(spec: EnumerationSpec, n: int) -> Fraction:
     """f(n): prefix entry for n < L, tail rule otherwise.  Total for n >= 0."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"enumeration index must be a natural number, got {n!r}")
+    return Fraction(*_pair_at(spec, n))
+
+
+def _pair_at(spec: EnumerationSpec, n: int) -> tuple[int, int]:
+    """f(n) as a (numerator, denominator) pair, denominator positive.
+
+    Reduced, except an affine tail's (A*n + B, D) from ``Affine.line``.
+    """
     length = len(spec.prefix)
     if n < length:
-        return spec.prefix[n]
+        return spec.prefix_pairs[n]
     tail = spec.tail
     if isinstance(tail, Constant):
-        return tail.value
+        return tail.value.numerator, tail.value.denominator
     if isinstance(tail, Cycle):
-        return spec.prefix[n % length]
-    return tail.a * n + tail.b
+        return spec.prefix_pairs[n % length]
+    slope, intercept, scale = tail.line
+    return slope * n + intercept, scale
 
 
 def eligible_prefix_indices(spec: EnumerationSpec, x: RationalLike) -> set[int]:
@@ -151,11 +168,16 @@ def affine_cut(spec: EnumerationSpec, x: RationalLike) -> int:
     """Index where the affine tail crosses x, never below the prefix length L.
 
     The tail indices n >= L with a*n + b < x are [L, cut) when a > 0 and
-    [cut, infinity) when a < 0.  The boundary is strict and computed exactly.
+    [cut, infinity) when a < 0.  The boundary (x - b) / a is strict and
+    computed as one integer quotient: for x = p/q and the tail's line
+    (A, B, D) it is (p*D - B*q) / (q*A), whose denominator has the sign of a.
     """
-    tail = spec.tail
-    boundary = (as_fraction(x, "x") - tail.b) / tail.a
-    cut = math.ceil(boundary) if tail.a > 0 else math.floor(boundary) + 1
+    x = as_fraction(x, "x")
+    slope, intercept, scale = spec.tail.line
+    num = x.numerator * scale - intercept * x.denominator
+    den = x.denominator * slope
+    # the ceiling when a > 0; the floor plus one when a < 0
+    cut = -(-num // den) if den > 0 else num // den + 1
     return max(len(spec.prefix), cut)
 
 
@@ -187,28 +209,31 @@ def tail_weight_sum(spec: EnumerationSpec, x: RationalLike) -> Fraction:
     tail adds W(x) / (2^L - 1), where W(x) is the eligible prefix weight.
     Affine: the indices on the eligible side of ``affine_cut``, an initial
     segment (a > 0) or a final segment (a < 0) of the tail, summed in closed
-    form.
+    form by ``_plus_tail``.
     """
     x = as_fraction(x, "x")
+    if isinstance(spec.tail, Cycle):
+        return weight_sum(eligible_prefix_indices(spec, x)) / ((1 << len(spec.prefix)) - 1)
+    return _plus_tail(spec, x, 0)
+
+
+def _plus_tail(spec: EnumerationSpec, x: Fraction, num: int) -> Fraction:
+    """num / 2^L plus the weight of a constant or affine tail's indices with f(n) < x.
+
+    One Fraction.  A constant tail below x adds 2 / 2^L.  An affine tail adds
+    2^(1-L) - 2^(1-cut) (a > 0) or 2^(1-cut) (a < 0), put over 2^cut, or kept
+    as a lazy ``DyadicTail`` once cut passes ``MAX_EXACT_EXPONENT``.
+    """
     start = len(spec.prefix)
     tail = spec.tail
     if isinstance(tail, Constant):
-        return dyadic_tail_weight(start) if tail.value < x else Fraction(0)
-    if isinstance(tail, Cycle):
-        return _cycle_tail_weight(weight_sum(eligible_prefix_indices(spec, x)), start)
+        below = tail.value.numerator * x.denominator < x.numerator * tail.value.denominator
+        return Fraction(num + 2 * below, 1 << start)
     cut = affine_cut(spec, x)
-    if tail.a > 0:
-        return dyadic_tail_weight(start) - dyadic_tail_weight(cut)
-    return dyadic_tail_weight(cut)
-
-
-def _cycle_tail_weight(prefix_weight: Fraction, length: int) -> Fraction:
-    """A cycle tail's weight below x, from the eligible prefix weight W(x).
-
-    Every later lap repeats the eligible prefix indices shifted by a
-    multiple of L, so the tail adds W(x) / (2^L - 1).
-    """
-    return prefix_weight / ((1 << length) - 1)
+    num, sign = (num + 2, -1) if tail.line[0] > 0 else (num, 1)
+    if cut > MAX_EXACT_EXPONENT:
+        return DyadicTail(Fraction(num, 1 << start), sign, cut - 1)
+    return Fraction((num << (cut - start)) + 2 * sign, 1 << cut)
 
 
 def tail_hits(spec: EnumerationSpec, v: RationalLike) -> bool:
@@ -261,6 +286,7 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
     Each endpoint value + skew -/+ half is built as one Fraction over
     q*g*f, for value p/q, jitter j/g and half = eps/2 = e/f: the skew
     min(jitter, half) is k/(g*f), k = min(j*f, e*g), and half is e*g/(g*f).
+    An affine tail's pair (A*n + B, D) need not be reduced; the endpoints are.
     """
     jitter = as_fraction(jitter, "jitter")
     if jitter < 0:
@@ -268,8 +294,7 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
     j, g = jitter.numerator, jitter.denominator
 
     def oracle(n: int, eps: Fraction) -> RatInterval:
-        value = value_at(spec, n)
-        p, q = value.numerator, value.denominator
+        p, q = _pair_at(spec, n)
         e, f = eps.numerator, 2 * eps.denominator
         k = j * f if j * f < e * g else e * g
         if n % 2:

@@ -137,7 +137,7 @@ def descend_from_top(
     values there; the result is its greatest postfixpoint.  ``budget`` caps
     the number of map applications.
     """
-    if not isinstance(budget, int) or budget < 1:
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError(f"iteration budget must be a positive integer, got {budget!r}")
     iterates = _settle(_TWO, step, lambda a, b: a <= b, budget)
     settled = iterates[-1] == iterates[-2]
@@ -193,7 +193,7 @@ def subset_fixpoint_oracle(spec: EnumerationSpec, k_max: int = 12) -> Fraction:
     ``MAX_TAIL_CUT`` affine tail states, checked before any plateau is built.
     """
     length = len(spec.prefix)
-    if not isinstance(k_max, int) or not 0 <= k_max <= 16:
+    if isinstance(k_max, bool) or not isinstance(k_max, int) or not 0 <= k_max <= 16:
         raise OracleScopeError(f"k_max must be between 0 and 16, got {k_max!r}")
     if length > k_max:
         raise OracleScopeError(f"prefix length {length} exceeds the oracle bound k_max={k_max}")

@@ -22,7 +22,6 @@ pay off.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -35,12 +34,10 @@ from .enumeration import (
     EnumerationSpec,
     IntervalEnumeration,
     _ascending,
-    _cycle_tail_weight,
+    _plus_tail,
     affine_cut,
-    eligible_prefix_indices,
-    tail_weight_sum,
 )
-from .numerics import RatInterval, RationalLike, as_fraction, weight_sum
+from .numerics import RatInterval, RationalLike, as_fraction
 
 __all__ = [
     "MAX_N_KNOWN",
@@ -63,12 +60,22 @@ _TWO = Fraction(2)
 
 
 def weight_below(spec: EnumerationSpec, x: RationalLike) -> Fraction:
-    """Exact value of the weight map at x."""
+    """Exact value of the weight map at x, as one Fraction.
+
+    The eligible prefix weight W = num / 2^L is summed by cross-multiplication.
+    A cycle tail makes it W + W / (2^L - 1) = num / (2^L - 1); ``_plus_tail``
+    adds a constant or affine tail.
+    """
     x = as_fraction(x, "x")
-    prefix = weight_sum(eligible_prefix_indices(spec, x))
+    p, q = x.numerator, x.denominator
+    length = len(spec.prefix)
+    num = 0
+    for n, (a, b) in enumerate(spec.prefix_pairs):
+        if a * q < p * b:
+            num += 1 << (length - n)
     if isinstance(spec.tail, Cycle):
-        return prefix + _cycle_tail_weight(prefix, len(spec.prefix))
-    return prefix + tail_weight_sum(spec, x)
+        return Fraction(num, (1 << length) - 1)
+    return _plus_tail(spec, x, num)
 
 
 def query_boxes(
@@ -206,8 +213,8 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     A cycle tail repeats every prefix jump in each later lap, which scales
     it by 2^L / (2^L - 1).  An affine tail contributes one break per index
     whose value lands in [0, 2], found between the cuts at 0 and 2: at most
-    2/|a| + 1 indices.  Their values (A*n + B) / D, with D the lcm of the
-    denominators of a and b, are distinct and monotone in n, so the run is
+    2/|a| + 1 indices.  Their values (A*n + B) / D, from the tail's
+    ``Affine.line``, are distinct and monotone in n, so the run is
     walked as an integer progression, with no Fraction, hash or sort per
     index.  The at most L prefix values (and a constant tail value) in
     [0, 2] are keyed by their (numerator, denominator) pairs, ordered by one
@@ -220,10 +227,7 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     run = range(0)  # the affine tail indices with values in [0, 2], by ascending value
     top = start
     if isinstance(tail, Affine):
-        scale = math.lcm(tail.a.denominator, tail.b.denominator)
-        slope = tail.a.numerator * (scale // tail.a.denominator)
-        intercept = tail.b.numerator * (scale // tail.b.denominator)
-        line = (slope, intercept, scale)
+        line = slope, intercept, scale = tail.line
         lo, hi = sorted((affine_cut(spec, _ZERO), affine_cut(spec, _TWO)))
         top = max(start, hi + 1)
         # the cuts are strict, so each end may hold one index just outside [0, 2]

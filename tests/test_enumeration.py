@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -130,6 +131,33 @@ class TestAscendingPairs:
         values = {F(rng.getrandbits(4096) - (1 << 4095), rng.getrandbits(4096) | 1) for _ in range(64)}
         pairs = [(v.numerator, v.denominator) for v in values]
         assert enumeration._ascending(pairs) == [(v.numerator, v.denominator) for v in sorted(values)]
+
+
+class TestAffineCut:
+    @given(
+        st.fractions(min_value=-64, max_value=64, max_denominator=64).filter(bool),
+        st.fractions(min_value=-100, max_value=100, max_denominator=100),
+        st.integers(min_value=0, max_value=6),
+        rationals,
+        # an index whose tail value becomes x, so that x lies exactly on the line
+        st.one_of(st.none(), st.integers(min_value=-50, max_value=300)),
+    )
+    @example(F(-1, 3), F(-2), 0, F(-7), None)
+    @example(F(1, 3), F(-2), 0, F(-1), 3)
+    def test_matches_the_fraction_formula(self, a, b, length, x, on_line):
+        if on_line is not None:
+            x = a * on_line + b
+        spec = EnumerationSpec((F(0),) * length, Affine(a, b))
+        boundary = (x - b) / a
+        cut = math.ceil(boundary) if a > 0 else math.floor(boundary) + 1
+        assert enumeration.affine_cut(spec, x) == max(length, cut)
+
+    def test_line_holds_the_rule_and_is_not_compared(self):
+        tail = Affine(F(3, 4), F(-5, 6))
+        assert tail.line == (9, -10, 12)
+        assert "line" not in repr(tail)
+        assert tail == Affine(F(6, 8), F(-10, 12))
+        assert dataclasses.replace(tail, b=F(1, 8)).line == (6, 1, 8)
 
 
 class TestTailWeightSum:

@@ -82,6 +82,10 @@ class TestComputeEscape:
             Verdict(where="tail", value=F(2), relation="above", gap=F(3, 2)),
         )
 
+    def test_refuses_a_bool_budget(self):
+        with pytest.raises(ValueError, match="iteration budget must be a positive integer, got True"):
+            compute_escape(SPEC2, True)
+
     def test_constant_everywhere(self):
         cert = compute_escape(EnumerationSpec((), Constant(3)))
         assert cert.x0 == 0

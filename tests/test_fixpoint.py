@@ -88,6 +88,11 @@ class TestDescend:
         with pytest.raises(ValueError):
             gfp_descend(SPEC2, budget=0)
 
+    @pytest.mark.parametrize("budget", [True, False])
+    def test_budget_must_not_be_a_bool(self, budget):
+        with pytest.raises(ValueError, match="iteration budget"):
+            descend_from_top(lambda z: z, budget)
+
     def test_non_monotone_step_detected(self):
         with pytest.raises(RuntimeError):
             descend_from_top(lambda z: z + 1)
@@ -138,6 +143,12 @@ class TestOracles:
         flat = EnumerationSpec((), Affine(F(1, 10**5), 0))
         with pytest.raises(OracleScopeError):
             subset_fixpoint_oracle(flat)
+
+    @pytest.mark.parametrize("k_max", [True, False])
+    def test_subset_oracle_refuses_a_bool_k_max(self, k_max):
+        # an empty prefix is within any k_max >= 0, so only the type refuses it
+        with pytest.raises(OracleScopeError, match="k_max must be"):
+            subset_fixpoint_oracle(EnumerationSpec((), Constant(3)), k_max=k_max)
 
     @pytest.mark.parametrize("slope", [F(1, 256), F(-1, 256)])
     @pytest.mark.parametrize("intercept", [0, 1, 2])

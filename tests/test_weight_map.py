@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus, random_spec
@@ -10,17 +10,23 @@ from escapepoint import (
     Affine,
     Constant,
     EnumerationSpec,
+    DyadicTail,
     RatInterval,
     bounds_from_boxes,
     box_classifier,
+    dyadic_tail_weight,
     dyadic_weight,
+    eligible_prefix_indices,
     enclose_escape_traced,
     intervalize,
+    tail_weight_sum,
     value_at,
     weight_below,
     weight_below_bounds,
+    weight_sum,
 )
 from escapepoint.enumeration import affine_cut
+from escapepoint.numerics import MAX_EXACT_EXPONENT
 from escapepoint.weight_map import step_structure
 
 spec_indices = st.integers(min_value=0, max_value=2999)
@@ -105,6 +111,52 @@ class TestWeightBelow:
         if 0 <= v < 2:
             y = min(F(2), v + F(1, 10**9))
             assert weight_below(spec, y) >= weight_below(spec, v) + dyadic_weight(n)
+
+
+# x inside and outside [0, 2]; a tail offset, when drawn, moves x onto the tail value there
+points = st.one_of(unit_range, st.fractions(min_value=-1000, max_value=1000, max_denominator=1000))
+tail_offsets = st.one_of(st.none(), st.integers(min_value=0, max_value=80))
+
+
+def check_against_references(spec: EnumerationSpec, x: F, offset) -> None:
+    """weight_below against the set route and against a series truncated after L + 70 indices."""
+    start = len(spec.prefix)
+    if offset is not None:
+        x = value_at(spec, start + offset)
+    got = weight_below(spec, x)
+    reference = weight_sum(eligible_prefix_indices(spec, x)) + tail_weight_sum(spec, x)
+    # repr tells a Fraction's value and a lazy DyadicTail's base, sign and exponent
+    assert repr(got) == repr(reference)
+    window = range(start + 70)
+    brute = sum((dyadic_weight(n) for n in window if value_at(spec, n) < x), F(0))
+    assert brute <= got <= brute + dyadic_tail_weight(window.stop)
+
+
+class TestWeightBelowReferences:
+    @given(spec_indices, points, tail_offsets)
+    @settings(deadline=None)
+    # cuts near 10^10 and 10^11, past MAX_EXACT_EXPONENT: the DyadicTail route
+    @example(566, F(5620175149), None)
+    @example(2000, F(-11060971072), None)
+    def test_corpus(self, index, x, offset):
+        check_against_references(corpus_spec(index), x, offset)
+
+    @given(affine_specs(), points, tail_offsets)
+    @settings(deadline=None)
+    @example(EnumerationSpec((F(1, 2), F(3)), Affine(F(-1, 64), F(1, 3))), F(-10**7), None)
+    def test_affine_specs(self, spec, x, offset):
+        check_against_references(spec, x, offset)
+
+    @pytest.mark.parametrize("slope", [F(1, 3), F(-1, 3)])
+    def test_lazy_past_the_exponent_bound(self, slope):
+        spec = EnumerationSpec((F(1, 2), F(5)), Affine(slope, 0))
+        x = F(10**7) if slope > 0 else F(-10**7)
+        assert affine_cut(spec, x) > MAX_EXACT_EXPONENT
+        got = weight_below(spec, x)
+        assert isinstance(got, DyadicTail)
+        # both prefix values and all but a 2^-cut sliver of the tail, or only that sliver
+        assert (F(3, 2) < got < 2) if slope > 0 else (0 < got < dyadic_weight(MAX_EXACT_EXPONENT))
+        check_against_references(spec, x, None)
 
 
 class TestStepStructure:
