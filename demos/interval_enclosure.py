@@ -8,7 +8,7 @@ between two descents; the bracket can only narrow as knowledge grows.
 
 from fractions import Fraction as F
 
-from escapepoint import Affine, EnumerationSpec, enclose_escape, gfp_descend, intervalize
+from escapepoint import Affine, EnumerationSpec, enclose_escape_traced, gfp_descend, intervalize
 
 spec = EnumerationSpec(prefix=(), tail=Affine(1, 0))
 truth, _ = gfp_descend(spec)
@@ -20,7 +20,7 @@ oracle = intervalize(spec, jitter=F(1, 500))  # off-center intervals, still soun
 print(f"{'n_known':>8} {'eps':>8}   enclosure")
 for n_known in (1, 2, 4, 8, 16):
     for eps in (F(1, 10), F(1, 100)):
-        box = enclose_escape(oracle, n_known, eps)
+        box, _, _ = enclose_escape_traced(oracle, n_known, eps)
         tag = "  <- exact value pinned" if box.lo == box.hi else ""
         print(f"{n_known:>8} {str(eps):>8}   [{box.lo}, {box.hi}] width {box.width}{tag}")
         assert truth in box

@@ -8,7 +8,7 @@ force, then fuzzes a few hundred random lattices.
 
 import random
 
-from escapepoint import (
+from escapepoint.selftest import (
     FiniteLattice,
     MonotoneTable,
     brute_extreme_fixpoints,
@@ -38,6 +38,7 @@ for trial in range(3):
     print(f"random lattice with {len(lat)} elements: iteration matches brute force")
 print()
 
-count, failures = run_kt_battery(count=300, seed=1)
+count = 300
+failures = run_kt_battery(count=count, seed=1)
 print(f"battery: {count} random lattices, {len(failures)} disagreements")
 assert not failures

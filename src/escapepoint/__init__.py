@@ -9,7 +9,8 @@ intervals when the enumeration is only available through imprecise queries.
 
 Each module's ``__all__`` lists its public names, each name in exactly one
 module, and the package re-exports exactly those lists.  ``escapepoint.cli``
-is not re-exported, so importing the package does not load it.
+and ``escapepoint.selftest`` (the invariant battery and the finite-lattice
+fuzzer) are not re-exported, so importing the package loads neither.
 """
 
 from . import enumeration, escape, fixpoint, numerics, weight_map

@@ -1,10 +1,11 @@
-"""Command-line interface.
+"""Command-line interface: parse arguments, dispatch, render.
 
 Four subcommands: ``escape`` computes the escape value of a spec (exactly, or
-as an interval enclosure from imprecise queries), ``check`` runs an invariant
-battery against a spec, ``demo-adjoin`` appends the escape value to its own
-enumeration and shows the value move, ``kt-selftest`` fuzzes the fixpoint
-engine on random finite lattices.
+as an interval enclosure from imprecise queries), ``check`` runs the
+invariant battery of ``escapepoint.selftest`` against a spec,
+``demo-adjoin`` appends the escape value to its own enumeration and shows the
+value move, ``kt-selftest`` fuzzes the fixpoint engine on random finite
+lattices (also in ``escapepoint.selftest``).
 
 Specs are JSON files (``-`` reads stdin); structured output is canonical
 JSON (two-space indent, sorted keys) so byte-identical inputs give
@@ -16,49 +17,22 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .enumeration import (
-    Affine,
-    EnumerationSpec,
-    SpecError,
-    check_exponent_bound,
-    eligible_prefix_indices,
-    intervalize,
-    spec_from_jsonable,
-    spec_to_jsonable,
-    tail_hits,
-    tail_weight_sum,
-    value_at,
-)
+from .enumeration import EnumerationSpec, SpecError, intervalize, spec_from_jsonable, spec_to_jsonable
 from .escape import (
     EscapeCertificate,
     adjoin_escape_demo,
     certificate_to_jsonable,
     compute_escape,
-    enclose_escape,
     enclose_escape_traced,
 )
-from .fixpoint import (
-    DEFAULT_ITERATION_BUDGET,
-    BudgetExceededError,
-    FixpointTrace,
-    OracleScopeError,
-    gfp_descend,
-    run_kt_battery,
-    subset_fixpoint_oracle,
-    sup_postfix_oracle,
-)
-from .numerics import dyadic_tail_weight, dyadic_weight, format_rational, parse_rational
-from .weight_map import weight_below
+from .fixpoint import DEFAULT_ITERATION_BUDGET, BudgetExceededError, FixpointTrace
+from .numerics import dyadic_weight, format_rational, parse_rational
+from .selftest import run_invariant_battery, run_kt_battery
 
-__all__ = ["main", "parse_spec", "run_invariant_battery"]
-
-_ZERO = Fraction(0)
-_TWO = Fraction(2)
+__all__ = ["main", "parse_spec"]
 
 
 def parse_spec(text: str) -> EnumerationSpec:
@@ -68,184 +42,6 @@ def parse_spec(text: str) -> EnumerationSpec:
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise SpecError(f"invalid JSON: {exc}") from None
     return spec_from_jsonable(obj)
-
-
-class _CheckFailure(Exception):
-    """An invariant check failed with a human-readable reason."""
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise _CheckFailure(message)
-
-
-def run_invariant_battery(
-    spec: EnumerationSpec,
-    seed: int = 0,
-    budget: int = DEFAULT_ITERATION_BUDGET,
-) -> list[tuple[str, bool, str]]:
-    """Run every structural invariant against one spec.
-
-    Returns (name, passed, note) triples in execution order; the note carries
-    the failure reason, or an informational remark on a pass.  The battery
-    never aborts early -- a crash inside one check is that check's failure.
-    An affine tail past the exponent bound is refused up front with
-    ``ExponentBoundError``, as ``compute_escape`` refuses it.
-    """
-    check_exponent_bound(spec)
-    rng = random.Random(seed)
-    length = len(spec.prefix)
-    points = _sample_points(spec, rng)
-    window = range(length, length + 65)
-    x0_box: list[Optional[Fraction]] = [None]
-
-    def settled() -> Fraction:
-        if x0_box[0] is None:
-            raise _CheckFailure("descent did not settle, cannot check")
-        return x0_box[0]
-
-    def check_totality() -> None:
-        for n in range(length + 17):
-            v = value_at(spec, n)
-            _require(isinstance(v, Fraction), f"value at index {n} is {type(v).__name__}")
-
-    def check_eligibility_monotone() -> None:
-        for x, y in zip(points, points[1:]):
-            _require(
-                eligible_prefix_indices(spec, x) <= eligible_prefix_indices(spec, y),
-                f"eligible prefix set shrank between {x} and {y}",
-            )
-
-    def check_tail_closed_form() -> None:
-        for x in points:
-            closed = tail_weight_sum(spec, x)
-            brute = sum((dyadic_weight(n) for n in window if value_at(spec, n) < x), _ZERO)
-            residue = dyadic_tail_weight(window.stop)
-            _require(
-                brute <= closed <= brute + residue,
-                f"closed-form tail weight {closed} at {x} is outside [{brute}, {brute + residue}]",
-            )
-
-    def check_tail_hits() -> None:
-        for x in points:
-            hit = tail_hits(spec, x)
-            brute = any(value_at(spec, n) == x for n in window)
-            if brute:
-                _require(hit, f"{x} is enumerated in the tail window but tail_hits says no")
-            elif hit:
-                # only an affine tail can hit beyond the window; verify its witness
-                _require(isinstance(spec.tail, Affine), f"tail_hits claims {x} without a witness")
-                n0 = (x - spec.tail.b) / spec.tail.a
-                _require(
-                    n0.denominator == 1 and n0 >= length and value_at(spec, int(n0)) == x,
-                    f"tail_hits claims {x} but index {n0} is not a witness",
-                )
-
-    def check_map_monotone() -> None:
-        for x, y in zip(points, points[1:]):
-            _require(
-                weight_below(spec, x) <= weight_below(spec, y),
-                f"weight map decreased between {x} and {y}",
-            )
-
-    def check_map_range() -> None:
-        for x in points:
-            w = weight_below(spec, x)
-            _require(_ZERO <= w <= _TWO, f"weight {w} at {x} is outside [0, 2]")
-
-    def check_jump_lemma() -> None:
-        # x <= f(n) < y forces the map to rise by at least the index weight
-        for n in range(min(length + 9, 40)):
-            v = value_at(spec, n)
-            if _ZERO <= v < _TWO:
-                y = min(_TWO, v + Fraction(1, 997))
-                _require(
-                    weight_below(spec, y) >= weight_below(spec, v) + dyadic_weight(n),
-                    f"jump at index {n} (value {v}) is smaller than {dyadic_weight(n)}",
-                )
-
-    def check_descent_fixpoint() -> None:
-        x0, trace = gfp_descend(spec, budget)
-        _require(weight_below(spec, x0) == x0, f"descent settled at {x0}, not a fixpoint")
-        _require(trace.terminated and trace.iterates[-1] == x0, "trace does not settle at the result")
-        x0_box[0] = x0
-
-    def check_no_postfix_above() -> str:
-        x0 = settled()
-        if x0 == _TWO:
-            return "escape value is the top element; nothing above to probe"
-        for _ in range(64):
-            y = x0 + (_TWO - x0) * Fraction(rng.randint(1, 1000), 1000)
-            _require(weight_below(spec, y) < y, f"{y} above the escape value is a postfixpoint")
-        return ""
-
-    def check_proof_equivalence() -> str:
-        x0 = settled()
-        other = sup_postfix_oracle(spec)
-        _require(other == x0, f"supremum oracle found {other}, descent found {x0}")
-        try:
-            literal = subset_fixpoint_oracle(spec)
-        except OracleScopeError as exc:
-            return f"subset oracle skipped: {exc}"
-        _require(literal == x0, f"subset oracle found {literal}, descent found {x0}")
-        return ""
-
-    def check_certificate() -> None:
-        x0 = settled()
-        cert = compute_escape(spec, budget)
-        _require(cert.x0 == x0, f"certificate value {cert.x0} differs from descent value {x0}")
-        _require(len(cert.verdicts) >= length, "certificate is missing prefix verdicts")
-
-    def check_enclosure() -> None:
-        x0 = settled()
-        ienum = intervalize(spec)
-        eps_wide, eps_narrow = Fraction(1, 10), Fraction(1, 100)
-        coarse = enclose_escape(ienum, 2, eps_wide, budget)
-        sharper_eps = enclose_escape(ienum, 2, eps_narrow, budget)
-        sharper_n = enclose_escape(ienum, 4, eps_narrow, budget)
-        sharpest = enclose_escape(ienum, 8, eps_narrow, budget)
-        for enclosure in (coarse, sharper_eps, sharper_n, sharpest):
-            _require(x0 in enclosure, f"escape value {x0} is outside enclosure {enclosure}")
-        _require(coarse.encloses(sharper_eps), "shrinking eps must narrow the enclosure")
-        _require(sharper_eps.encloses(sharper_n), "more known indices must narrow the enclosure")
-        _require(sharper_n.encloses(sharpest), "more known indices must narrow the enclosure")
-
-    checks: list[tuple[str, Callable[[], Optional[str]]]] = [
-        ("totality", check_totality),
-        ("eligibility-monotone", check_eligibility_monotone),
-        ("tail-closed-form", check_tail_closed_form),
-        ("tail-hits", check_tail_hits),
-        ("map-monotone", check_map_monotone),
-        ("map-range", check_map_range),
-        ("jump-lemma", check_jump_lemma),
-        ("descent-fixpoint", check_descent_fixpoint),
-        ("no-postfix-above", check_no_postfix_above),
-        ("proof-equivalence", check_proof_equivalence),
-        ("certificate", check_certificate),
-        ("enclosure", check_enclosure),
-    ]
-    results = []
-    for name, fn in checks:
-        try:
-            note = fn()
-            results.append((name, True, note or ""))
-        except _CheckFailure as exc:
-            results.append((name, False, str(exc)))
-        except Exception as exc:  # a battery reports, it must not abort
-            results.append((name, False, f"{type(exc).__name__}: {exc}"))
-    return results
-
-
-def _sample_points(spec: EnumerationSpec, rng: random.Random, count: int = 24) -> list[Fraction]:
-    points = {_ZERO, _TWO, Fraction(1), Fraction(1, 2), Fraction(3, 2)}
-    for v in spec.prefix:
-        for delta in (_ZERO, Fraction(1, 7), Fraction(-1, 7)):
-            w = v + delta
-            if _ZERO <= w <= _TWO:
-                points.add(w)
-    while len(points) < count:
-        points.add(Fraction(rng.randint(0, 2000), 1000))
-    return sorted(points)
 
 
 def _read_text(path: str) -> str:
@@ -330,8 +126,8 @@ def _cmd_demo_adjoin(args: argparse.Namespace, budget: int) -> int:
 
 def _cmd_kt_selftest(args: argparse.Namespace, budget: int) -> int:
     del budget  # lattice iteration is bounded by lattice size, not the descent budget
-    count, failures = run_kt_battery(count=args.count, seed=args.seed)
-    print(f"self-test: {count} lattices checked, {len(failures)} failures")
+    failures = run_kt_battery(count=args.count, seed=args.seed)
+    print(f"self-test: {args.count} lattices checked, {len(failures)} failures")
     for line in failures:
         print(f"  {line}")
     return 1 if failures else 0

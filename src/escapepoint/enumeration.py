@@ -181,10 +181,26 @@ def affine_cut(spec: EnumerationSpec, x: RationalLike) -> int:
     return max(len(spec.prefix), cut)
 
 
+def _affine_window(spec: EnumerationSpec) -> tuple[int, int]:
+    """The affine tail's cuts at 0 and at 2, the smaller first."""
+    lo, hi = sorted((affine_cut(spec, 0), affine_cut(spec, 2)))
+    return lo, hi
+
+
+def _line_index(spec: EnumerationSpec, v: Fraction) -> tuple[int, bool]:
+    """The index n where an affine tail may take the value v, and whether a*n + b = v.
+
+    n is the cut at v (a > 0) or the index before it (a < 0), so it can be L - 1.
+    """
+    slope, intercept, scale = spec.tail.line
+    n = affine_cut(spec, v) - (slope < 0)
+    return n, v.numerator * scale == v.denominator * (slope * n + intercept)
+
+
 def check_exponent_bound(spec: EnumerationSpec) -> None:
     """Raise ``ExponentBoundError`` if an affine tail's cut at 0 or 2 lies past ``MAX_TAIL_CUT``."""
     if isinstance(spec.tail, Affine):
-        cut = max(affine_cut(spec, 0), affine_cut(spec, 2))
+        cut = _affine_window(spec)[1]
         if cut > MAX_TAIL_CUT:
             raise ExponentBoundError(
                 f"the affine tail crosses [0, 2] at index {cut}, past the bound "
@@ -245,8 +261,8 @@ def tail_hits(spec: EnumerationSpec, v: RationalLike) -> bool:
         return tail.value == v
     if isinstance(tail, Cycle):
         return (v.numerator, v.denominator) in spec.prefix_pairs
-    n = (v - tail.b) / tail.a
-    return n.denominator == 1 and n >= start
+    n, on_line = _line_index(spec, v)
+    return on_line and n >= start
 
 
 @dataclass(frozen=True)
@@ -321,8 +337,6 @@ def _rational_at(obj: object, where: str) -> Fraction:
         raise SpecError(f"{where}: expected a rational string 'p/q', got {obj!r}")
     try:
         return parse_rational(obj)
-    except ZeroDivisionError:
-        raise SpecError(f"{where}: zero denominator in {obj!r}") from None
     except ValueError as exc:
         raise SpecError(f"{where}: {exc}") from None
 

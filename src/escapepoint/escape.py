@@ -17,6 +17,8 @@ gap |diff| / (q*d), computed once per distinct value.  A zero diff means the
 claimed escape value is actually enumerated and raises
 ``TheoremViolationError`` rather than producing a broken certificate.  The
 certificate audit checks every verdict again the same way.
+
+``enclose_escape_traced`` brackets the escape value from interval queries.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "EscapeCertificate",
     "compute_escape",
     "adjoin_escape_demo",
-    "enclose_escape",
     "enclose_escape_traced",
     "certificate_to_jsonable",
     "certificate_from_jsonable",
@@ -255,7 +256,7 @@ def enclose_escape_traced(
     eps: Fraction,
     budget: int = DEFAULT_ITERATION_BUDGET,
 ) -> tuple[RatInterval, FixpointTrace, FixpointTrace]:
-    """Enclose the escape value from interval queries only, keeping traces.
+    """Enclose the escape value from interval queries only: (enclosure, lower trace, upper trace).
 
     Runs the descent twice, once on the lower and once on the upper weight
     bound; both bound maps are monotone and bracket the true map, so the pair
@@ -270,17 +271,6 @@ def enclose_escape_traced(
     lo, lo_trace = descend_from_top(lambda z: bounds(z).lo, budget)
     hi, hi_trace = descend_from_top(lambda z: bounds(z).hi, budget)
     return RatInterval(lo, hi), lo_trace, hi_trace
-
-
-def enclose_escape(
-    ienum: IntervalEnumeration,
-    n_known: int,
-    eps: Fraction,
-    budget: int = DEFAULT_ITERATION_BUDGET,
-) -> RatInterval:
-    """Interval guaranteed to contain the escape value; see enclose_escape_traced."""
-    enclosure, _, _ = enclose_escape_traced(ienum, n_known, eps, budget)
-    return enclosure
 
 
 def certificate_to_jsonable(cert: EscapeCertificate) -> dict:
@@ -325,9 +315,8 @@ def _certificate_from_dict(obj: object) -> EscapeCertificate:
     if not isinstance(raw_trace, list) or not raw_trace:
         raise ValueError("trace: expected a non-empty array of rationals")
     iterates = tuple(_rational_at(v, f"trace[{i}]") for i, v in enumerate(raw_trace))
-    terminated = len(iterates) >= 2 and iterates[-1] == iterates[-2]
     try:
-        trace = FixpointTrace(iterates, terminated, len(iterates) - 1)
+        trace = FixpointTrace(iterates)
     except ValueError as exc:
         raise ValueError(f"trace: {exc}") from None
     raw_verdicts = obj["verdicts"]

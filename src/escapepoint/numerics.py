@@ -43,15 +43,16 @@ def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (optional leading '-').  No decimals, no whitespace."""
+    """Parse "p/q" or "p" (optional leading '-').  No decimals, no whitespace, no zero q."""
     if not isinstance(text, str):
         raise TypeError(f"rational text must be a string, got {text!r}")
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an exact rational (expected 'p/q' or 'p'): {text!r}")
     num, _, den = text.partition("/")
-    if den:
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    q = int(den) if den else 1
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), q)
 
 
 def format_rational(value: RationalLike) -> str:

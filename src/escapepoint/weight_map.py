@@ -33,9 +33,10 @@ from .enumeration import (
     Cycle,
     EnumerationSpec,
     IntervalEnumeration,
+    _affine_window,
     _ascending,
+    _line_index,
     _plus_tail,
-    affine_cut,
 )
 from .numerics import RatInterval, RationalLike, as_fraction
 
@@ -46,7 +47,6 @@ __all__ = [
     "weight_below_bounds",
     "query_boxes",
     "box_classifier",
-    "bounds_from_boxes",
     "step_structure",
 ]
 
@@ -123,15 +123,6 @@ def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], Rat
         return RatInterval(Fraction(lower, 1 << top), Fraction(upper + 2, 1 << top))
 
     return bounds
-
-
-def bounds_from_boxes(boxes: Sequence[RatInterval], x: RationalLike) -> RatInterval:
-    """Bracket the weight map at x from the boxes of indices 0, ..., len(boxes)-1.
-
-    One call of ``box_classifier(boxes)``; a caller with many x builds the
-    classifier once instead.
-    """
-    return box_classifier(boxes)(x)
 
 
 def weight_below_bounds(
@@ -228,7 +219,7 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     top = start
     if isinstance(tail, Affine):
         line = slope, intercept, scale = tail.line
-        lo, hi = sorted((affine_cut(spec, _ZERO), affine_cut(spec, _TWO)))
+        lo, hi = _affine_window(spec)
         top = max(start, hi + 1)
         # the cuts are strict, so each end may hold one index just outside [0, 2]
         first, last = max(start, lo - 1), hi
@@ -251,13 +242,12 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     jumps = [1 << (top - n) for n in run]
     breaks: list[Union[Fraction, int]] = list(run)
     # from the top value down, so that each insertion leaves lower slots in place
-    for p, q in reversed(_ascending(points)):
-        v, jump = points[p, q]
+    for pair in reversed(_ascending(points)):
+        v, jump = points[pair]
         pos = 0  # where v sits among the line's values, counted from the lowest
         if run:
-            n = affine_cut(spec, v) - (slope < 0)  # the index whose value may equal v
+            n, on_line = _line_index(spec, v)
             pos = (n - run.start) * run.step
-            on_line = p * scale == q * (slope * n + intercept)
             if 0 <= pos < len(run) and on_line:
                 jumps[pos] += jump
                 continue

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from escapepoint import cli
+from escapepoint import selftest
 from escapepoint.cli import main
 
 SPEC2_TEXT = '{"prefix": ["3/2", "1/8"], "tail": {"kind": "constant", "value": "2"}}'
@@ -111,6 +111,8 @@ class TestErrorHandling:
     def test_interval_mode_validates_arguments(self, spec2_file, capsys):
         assert main(["escape", spec2_file, "--mode", "interval", "--eps", "0.5"]) == 1
         assert "0.5" in capsys.readouterr().err
+        assert main(["escape", spec2_file, "--mode", "interval", "--eps", "1/0"]) == 1
+        assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
         assert main(["escape", spec2_file, "--mode", "interval", "--n-known", "0"]) == 1
         assert "n_known" in capsys.readouterr().err
 
@@ -205,7 +207,7 @@ class TestCheckCommand:
         assert main(["check", affine_file, "--seed", "99"]) == 0
 
     def test_a_failing_invariant_exits_1(self, spec2_file, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "sup_postfix_oracle", lambda spec: Fraction(7, 4))
+        monkeypatch.setattr(selftest, "sup_postfix_oracle", lambda spec: Fraction(7, 4))
         assert main(["check", spec2_file]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines.count(
@@ -218,7 +220,7 @@ class TestCheckCommand:
         def crash(spec, x):
             raise RuntimeError("closed form unavailable")
 
-        monkeypatch.setattr(cli, "tail_weight_sum", crash)
+        monkeypatch.setattr(selftest, "tail_weight_sum", crash)
         assert main(["check", spec2_file]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines.count("check tail-closed-form: FAIL (RuntimeError: closed form unavailable)") == 1
@@ -245,6 +247,13 @@ class TestSelfTestCommand:
     def test_small_battery(self, capsys):
         assert main(["kt-selftest", "--count", "5", "--seed", "2"]) == 0
         assert "5 lattices checked, 0 failures" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_count_must_be_positive(self, capsys, count):
+        assert main(["kt-selftest", "--count", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: lattice count must be a positive integer, got {count}\n"
 
 
 class TestProcessState:

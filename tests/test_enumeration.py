@@ -216,6 +216,24 @@ class TestTailHits:
         assert not tail_hits(spec, F(1, 2))
         assert not tail_hits(spec, -2)  # index would be negative
 
+    @given(
+        st.fractions(min_value=-64, max_value=64, max_denominator=64).filter(bool),
+        st.fractions(min_value=-100, max_value=100, max_denominator=100),
+        st.integers(min_value=0, max_value=6),
+        rationals,
+        # an index whose line value becomes v: below, at or past the prefix length
+        st.one_of(st.none(), st.integers(min_value=-50, max_value=300)),
+    )
+    @example(F(-1, 3), F(2), 3, F(0), 2)  # falling line, on it one index before the tail
+    @example(F(1, 3), F(-2), 3, F(0), 2)  # rising line, the same
+    @example(F(-1, 3), F(2), 3, F(0), 3)  # falling line, the first tail index
+    def test_affine_matches_the_fraction_formula(self, a, b, length, v, on_line):
+        if on_line is not None:
+            v = a * on_line + b
+        spec = EnumerationSpec((F(1000),) * length, Affine(a, b))
+        n = (v - b) / a
+        assert tail_hits(spec, v) == (n.denominator == 1 and n >= length)
+
     def test_cycle_hits_only_prefix_values(self):
         spec = EnumerationSpec(prefix=(F(0), F(1)), tail=Cycle())
         assert tail_hits(spec, 0) and tail_hits(spec, 1)

@@ -28,7 +28,6 @@ from escapepoint import (
     compute_escape,
     descend_from_top,
     dyadic_weight,
-    enclose_escape,
     enclose_escape_traced,
     gfp_descend,
     intervalize,
@@ -180,17 +179,17 @@ class TestExponentBound:
 
 class TestCertificateValidation:
     def test_witness_must_match(self):
-        trace = FixpointTrace((F(2), F(1), F(1)), True, 2)
+        trace = FixpointTrace((F(2), F(1), F(1)))
         with pytest.raises(ValueError, match="witness"):
             EscapeCertificate(F(1), F(2), trace, (), True)
 
     def test_trace_must_settle_at_x0(self):
-        trace = FixpointTrace((F(2), F(1), F(1)), True, 2)
+        trace = FixpointTrace((F(2), F(1), F(1)))
         with pytest.raises(ValueError, match="settled"):
             EscapeCertificate(F(1, 2), F(1, 2), trace, (), True)
 
     def test_verdicts_must_be_consistent(self):
-        trace = FixpointTrace((F(2), F(1), F(1)), True, 2)
+        trace = FixpointTrace((F(2), F(1), F(1)))
         bad_gap = Verdict(where=0, value=F(3), relation="above", gap=F(1))
         with pytest.raises(ValueError, match="verdict"):
             EscapeCertificate(F(1), F(1), trace, (bad_gap,), True)
@@ -268,13 +267,13 @@ class TestEnclosure:
         assert (enc.lo, enc.hi) == (F(3, 2), F(25, 16))
         assert lo_trace.iterates == (F(2), F(3, 2), F(3, 2))
         assert hi_trace.iterates == (F(2), F(29, 16), F(25, 16), F(25, 16))
-        finer = enclose_escape(intervalize(SPEC1), 8, F(1, 100))
+        finer = enclose_escape_traced(intervalize(SPEC1), 8, F(1, 100))[0]
         assert (finer.lo, finer.hi) == (F(3, 2), F(193, 128))
 
     def test_boundary_value_keeps_upper_at_top(self):
         # the constant tail value 2 sits on the domain edge: no finite-width
         # query can certify it is not below 2, so the upper bound stays there
-        enc = enclose_escape(intervalize(SPEC2), 8, F(1, 100))
+        enc = enclose_escape_traced(intervalize(SPEC2), 8, F(1, 100))[0]
         assert (enc.lo, enc.hi) == (F(1, 2), F(2))
 
     @pytest.mark.parametrize("spec, n_known, eps", [
@@ -327,10 +326,10 @@ class TestEnclosure:
         spec = corpus_spec(index)
         oracle = intervalize(spec)
         x0, _ = gfp_descend(spec)
-        enclosure = enclose_escape(oracle, n_known, eps)
+        enclosure = enclose_escape_traced(oracle, n_known, eps)[0]
         assert x0 in enclosure
-        assert enclosure.encloses(enclose_escape(oracle, n_known + 1, eps))
-        assert enclosure.encloses(enclose_escape(oracle, n_known, eps / 10))
+        assert enclosure.encloses(enclose_escape_traced(oracle, n_known + 1, eps)[0])
+        assert enclosure.encloses(enclose_escape_traced(oracle, n_known, eps / 10)[0])
 
 
 class TestCertificateJson:

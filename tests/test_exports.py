@@ -19,7 +19,8 @@ MODULES = ["escapepoint"] + [
 
 def test_every_module_is_listed():
     assert {"escapepoint.numerics", "escapepoint.enumeration", "escapepoint.weight_map",
-            "escapepoint.fixpoint", "escapepoint.escape", "escapepoint.cli"} <= set(MODULES)
+            "escapepoint.fixpoint", "escapepoint.escape", "escapepoint.cli",
+            "escapepoint.selftest"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,8 +54,15 @@ def test_top_level_names_are_their_home_objects():
         assert [n for n in home.__all__ if getattr(escapepoint, n) is not getattr(home, n)] == []
 
 
+def test_modules_outside_the_package_list_name_nothing_it_names():
+    for name in ("cli", "selftest"):
+        module = importlib.import_module(f"escapepoint.{name}")
+        assert [n for n in module.__all__ if n in escapepoint.__all__] == []
+
+
 def test_import_does_not_load_the_command_line():
-    probe = "import sys, escapepoint; print(sorted({'argparse', 'escapepoint.cli'} & set(sys.modules)))"
+    probe = ("import sys, escapepoint; "
+             "print(sorted({'argparse', 'escapepoint.cli', 'escapepoint.selftest'} & set(sys.modules)))")
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(escapepoint.__file__))},

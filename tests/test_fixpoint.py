@@ -8,29 +8,32 @@ from hypothesis import strategies as st
 from corpus import random_spec
 from escapepoint import fixpoint
 from escapepoint import (
+    SUBSET_MAX_PREFIX,
     Affine,
     BudgetExceededError,
     Constant,
     Cycle,
     EnumerationSpec,
-    FiniteLattice,
     FixpointTrace,
-    LatticeError,
-    MonotoneTable,
     OracleScopeError,
-    brute_extreme_fixpoints,
     descend_from_top,
     gfp_descend,
-    kt_finite,
-    random_lattice,
-    random_monotone_table,
-    run_kt_battery,
     subset_fixpoint_oracle,
     sup_postfix_oracle,
     value_at,
     weight_below,
 )
 from escapepoint.enumeration import affine_cut
+from escapepoint.selftest import (
+    FiniteLattice,
+    LatticeError,
+    MonotoneTable,
+    brute_extreme_fixpoints,
+    kt_finite,
+    random_lattice,
+    random_monotone_table,
+    run_kt_battery,
+)
 
 spec_indices = st.integers(min_value=0, max_value=2999)
 
@@ -53,28 +56,25 @@ def plateau_values(spec: EnumerationSpec) -> set[F]:
 
 class TestFixpointTrace:
     def test_accepts_settled_descent(self):
-        trace = FixpointTrace((F(2), F(3, 2), F(3, 2)), True, 2)
+        trace = FixpointTrace((F(2), F(3, 2), F(3, 2)))
         assert trace.steps == 2
+        assert trace.terminated
+
+    @pytest.mark.parametrize("iterates", [(F(2),), (F(2), F(1))])
+    def test_terminated_and_steps_follow_from_the_iterates(self, iterates):
+        trace = FixpointTrace(iterates)
+        assert not trace.terminated
+        assert trace.steps == len(iterates) - 1
 
     def test_must_start_at_top(self):
         with pytest.raises(ValueError):
-            FixpointTrace((F(1), F(1)), True, 1)
+            FixpointTrace((F(1), F(1)))
 
     def test_must_decrease_strictly(self):
         with pytest.raises(ValueError):
-            FixpointTrace((F(2), F(3, 2), F(3, 2), F(3, 2)), True, 3)
+            FixpointTrace((F(2), F(3, 2), F(3, 2), F(3, 2)))
         with pytest.raises(ValueError):
-            FixpointTrace((F(2), F(3, 2), F(7, 4)), False, 2)
-
-    def test_terminated_needs_repeat(self):
-        with pytest.raises(ValueError):
-            FixpointTrace((F(2), F(1)), True, 1)
-        with pytest.raises(ValueError):
-            FixpointTrace((F(2),), True, 0)
-
-    def test_steps_must_match(self):
-        with pytest.raises(ValueError):
-            FixpointTrace((F(2), F(2)), True, 2)
+            FixpointTrace((F(2), F(3, 2), F(7, 4)))
 
 
 class TestDescend:
@@ -134,21 +134,15 @@ class TestOracles:
         assert subset_fixpoint_oracle(spec) == x0
 
     def test_subset_oracle_scope_guards(self):
+        longest = EnumerationSpec(tuple(F(n, 12) for n in range(12)), Constant(3))
+        assert SUBSET_MAX_PREFIX == 12
+        assert subset_fixpoint_oracle(longest) == gfp_descend(longest)[0]
         long_prefix = EnumerationSpec(tuple(F(n, 13) for n in range(13)), Constant(3))
-        with pytest.raises(OracleScopeError):
+        with pytest.raises(OracleScopeError, match="prefix length 13 exceeds .*SUBSET_MAX_PREFIX=12"):
             subset_fixpoint_oracle(long_prefix)
-        assert subset_fixpoint_oracle(long_prefix, k_max=13) == gfp_descend(long_prefix)[0]
-        with pytest.raises(OracleScopeError):
-            subset_fixpoint_oracle(SPEC2, k_max=17)
         flat = EnumerationSpec((), Affine(F(1, 10**5), 0))
         with pytest.raises(OracleScopeError):
             subset_fixpoint_oracle(flat)
-
-    @pytest.mark.parametrize("k_max", [True, False])
-    def test_subset_oracle_refuses_a_bool_k_max(self, k_max):
-        # an empty prefix is within any k_max >= 0, so only the type refuses it
-        with pytest.raises(OracleScopeError, match="k_max must be"):
-            subset_fixpoint_oracle(EnumerationSpec((), Constant(3)), k_max=k_max)
 
     @pytest.mark.parametrize("slope", [F(1, 256), F(-1, 256)])
     @pytest.mark.parametrize("intercept", [0, 1, 2])
@@ -297,6 +291,9 @@ class TestKnasterTarski:
             assert kt_finite(lat, table) == brute_extreme_fixpoints(lat, table)
 
     def test_battery_is_clean(self):
-        count, failures = run_kt_battery(count=40, seed=3)
-        assert count == 40
-        assert failures == []
+        assert run_kt_battery(count=40, seed=3) == []
+
+    @pytest.mark.parametrize("count", [True, False, 0, -3, 2.0, "5"])
+    def test_battery_refuses_a_count_that_is_not_a_positive_int(self, count):
+        with pytest.raises(ValueError, match="lattice count must be a positive integer"):
+            run_kt_battery(count=count)

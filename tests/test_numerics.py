@@ -49,7 +49,7 @@ class TestParseFormat:
             parse_rational(0.5)
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="zero denominator"):
             parse_rational("1/0")
 
 

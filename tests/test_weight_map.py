@@ -12,7 +12,6 @@ from escapepoint import (
     EnumerationSpec,
     DyadicTail,
     RatInterval,
-    bounds_from_boxes,
     box_classifier,
     dyadic_tail_weight,
     dyadic_weight,
@@ -325,7 +324,6 @@ class TestBoxClassifier:
     def test_matches_a_three_way_fraction_classification(self, case):
         boxes, x = case
         assert box_classifier(boxes)(x) == reference_bounds(boxes, x)
-        assert bounds_from_boxes(boxes, x) == reference_bounds(boxes, x)
 
     @given(boxes_and_x(), st.lists(box_ends, max_size=6))
     def test_one_classifier_serves_every_x(self, case, more):
