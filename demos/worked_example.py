@@ -30,7 +30,7 @@ print()
 cert = compute_escape(spec)
 print("descent from the top:", " -> ".join(str(z) for z in cert.trace.iterates))
 print("escape value x0 =", cert.x0)
-print("map check: weight_below(spec, x0) =", cert.fixpoint_witness)
+print("map check: weight_below(spec, x0) =", weight_below(spec, cert.x0))
 print()
 
 print("why x0 is never enumerated:")

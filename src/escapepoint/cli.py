@@ -9,14 +9,14 @@ lattices (also in ``escapepoint.selftest``).
 
 Specs are JSON files (``-`` reads stdin); structured output is canonical
 JSON (two-space indent, sorted keys) so byte-identical inputs give
-byte-identical outputs.  ``ESCAPE_ITER_BUDGET`` overrides the descent budget.
+byte-identical outputs.  Each descent's step bound follows from its input
+(see ``escapepoint.fixpoint.descend_from_top``); no setting caps it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -28,7 +28,7 @@ from .escape import (
     compute_escape,
     enclose_escape_traced,
 )
-from .fixpoint import DEFAULT_ITERATION_BUDGET, BudgetExceededError, FixpointTrace
+from .fixpoint import FixpointTrace
 from .numerics import dyadic_weight, format_rational, parse_rational
 from .selftest import run_invariant_battery, run_kt_battery
 
@@ -71,18 +71,16 @@ def _print_certificate(cert: EscapeCertificate) -> None:
         print(f"  {where}: {format_rational(v.value)}, {v.relation} by {format_rational(v.gap)}")
 
 
-def _cmd_escape(args: argparse.Namespace, budget: int) -> int:
+def _cmd_escape(args: argparse.Namespace) -> int:
     spec = args.spec
     if args.mode == "exact":
-        cert = compute_escape(spec, budget)
+        cert = compute_escape(spec)
         if args.output == "structured":
             _emit_json(certificate_to_jsonable(cert))
         else:
             _print_certificate(cert)
         return 0
-    enclosure, lo_trace, hi_trace = enclose_escape_traced(
-        intervalize(spec), args.n_known, args.eps, budget
-    )
+    enclosure, lo_trace, hi_trace = enclose_escape_traced(intervalize(spec), args.n_known, args.eps)
     if args.output == "structured":
         _emit_json({
             "lo": format_rational(enclosure.lo),
@@ -98,8 +96,8 @@ def _cmd_escape(args: argparse.Namespace, budget: int) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace, budget: int) -> int:
-    results = run_invariant_battery(args.spec, seed=args.seed, budget=budget)
+def _cmd_check(args: argparse.Namespace) -> int:
+    results = run_invariant_battery(args.spec, seed=args.seed)
     for name, passed, note in results:
         status = "PASS" if passed else "FAIL"
         suffix = f" ({note})" if note else ""
@@ -109,9 +107,9 @@ def _cmd_check(args: argparse.Namespace, budget: int) -> int:
     return 0 if passed_count == len(results) else 1
 
 
-def _cmd_demo_adjoin(args: argparse.Namespace, budget: int) -> int:
+def _cmd_demo_adjoin(args: argparse.Namespace) -> int:
     spec = args.spec
-    before, extended, after = adjoin_escape_demo(spec, budget)
+    before, extended, after = adjoin_escape_demo(spec)
     step = dyadic_weight(len(spec.prefix))
     print(f"escape value before: {format_rational(before.x0)}")
     print(f"appended at index {len(spec.prefix)}: {format_rational(before.x0)}")
@@ -124,8 +122,7 @@ def _cmd_demo_adjoin(args: argparse.Namespace, budget: int) -> int:
     return 0
 
 
-def _cmd_kt_selftest(args: argparse.Namespace, budget: int) -> int:
-    del budget  # lattice iteration is bounded by lattice size, not the descent budget
+def _cmd_kt_selftest(args: argparse.Namespace) -> int:
     failures = run_kt_battery(count=args.count, seed=args.seed)
     print(f"self-test: {args.count} lattices checked, {len(failures)} failures")
     for line in failures:
@@ -168,24 +165,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _iteration_budget() -> int:
-    raw = os.environ.get("ESCAPE_ITER_BUDGET")
-    if raw is None:
-        return DEFAULT_ITERATION_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(f"ESCAPE_ITER_BUDGET must be a positive integer, got {raw!r}") from None
-    if budget < 1:
-        raise ValueError(f"ESCAPE_ITER_BUDGET must be a positive integer, got {raw!r}")
-    return budget
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         args = _build_parser().parse_args(argv)
-        budget = _iteration_budget()
         # parse the input under the interpreter's int digit limit, so that an
         # oversized number is refused instead of costing quadratic time; then
         # lift the limit for this call only, since results and the messages
@@ -196,19 +179,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.eps = parse_rational(args.eps)
         if limit is not None:
             sys.set_int_max_str_digits(0)
-        return args.handler(args, budget)
-    # TheoremViolationError is deliberately not handled: it means the library
-    # itself is inconsistent, and that should crash loudly.
+        return args.handler(args)
+    # TheoremViolationError and BudgetExceededError are deliberately not
+    # handled: each means the library itself is inconsistent (a descent that
+    # outruns its derived bound miscounted the map's values), and that
+    # should crash loudly.
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceededError as exc:
-        iterates = exc.trace.iterates
-        print(f"error: {exc}", file=sys.stderr)
-        print(
-            f"partial trace: {len(iterates)} iterates, last {format_rational(iterates[-1])}",
-            file=sys.stderr,
-        )
         return 1
     finally:
         if limit is not None:

@@ -41,13 +41,7 @@ from .enumeration import (
     check_exponent_bound,
     tail_hits,
 )
-from .fixpoint import (
-    DEFAULT_ITERATION_BUDGET,
-    FixpointTrace,
-    descend_from_top,
-    gfp_descend,
-    sup_postfix_oracle,
-)
+from .fixpoint import FixpointTrace, descend_from_top, gfp_descend, sup_postfix_oracle
 from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational
 from .weight_map import box_classifier, query_boxes, weight_below
 
@@ -108,8 +102,7 @@ class Verdict:
 class EscapeCertificate:
     """Everything needed to audit one escape computation.
 
-    ``fixpoint_witness`` is the weight map evaluated at ``x0`` and must equal
-    ``x0``; the trace must be a settled descent ending there; the verdicts
+    The trace must be a settled descent ending at ``x0``; the verdicts
     separate ``x0`` from every enumerated value.  Construction audits each
     verdict by exact integer cross-multiplication: with value p/q, x0 = n/d
     and diff = p*d - n*q, the diff is nonzero, its sign gives the relation,
@@ -117,19 +110,13 @@ class EscapeCertificate:
     """
 
     x0: Fraction
-    fixpoint_witness: Fraction
     trace: FixpointTrace
     verdicts: tuple[Verdict, ...]
     oracle_agreement: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x0", as_fraction(self.x0, "escape value"))
-        object.__setattr__(self, "fixpoint_witness", as_fraction(self.fixpoint_witness, "fixpoint witness"))
         object.__setattr__(self, "verdicts", tuple(self.verdicts))
-        if self.fixpoint_witness != self.x0:
-            raise ValueError(
-                f"fixpoint witness {self.fixpoint_witness} does not equal the escape value {self.x0}"
-            )
         if not self.trace.terminated or self.trace.iterates[-1] != self.x0:
             raise ValueError("certificate trace must be a settled descent ending at the escape value")
         num, den = self.x0.numerator, self.x0.denominator
@@ -169,10 +156,7 @@ def _compare(x0: Fraction, where: Union[int, str], value: Fraction) -> Verdict:
     return Verdict(where, value, "below" if diff < 0 else "above", Fraction(abs(diff), q * den))
 
 
-def compute_escape(
-    spec: EnumerationSpec,
-    budget: int = DEFAULT_ITERATION_BUDGET,
-) -> EscapeCertificate:
+def compute_escape(spec: EnumerationSpec) -> EscapeCertificate:
     """Compute the escape value of an enumeration and certify it.
 
     The returned value is the greatest postfixpoint of the spec's weight map;
@@ -183,7 +167,7 @@ def compute_escape(
     is evaluated.
     """
     check_exponent_bound(spec)
-    x0, trace = gfp_descend(spec, budget)
+    x0, trace = gfp_descend(spec)
     witness = weight_below(spec, x0)
     if witness != x0:
         raise TheoremViolationError(
@@ -208,17 +192,13 @@ def compute_escape(
     verdicts.extend(_tail_verdicts(spec, x0, distinct))
     return EscapeCertificate(
         x0=x0,
-        fixpoint_witness=witness,
         trace=trace,
         verdicts=tuple(verdicts),
         oracle_agreement=True,
     )
 
 
-def adjoin_escape_demo(
-    spec: EnumerationSpec,
-    budget: int = DEFAULT_ITERATION_BUDGET,
-) -> tuple[EscapeCertificate, EnumerationSpec, EscapeCertificate]:
+def adjoin_escape_demo(spec: EnumerationSpec) -> tuple[EscapeCertificate, EnumerationSpec, EscapeCertificate]:
     """Append the escape value to the enumeration and watch the value move.
 
     Returns (certificate before, extended spec, certificate after).  Only
@@ -228,7 +208,7 @@ def adjoin_escape_demo(
     weight above the old escape value -- then the new escape value provably
     rises by at least 2^-L, where L is the old prefix length.
     """
-    before = compute_escape(spec, budget)
+    before = compute_escape(spec)
     x0 = before.x0
     if not isinstance(spec.tail, Constant):
         raise DemoNotApplicableError(
@@ -242,7 +222,7 @@ def adjoin_escape_demo(
             "value would displace tail weight instead of adding to it"
         )
     extended = EnumerationSpec(prefix=spec.prefix + (x0,), tail=spec.tail)
-    after = compute_escape(extended, budget)
+    after = compute_escape(extended)
     if after.x0 < threshold:
         raise TheoremViolationError(
             f"appending the escape value should raise it to at least {threshold}, got {after.x0}"
@@ -254,7 +234,6 @@ def enclose_escape_traced(
     ienum: IntervalEnumeration,
     n_known: int,
     eps: Fraction,
-    budget: int = DEFAULT_ITERATION_BUDGET,
 ) -> tuple[RatInterval, FixpointTrace, FixpointTrace]:
     """Enclose the escape value from interval queries only: (enclosure, lower trace, upper trace).
 
@@ -265,11 +244,14 @@ def enclose_escape_traced(
     descents share one ``box_classifier`` over those boxes, which reads
     their endpoints into integers once: O(n_known) boxes held in memory.
     The IntervalEnumeration contract makes answers deterministic per
-    (n, eps), so the bounds are those ``weight_below_bounds`` gives.
+    (n, eps), so sharing the boxes gives the bounds fresh queries would.
+    Each bound map moves only past the n_known box ends on its side, so it
+    takes at most n_known + 1 values and each descent settles within
+    n_known + 2 steps.
     """
     bounds = box_classifier(tuple(query_boxes(ienum, n_known, eps)))
-    lo, lo_trace = descend_from_top(lambda z: bounds(z).lo, budget)
-    hi, hi_trace = descend_from_top(lambda z: bounds(z).hi, budget)
+    lo, lo_trace = descend_from_top(lambda z: bounds(z).lo, n_known + 2)
+    hi, hi_trace = descend_from_top(lambda z: bounds(z).hi, n_known + 2)
     return RatInterval(lo, hi), lo_trace, hi_trace
 
 
@@ -328,13 +310,10 @@ def _certificate_from_dict(obj: object) -> EscapeCertificate:
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected an object")
         _expect_keys(raw, {"where", "value", "relation", "gap"}, path)
-        where = raw["where"]
-        if isinstance(where, bool) or not (isinstance(where, int) or where == "tail"):
-            raise ValueError(f"{path}.where: expected an index or 'tail', got {where!r}")
         value = _rational_at(raw["value"], f"{path}.value")
         gap = _rational_at(raw["gap"], f"{path}.gap")
         try:
-            verdicts.append(Verdict(where=where, value=value, relation=raw["relation"], gap=gap))
+            verdicts.append(Verdict(where=raw["where"], value=value, relation=raw["relation"], gap=gap))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     agreement = obj["oracle_agreement"]
@@ -343,7 +322,6 @@ def _certificate_from_dict(obj: object) -> EscapeCertificate:
     try:
         return EscapeCertificate(
             x0=x0,
-            fixpoint_witness=x0,
             trace=trace,
             verdicts=tuple(verdicts),
             oracle_agreement=agreement,

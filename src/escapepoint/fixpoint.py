@@ -30,12 +30,11 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable
 
-from .enumeration import MAX_TAIL_CUT, Affine, EnumerationSpec, _affine_window, tail_weight_sum
+from .enumeration import MAX_TAIL_CUT, Affine, Constant, EnumerationSpec, _affine_window, tail_weight_sum
 from .numerics import dyadic_weight
 from .weight_map import step_structure, weight_below
 
 __all__ = [
-    "DEFAULT_ITERATION_BUDGET",
     "SUBSET_MAX_PREFIX",
     "BudgetExceededError",
     "OracleScopeError",
@@ -46,8 +45,6 @@ __all__ = [
     "subset_fixpoint_oracle",
 ]
 
-DEFAULT_ITERATION_BUDGET = 10**6
-
 # Longest prefix the subset oracle accepts; its candidates are the 2^L subset sums.
 SUBSET_MAX_PREFIX = 12
 
@@ -56,7 +53,7 @@ _TWO = Fraction(2)
 
 
 class BudgetExceededError(RuntimeError):
-    """Descent did not settle within the iteration budget."""
+    """A descent did not settle within its step bound: the map took more values than its caller counted."""
 
     def __init__(self, message: str, trace: "FixpointTrace"):
         super().__init__(message)
@@ -99,8 +96,8 @@ class FixpointTrace:
         return len(self.iterates) - 1
 
 
-def _settle(start, step: Callable, below: Callable[[object, object], bool], budget: int) -> list:
-    """Apply ``step`` from ``start`` until an iterate repeats, or ``budget`` runs out.
+def _settle(start, step: Callable, below: Callable[[object, object], bool], bound: int) -> list:
+    """Apply ``step`` from ``start`` until an iterate repeats, or ``bound`` applications run out.
 
     Returns every iterate, start included; the walk settled exactly when the
     last two are equal.  Each move must go down in the order ``below``
@@ -108,7 +105,7 @@ def _settle(start, step: Callable, below: Callable[[object, object], bool], budg
     """
     z = start
     iterates = [z]
-    for _ in range(budget):
+    for _ in range(bound):
         nz = step(z)
         iterates.append(nz)
         if nz == z:
@@ -123,29 +120,47 @@ def _settle(start, step: Callable, below: Callable[[object, object], bool], budg
 
 def descend_from_top(
     step: Callable[[Fraction], Fraction],
-    budget: int = DEFAULT_ITERATION_BUDGET,
+    bound: int,
 ) -> tuple[Fraction, FixpointTrace]:
     """Iterate a monotone step map downward from 2 until it settles.
 
     Sound for any monotone map bounded by [0, 2] that takes finitely many
-    values there; the result is its greatest postfixpoint.  ``budget`` caps
-    the number of map applications.
+    values there; the result is its greatest postfixpoint.  ``bound`` is the
+    most map applications the caller allows: one more than the number of
+    values the map takes on [0, 2] always suffices.  Running out of it
+    raises ``BudgetExceededError`` carrying the partial trace.
     """
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-        raise ValueError(f"iteration budget must be a positive integer, got {budget!r}")
-    iterates = _settle(_TWO, step, lambda a, b: a <= b, budget)
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+        raise ValueError(f"step bound must be a positive integer, got {bound!r}")
+    iterates = _settle(_TWO, step, lambda a, b: a <= b, bound)
     trace = FixpointTrace(tuple(iterates))
     if not trace.terminated:
-        raise BudgetExceededError(f"descent did not settle within {budget} steps", trace)
+        raise BudgetExceededError(f"descent did not settle within {bound} steps", trace)
     return iterates[-1], trace
 
 
-def gfp_descend(
-    spec: EnumerationSpec,
-    budget: int = DEFAULT_ITERATION_BUDGET,
-) -> tuple[Fraction, FixpointTrace]:
-    """Greatest postfixpoint of the weight map, by descent from 2."""
-    return descend_from_top(lambda z: weight_below(spec, z), budget)
+def _step_bound(spec: EnumerationSpec) -> int:
+    """Most applications of the weight map a descent from 2 can take.
+
+    On [0, 2] the map moves only past the enumerated values in [0, 2): at
+    most L prefix values, a constant tail's value if it lies there, and the
+    affine tail values, which lie at indices between the cuts at 0 and 2
+    (at most hi - lo + 2 of them).  With B such breaks the map takes at most
+    B + 1 values there, so the descent settles within B + 2 applications.
+    """
+    tail = spec.tail
+    breaks = len(spec.prefix)
+    if isinstance(tail, Constant):
+        breaks += 0 <= tail.value < _TWO
+    elif isinstance(tail, Affine):
+        lo, hi = _affine_window(spec)
+        breaks += hi - lo + 2
+    return breaks + 2
+
+
+def gfp_descend(spec: EnumerationSpec) -> tuple[Fraction, FixpointTrace]:
+    """Greatest postfixpoint of the weight map, by descent from 2 within ``_step_bound(spec)`` steps."""
+    return descend_from_top(lambda z: weight_below(spec, z), _step_bound(spec))
 
 
 def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:

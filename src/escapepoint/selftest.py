@@ -25,7 +25,6 @@ from .enumeration import (
 )
 from .escape import compute_escape, enclose_escape_traced
 from .fixpoint import (
-    DEFAULT_ITERATION_BUDGET,
     OracleScopeError,
     _settle,
     gfp_descend,
@@ -60,11 +59,7 @@ def _require(condition: bool, message: str) -> None:
         raise _CheckFailure(message)
 
 
-def run_invariant_battery(
-    spec: EnumerationSpec,
-    seed: int = 0,
-    budget: int = DEFAULT_ITERATION_BUDGET,
-) -> list[tuple[str, bool, str]]:
+def run_invariant_battery(spec: EnumerationSpec, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Run every structural invariant against one spec.
 
     Returns (name, passed, note) triples in execution order; the note carries
@@ -146,7 +141,7 @@ def run_invariant_battery(
                 )
 
     def check_descent_fixpoint() -> None:
-        x0, trace = gfp_descend(spec, budget)
+        x0, trace = gfp_descend(spec)
         _require(weight_below(spec, x0) == x0, f"descent settled at {x0}, not a fixpoint")
         _require(trace.terminated and trace.iterates[-1] == x0, "trace does not settle at the result")
         x0_box[0] = x0
@@ -173,7 +168,7 @@ def run_invariant_battery(
 
     def check_certificate() -> None:
         x0 = settled()
-        cert = compute_escape(spec, budget)
+        cert = compute_escape(spec)
         _require(cert.x0 == x0, f"certificate value {cert.x0} differs from descent value {x0}")
         _require(len(cert.verdicts) >= length, "certificate is missing prefix verdicts")
 
@@ -181,10 +176,10 @@ def run_invariant_battery(
         x0 = settled()
         ienum = intervalize(spec)
         eps_wide, eps_narrow = Fraction(1, 10), Fraction(1, 100)
-        coarse = enclose_escape_traced(ienum, 2, eps_wide, budget)[0]
-        sharper_eps = enclose_escape_traced(ienum, 2, eps_narrow, budget)[0]
-        sharper_n = enclose_escape_traced(ienum, 4, eps_narrow, budget)[0]
-        sharpest = enclose_escape_traced(ienum, 8, eps_narrow, budget)[0]
+        coarse = enclose_escape_traced(ienum, 2, eps_wide)[0]
+        sharper_eps = enclose_escape_traced(ienum, 2, eps_narrow)[0]
+        sharper_n = enclose_escape_traced(ienum, 4, eps_narrow)[0]
+        sharpest = enclose_escape_traced(ienum, 8, eps_narrow)[0]
         for enclosure in (coarse, sharper_eps, sharper_n, sharpest):
             _require(x0 in enclosure, f"escape value {x0} is outside enclosure {enclosure}")
         _require(coarse.encloses(sharper_eps), "shrinking eps must narrow the enclosure")
@@ -404,9 +399,9 @@ def kt_finite(lattice: FiniteLattice, table: MonotoneTable) -> tuple:
     with the escape value's settle loop; on a finite lattice both chains
     settle within len(lattice) applications.
     """
-    budget = len(lattice) + 1
-    ascent = _settle(lattice.bottom, table, lambda a, b: lattice.leq(b, a), budget)
-    descent = _settle(lattice.top, table, lattice.leq, budget)
+    bound = len(lattice) + 1
+    ascent = _settle(lattice.bottom, table, lambda a, b: lattice.leq(b, a), bound)
+    descent = _settle(lattice.top, table, lattice.leq, bound)
     for chain in (ascent, descent):
         if chain[-1] != chain[-2]:
             raise RuntimeError("iteration failed to settle on a finite lattice")

@@ -8,16 +8,15 @@ value lies strictly below x:
 It is monotone, bounded by [0, 2], and (restricted to [0, 2]) a finite step
 function: ``step_structure`` builds that structure once, as integers over
 one denominator, and ``StepStructure.plateaus`` walks its plateaus from the
-top down for both fixpoint oracles.  ``weight_below_bounds`` is the
-semi-decidable variant: with only n_known interval queries at precision eps
-it brackets the true value from both sides in a ``RatInterval``, charging
-every unseen index to a tail allowance.  It is ``query_boxes`` followed by
-``box_classifier``: the classifier reads each box's endpoints into integer
-pairs once, and then places x against every box by cross-multiplication,
-in one linear scan with no Fraction comparison.  An enclosure queries and
-reads the boxes once and calls the classifier at every step of both
-descents; they take about two steps each, too few for sorting the boxes to
-pay off.
+top down for both fixpoint oracles.  The semi-decidable variant is
+``query_boxes`` followed by ``box_classifier``: with only n_known interval
+queries at precision eps it brackets the true value from both sides in a
+``RatInterval``, charging every unseen index to a tail allowance.  The
+classifier reads each box's endpoints into integer pairs once, and then
+places x against every box by cross-multiplication, in one linear scan
+with no Fraction comparison.  An enclosure queries and reads the boxes
+once and calls the classifier at every step of both descents; they take
+about two steps each, too few for sorting the boxes to pay off.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "MAX_N_KNOWN",
     "StepStructure",
     "weight_below",
-    "weight_below_bounds",
     "query_boxes",
     "box_classifier",
     "step_structure",
@@ -103,7 +101,9 @@ def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], Rat
     into integers here, once.  At each x the lower end weighs the boxes with
     hi < x and the upper end those with lo < x (the certain ones plus the
     undecided lo < x <= hi, since lo <= hi), plus 2^(1 - top) for every
-    index not queried; each test is one cross-multiplication.
+    index not queried; each test is one cross-multiplication.  When every
+    box holds its index's value, as the IntervalEnumeration contract
+    guarantees, the exact map value lies in the returned interval.
     """
     top = len(boxes)
     rows = [
@@ -123,24 +123,6 @@ def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], Rat
         return RatInterval(Fraction(lower, 1 << top), Fraction(upper + 2, 1 << top))
 
     return bounds
-
-
-def weight_below_bounds(
-    ienum: IntervalEnumeration,
-    n_known: int,
-    eps: RationalLike,
-    x: RationalLike,
-) -> RatInterval:
-    """Bracket the weight map at x from n_known interval queries at width eps.
-
-    Sound for any oracle meeting the IntervalEnumeration contract: the exact
-    map value always lies in the returned interval.  Each index is queried
-    once; an enclosure queries the boxes once and both of its descents share
-    them through ``box_classifier``, the classifier this function ends in.
-    """
-    boxes = query_boxes(ienum, n_known, eps)
-    x = as_fraction(x, "x")  # checked before the first query
-    return box_classifier(tuple(boxes))(x)
 
 
 @dataclass(frozen=True)

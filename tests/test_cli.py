@@ -92,22 +92,6 @@ class TestErrorHandling:
         assert main(["escape", "/nonexistent/spec.json"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_budget_from_environment(self, spec2_file, capsys, monkeypatch):
-        monkeypatch.setenv("ESCAPE_ITER_BUDGET", "2")
-        assert main(["escape", spec2_file]) == 1
-        err = capsys.readouterr().err
-        assert "did not settle within 2 steps" in err
-        # the descent 2 -> 3/2 -> 1/2 is cut before its confirming step
-        assert "partial trace: 3 iterates, last 1/2" in err
-        monkeypatch.setenv("ESCAPE_ITER_BUDGET", "3")
-        assert main(["escape", spec2_file]) == 0
-
-    @pytest.mark.parametrize("bad", ["abc", "0", "-5", "1.5"])
-    def test_invalid_budget_rejected(self, spec2_file, capsys, monkeypatch, bad):
-        monkeypatch.setenv("ESCAPE_ITER_BUDGET", bad)
-        assert main(["escape", spec2_file]) == 1
-        assert "ESCAPE_ITER_BUDGET" in capsys.readouterr().err
-
     def test_interval_mode_validates_arguments(self, spec2_file, capsys):
         assert main(["escape", spec2_file, "--mode", "interval", "--eps", "0.5"]) == 1
         assert "0.5" in capsys.readouterr().err

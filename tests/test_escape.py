@@ -23,6 +23,7 @@ from escapepoint import (
     IntervalEnumeration,
     Verdict,
     adjoin_escape_demo,
+    box_classifier,
     certificate_from_jsonable,
     certificate_to_jsonable,
     compute_escape,
@@ -31,8 +32,9 @@ from escapepoint import (
     enclose_escape_traced,
     gfp_descend,
     intervalize,
+    query_boxes,
     value_at,
-    weight_below_bounds,
+    weight_below,
 )
 
 spec_indices = st.integers(min_value=0, max_value=2999)
@@ -73,17 +75,13 @@ class TestComputeEscape:
     def test_prefix_constant_worked_example(self):
         cert = compute_escape(SPEC2)
         assert cert.x0 == F(1, 2)
-        assert cert.fixpoint_witness == F(1, 2)
+        assert weight_below(SPEC2, cert.x0) == F(1, 2)
         assert cert.oracle_agreement
         assert cert.verdicts == (
             Verdict(where=0, value=F(3, 2), relation="above", gap=F(1)),
             Verdict(where=1, value=F(1, 8), relation="below", gap=F(3, 8)),
             Verdict(where="tail", value=F(2), relation="above", gap=F(3, 2)),
         )
-
-    def test_refuses_a_bool_budget(self):
-        with pytest.raises(ValueError, match="iteration budget must be a positive integer, got True"):
-            compute_escape(SPEC2, True)
 
     def test_constant_everywhere(self):
         cert = compute_escape(EnumerationSpec((), Constant(3)))
@@ -178,21 +176,16 @@ class TestExponentBound:
 
 
 class TestCertificateValidation:
-    def test_witness_must_match(self):
-        trace = FixpointTrace((F(2), F(1), F(1)))
-        with pytest.raises(ValueError, match="witness"):
-            EscapeCertificate(F(1), F(2), trace, (), True)
-
     def test_trace_must_settle_at_x0(self):
         trace = FixpointTrace((F(2), F(1), F(1)))
         with pytest.raises(ValueError, match="settled"):
-            EscapeCertificate(F(1, 2), F(1, 2), trace, (), True)
+            EscapeCertificate(F(1, 2), trace, (), True)
 
     def test_verdicts_must_be_consistent(self):
         trace = FixpointTrace((F(2), F(1), F(1)))
         bad_gap = Verdict(where=0, value=F(3), relation="above", gap=F(1))
         with pytest.raises(ValueError, match="verdict"):
-            EscapeCertificate(F(1), F(1), trace, (bad_gap,), True)
+            EscapeCertificate(F(1), trace, (bad_gap,), True)
 
     @pytest.mark.parametrize("index", range(40))
     def test_audit_rejects_each_tampered_verdict(self, index):
@@ -292,6 +285,11 @@ class TestEnclosure:
         enclose_escape_traced(IntervalEnumeration(counting_oracle), n_known, eps)
         assert asked == Counter(range(n_known))
 
+    def test_a_descent_reaches_its_step_bound(self):
+        # at n_known 2 a bound map takes at most 3 values, so 4 steps is the most
+        _, lo_trace, hi_trace = enclose_escape_traced(intervalize(build_corpus(300)[58]), 2, F(1, 128))
+        assert (lo_trace.steps, hi_trace.steps) == (4, 1)
+
     def test_n_known_past_the_bound_is_refused_before_any_query(self):
         asked = []
         exact = intervalize(SPEC2)
@@ -299,7 +297,7 @@ class TestEnclosure:
         with pytest.raises(ValueError, match=f"exceeds the bound {MAX_N_KNOWN}"):
             enclose_escape_traced(oracle, MAX_N_KNOWN + 1, F(1, 100))
         with pytest.raises(ValueError, match=f"exceeds the bound {MAX_N_KNOWN}"):
-            weight_below_bounds(oracle, MAX_N_KNOWN + 1, F(1, 100), F(1))
+            query_boxes(oracle, MAX_N_KNOWN + 1, F(1, 100))
         assert asked == []
 
     @given(
@@ -312,8 +310,12 @@ class TestEnclosure:
     def test_descents_match_the_public_bound_maps(self, index, n_known, eps, jitter):
         oracle = intervalize(corpus_spec(index), jitter)
         _, lo_trace, hi_trace = enclose_escape_traced(oracle, n_known, eps)
-        _, lo_ref = descend_from_top(lambda z: weight_below_bounds(oracle, n_known, eps, z).lo)
-        _, hi_ref = descend_from_top(lambda z: weight_below_bounds(oracle, n_known, eps, z).hi)
+        # the reference queries the boxes afresh at every step
+        def requeried(z):
+            return box_classifier(tuple(query_boxes(oracle, n_known, eps)))(z)
+
+        _, lo_ref = descend_from_top(lambda z: requeried(z).lo, n_known + 2)
+        _, hi_ref = descend_from_top(lambda z: requeried(z).hi, n_known + 2)
         assert (lo_trace, hi_trace) == (lo_ref, hi_ref)
 
     @given(
@@ -358,7 +360,7 @@ class TestCertificateJson:
         (lambda o: o.update(trace=["2", "1", "1"]), "certificate"),  # settles off x0
         (lambda o: o["verdicts"][0].update(gap="-1"), "verdicts[0]"),
         (lambda o: o["verdicts"][0].update(relation="sideways"), "verdicts[0]"),
-        (lambda o: o["verdicts"][0].update(where="prefix"), "verdicts[0].where"),
+        (lambda o: o["verdicts"][0].update(where="prefix"), "verdicts[0]: where"),
         (lambda o: o["verdicts"][0].update(value="1/0"), "verdicts[0].value"),
         (lambda o: o["verdicts"][0].update(gap="2"), "certificate"),  # wrong distance
         (lambda o: o.update(oracle_agreement="yes"), "oracle_agreement"),

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_spec
+from corpus import build_corpus, random_spec
 from escapepoint import fixpoint
 from escapepoint import (
     SUBSET_MAX_PREFIX,
@@ -34,6 +35,7 @@ from escapepoint.selftest import (
     random_monotone_table,
     run_kt_battery,
 )
+from test_golden import affine_grid
 
 spec_indices = st.integers(min_value=0, max_value=2999)
 
@@ -80,22 +82,22 @@ class TestFixpointTrace:
 class TestDescend:
     def test_budget_exhaustion_keeps_partial_trace(self):
         with pytest.raises(BudgetExceededError) as err:
-            gfp_descend(SPEC2, budget=1)
+            descend_from_top(lambda z: weight_below(SPEC2, z), 1)
         assert err.value.trace.iterates == (F(2), F(3, 2))
         assert not err.value.trace.terminated
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            gfp_descend(SPEC2, budget=0)
+        with pytest.raises(ValueError, match="step bound"):
+            descend_from_top(lambda z: weight_below(SPEC2, z), 0)
 
     @pytest.mark.parametrize("budget", [True, False])
     def test_budget_must_not_be_a_bool(self, budget):
-        with pytest.raises(ValueError, match="iteration budget"):
+        with pytest.raises(ValueError, match="step bound"):
             descend_from_top(lambda z: z, budget)
 
     def test_non_monotone_step_detected(self):
         with pytest.raises(RuntimeError):
-            descend_from_top(lambda z: z + 1)
+            descend_from_top(lambda z: z + 1, 10)
 
     def test_worked_examples(self):
         cases = [
@@ -118,6 +120,24 @@ class TestDescend:
         assert weight_below(spec, x0) == x0
         assert 0 <= x0 <= 2
         assert all(z >= x0 for z in trace.iterates)
+
+
+def staircase(length: int) -> EnumerationSpec:
+    """Prefix 2 - 2^-k for k < length, above which the tail stays: g steps down one value at a time."""
+    return EnumerationSpec(tuple(2 - F(1, 2**k) for k in range(length)), Constant(3))
+
+
+class TestStepBound:
+    def test_holds_on_the_corpus_and_the_affine_grid(self):
+        for spec in chain(build_corpus(300), affine_grid()):
+            # a descent that does not stop at the bound shows how far it would go
+            _, trace = descend_from_top(lambda z: weight_below(spec, z), 10**6)
+            assert trace.steps <= fixpoint._step_bound(spec), spec
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_staircase_reaches_it(self, length):
+        spec = staircase(length)
+        assert gfp_descend(spec)[1].steps == length + 2 == fixpoint._step_bound(spec)
 
 
 class TestOracles:

@@ -18,10 +18,10 @@ from escapepoint import (
     eligible_prefix_indices,
     enclose_escape_traced,
     intervalize,
+    query_boxes,
     tail_weight_sum,
     value_at,
     weight_below,
-    weight_below_bounds,
     weight_sum,
 )
 from escapepoint.enumeration import affine_cut
@@ -232,17 +232,22 @@ class TestPlateaus:
         walk_plateaus(spec)
 
 
-class TestWeightBelowBounds:
+def queried_bounds(ienum, n_known, eps, x) -> RatInterval:
+    """The bound map at x over freshly queried boxes of indices 0, ..., n_known-1."""
+    return box_classifier(tuple(query_boxes(ienum, n_known, eps)))(x)
+
+
+class TestQueriedBounds:
     def test_hand_case(self):
         # index 1 (value 1/8) is certainly below 1, index 0 (3/2) certainly
         # not, and the tail past index 1 is charged 2^-1
-        bounds = weight_below_bounds(intervalize(SPEC2), 2, F(1, 100), F(1))
+        bounds = queried_bounds(intervalize(SPEC2), 2, F(1, 100), F(1))
         assert bounds == RatInterval(F(1, 2), F(1))
 
     @pytest.mark.parametrize("n_known", [0, True])
     def test_rejects_zero_n_known(self, n_known):
         with pytest.raises(ValueError, match="n_known must be a positive integer"):
-            weight_below_bounds(intervalize(SPEC2), n_known, F(1, 100), F(1))
+            query_boxes(intervalize(SPEC2), n_known, F(1, 100))
         with pytest.raises(ValueError, match="n_known must be a positive integer"):
             enclose_escape_traced(intervalize(SPEC2), n_known, F(1, 100))
 
@@ -257,7 +262,7 @@ class TestWeightBelowBounds:
     def test_sound_and_accounted(self, index, n_known, eps, x, jitter):
         spec = corpus_spec(index)
         oracle = intervalize(spec, jitter)
-        bounds = weight_below_bounds(oracle, n_known, eps, x)
+        bounds = queried_bounds(oracle, n_known, eps, x)
         assert bounds.lo <= weight_below(spec, x) <= bounds.hi
         boxes = [oracle.at(n, eps) for n in range(n_known)]
         certain = sum((dyadic_weight(n) for n, box in enumerate(boxes) if box.hi < x), F(0))
@@ -271,9 +276,9 @@ class TestWeightBelowBounds:
     @settings(deadline=None, max_examples=60)
     def test_narrows_with_more_knowledge(self, index, n_known, x):
         oracle = intervalize(corpus_spec(index))
-        wide = weight_below_bounds(oracle, n_known, F(1, 10), x)
-        fine_eps = weight_below_bounds(oracle, n_known, F(1, 100), x)
-        fine_n = weight_below_bounds(oracle, n_known + 1, F(1, 10), x)
+        wide = queried_bounds(oracle, n_known, F(1, 10), x)
+        fine_eps = queried_bounds(oracle, n_known, F(1, 100), x)
+        fine_n = queried_bounds(oracle, n_known + 1, F(1, 10), x)
         for tighter in (fine_eps, fine_n):
             assert wide.lo <= tighter.lo
             assert tighter.hi <= wide.hi
