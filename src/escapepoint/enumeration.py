@@ -135,7 +135,7 @@ class EnumerationSpec:
 
 def value_at(spec: EnumerationSpec, n: int) -> Fraction:
     """f(n): prefix entry for n < L, tail rule otherwise.  Total for n >= 0."""
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"enumeration index must be a natural number, got {n!r}")
     return Fraction(*_pair_at(spec, n))
 
@@ -277,7 +277,7 @@ class IntervalEnumeration:
     oracle: Callable[[int, Fraction], RatInterval]
 
     def at(self, n: int, eps: RationalLike) -> RatInterval:
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"enumeration index must be a natural number, got {n!r}")
         eps = as_fraction(eps, "eps")
         if eps.numerator <= 0:
@@ -303,22 +303,45 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
     q*g*f, for value p/q, jitter j/g and half = eps/2 = e/f: the skew
     min(jitter, half) is k/(g*f), k = min(j*f, e*g), and half is e*g/(g*f).
     An affine tail's pair (A*n + B, D) need not be reduced; the endpoints are.
+
+    A box depends only on (p, q, k) at one eps.  The prefix and a constant
+    or cycle tail take at most L + 1 values, so their boxes are built once
+    and the same immutable box is returned again; they are kept for the
+    last eps asked only, at most 2(L + 1) of them.  An affine tail's boxes
+    are built on each query and never kept.
     """
     jitter = as_fraction(jitter, "jitter")
     if jitter < 0:
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
     j, g = jitter.numerator, jitter.denominator
+    start, affine = len(spec.prefix), isinstance(spec.tail, Affine)
+    kept: dict[tuple[int, int, int], RatInterval] = {}
+    kept_at = (0, 0)  # (e, f) of the eps whose boxes ``kept`` holds
 
     def oracle(n: int, eps: Fraction) -> RatInterval:
+        nonlocal kept_at
         p, q = _pair_at(spec, n)
         e, f = eps.numerator, 2 * eps.denominator
         k = j * f if j * f < e * g else e * g
         if n % 2:
             k = -k
-        center, half, den = p * g * f + k * q, e * g * q, q * g * f
-        return RatInterval(Fraction(center - half, den), Fraction(center + half, den))
+        if affine and n >= start:
+            return _box(p, q, k, e, f, g)
+        if (e, f) != kept_at:
+            kept.clear()
+            kept_at = (e, f)
+        box = kept.get((p, q, k))
+        if box is None:
+            box = kept[p, q, k] = _box(p, q, k, e, f, g)
+        return box
 
     return IntervalEnumeration(oracle)
+
+
+def _box(p: int, q: int, k: int, e: int, f: int, g: int) -> RatInterval:
+    """The box of value p/q skewed by k/(g*f), of half width e/f: see ``intervalize``."""
+    center, half, den = p * g * f + k * q, e * g * q, q * g * f
+    return RatInterval(Fraction(center - half, den), Fraction(center + half, den))
 
 
 # -- text format ------------------------------------------------------------

@@ -65,7 +65,7 @@ def format_rational(value: RationalLike) -> str:
 
 def dyadic_weight(index: int) -> Fraction:
     """The weight 2^-index attached to enumeration index ``index`` >= 0."""
-    if not isinstance(index, int) or index < 0:
+    if isinstance(index, bool) or not isinstance(index, int) or index < 0:
         raise ValueError(f"weight index must be a natural number, got {index!r}")
     return Fraction(1, 2**index)
 
@@ -85,7 +85,7 @@ def dyadic_tail_weight(start: int) -> Fraction:
     For start = 0 this is the whole series, 2.  Past ``MAX_EXACT_EXPONENT``
     the weight is a ``DyadicTail``, which never builds 2^(start-1).
     """
-    if not isinstance(start, int) or start < 0:
+    if isinstance(start, bool) or not isinstance(start, int) or start < 0:
         raise ValueError(f"tail start must be a natural number, got {start!r}")
     if start > MAX_EXACT_EXPONENT:
         return DyadicTail(Fraction(0), 1, start - 1)
@@ -195,10 +195,11 @@ def weight_sum(indices: Iterable[int]) -> Fraction:
 
     The sum is one integer over 2^top, top the largest index: one Fraction.
     """
-    distinct = set(indices)
-    for n in distinct:
-        if not isinstance(n, int) or n < 0:
+    indices = list(indices)  # checked before duplicates go: {1, True} is {1}
+    for n in indices:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"weight index must be a natural number, got {n!r}")
+    distinct = set(indices)
     top = max(distinct, default=0)
     return Fraction(sum(1 << (top - n) for n in distinct), 1 << top)
 

@@ -12,11 +12,14 @@ top down for both fixpoint oracles.  The semi-decidable variant is
 ``query_boxes`` followed by ``box_classifier``: with only n_known interval
 queries at precision eps it brackets the true value from both sides in a
 ``RatInterval``, charging every unseen index to a tail allowance.  The
-classifier reads each box's endpoints into integer pairs once, and then
-places x against every box by cross-multiplication, in one linear scan
-with no Fraction comparison.  An enclosure queries and reads the boxes
-once and calls the classifier at every step of both descents; they take
-about two steps each, too few for sorting the boxes to pay off.
+classifier reads each box's endpoints into integer pairs once, with the
+shift of the box's dyadic weight rather than the weight itself, so its
+memory is linear in the number of boxes.  It then places x against every
+box by cross-multiplication, in one linear scan with no Fraction
+comparison, and builds a weight only for a box below x.  An enclosure
+queries and reads the boxes once and calls the classifier at every step
+of both descents; they take about two steps each, too few for sorting the
+boxes to pay off.
 """
 
 from __future__ import annotations
@@ -48,9 +51,12 @@ __all__ = [
     "step_structure",
 ]
 
-# Most indices one bound map or enclosure may query.  An enclosure holds
-# every box (a few hundred bytes each, about 17 MB at this bound) and the
-# tail allowance is 2^(1 - n_known); a larger n_known is refused up front.
+# Most indices one bound map or enclosure may query.  An enclosure keeps
+# one classifier row per index (about 120 bytes), and while it reads them
+# the boxes: shared for the prefix and a constant or cycle tail, about 300
+# bytes each for an affine tail.  That is 8 MB (27 MB affine) traced at this
+# bound.  The tail allowance is 2^(1 - n_known); a larger n_known is
+# refused up front.
 MAX_N_KNOWN = 1 << 16
 
 _ZERO = Fraction(0)
@@ -97,17 +103,19 @@ def query_boxes(
 def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], RatInterval]:
     """The bound map x -> RatInterval of the boxes of indices 0, ..., len(boxes)-1.
 
-    Each box's endpoints and weight 2^(top - n), top = len(boxes), are read
-    into integers here, once.  At each x the lower end weighs the boxes with
+    Each box's endpoints and the shift top - n of its weight 2^(top - n),
+    top = len(boxes), are read into integers here, once, so the rows take
+    memory linear in top.  At each x the lower end weighs the boxes with
     hi < x and the upper end those with lo < x (the certain ones plus the
     undecided lo < x <= hi, since lo <= hi), plus 2^(1 - top) for every
-    index not queried; each test is one cross-multiplication.  When every
-    box holds its index's value, as the IntervalEnumeration contract
-    guarantees, the exact map value lies in the returned interval.
+    index not queried; each test is one cross-multiplication, and a weight
+    is built only for a box below x.  When every box holds its index's
+    value, as the IntervalEnumeration contract guarantees, the exact map
+    value lies in the returned interval.
     """
     top = len(boxes)
     rows = [
-        (b.lo.numerator, b.lo.denominator, b.hi.numerator, b.hi.denominator, 1 << (top - n))
+        (b.lo.numerator, b.lo.denominator, b.hi.numerator, b.hi.denominator, top - n)
         for n, b in enumerate(boxes)
     ]
 
@@ -115,8 +123,9 @@ def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], Rat
         x = as_fraction(x, "x")
         p, q = x.numerator, x.denominator
         lower = upper = 0
-        for lo_p, lo_q, hi_p, hi_q, weight in rows:
+        for lo_p, lo_q, hi_p, hi_q, shift in rows:
             if lo_p * q < p * lo_q:
+                weight = 1 << shift
                 upper += weight
                 if hi_p * q < p * hi_q:
                     lower += weight

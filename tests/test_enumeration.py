@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +96,16 @@ class TestValueAt:
             value_at(spec, -1)
         with pytest.raises(ValueError):
             value_at(spec, F(1, 2))
+
+    @pytest.mark.parametrize("index", [True, False])
+    @pytest.mark.parametrize("query", [
+        lambda spec, n: value_at(spec, n),
+        lambda spec, n: intervalize(spec).at(n, F(1, 128)),
+    ], ids=["value_at", "at"])
+    def test_rejects_a_bool_index(self, query, index):
+        spec = EnumerationSpec(prefix=(F(3, 2), F(1, 8)), tail=Constant(2))
+        with pytest.raises(ValueError, match="natural number"):
+            query(spec, index)
 
 
 class TestEligibility:
@@ -343,6 +354,13 @@ def eps_and_jitter(draw, kind):
     return eps, eps / 2 * draw(ratio)
 
 
+def formula_box(spec: EnumerationSpec, n: int, eps: F, jitter: F) -> RatInterval:
+    """The box of index n by Fraction arithmetic: f(n), skewed alternately by min(jitter, eps/2)."""
+    skew = min(jitter, eps / 2) * (-1 if n % 2 else 1)
+    center = value_at(spec, n) + skew
+    return RatInterval(center - eps / 2, center + eps / 2)
+
+
 class TestIntervalizeEndpoints:
     @pytest.mark.parametrize("parity", [0, 1])
     @pytest.mark.parametrize("kind", ["zero", "below half", "half", "above half"])
@@ -352,10 +370,48 @@ class TestIntervalizeEndpoints:
         spec = data.draw(blurred_specs())
         n = 2 * data.draw(st.integers(min_value=0, max_value=20)) + parity
         eps, jitter = data.draw(eps_and_jitter(kind))
-        skew = min(jitter, eps / 2) * (-1 if n % 2 else 1)
-        center = value_at(spec, n) + skew
-        box = intervalize(spec, jitter).at(n, eps)
-        assert (box.lo, box.hi) == (center - eps / 2, center + eps / 2)
+        assert intervalize(spec, jitter).at(n, eps) == formula_box(spec, n, eps, jitter)
+
+
+class TestKeptBoxes:
+    @given(
+        st.one_of(spec_indices.map(corpus_spec), blurred_specs()),
+        st.sampled_from([F(0), F(1, 1000), F(1, 7)]),
+        st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=20),
+    )
+    @settings(deadline=None)
+    def test_one_oracle_answers_as_fresh_ones(self, spec, jitter, indices):
+        oracle = intervalize(spec, jitter)
+        fresh = IntervalEnumeration(lambda n, eps: formula_box(spec, n, eps, jitter))
+        for eps in (F(1, 128), F(1, 10**6), F(1, 128)):
+            for n in indices:
+                for m in (n, n + 1):  # both parities, so both signs of the skew
+                    assert oracle.at(m, eps) == fresh.at(m, eps)
+
+    @pytest.mark.parametrize("jitter", [F(0), F(1, 1000)], ids=["centered", "skewed"])
+    @pytest.mark.parametrize("tail", [Constant(F(1, 3)), Cycle()], ids=["constant", "cycle"])
+    def test_a_repeated_value_returns_the_same_box(self, tail, jitter):
+        # f(n) = 1/3 at n = 0, 2, 6, 8, 9, 12, 15 for both tails
+        oracle = intervalize(EnumerationSpec((F(1, 3), F(5, 2), F(1, 3)), tail), jitter)
+        eps = F(1, 128)
+        even, odd = oracle.at(0, eps), oracle.at(9, eps)
+        assert all(oracle.at(n, eps) is even for n in (2, 6, 8, 12))
+        assert oracle.at(15, eps) is odd
+        assert (odd == even) == (jitter == 0)
+
+    def test_affine_tail_boxes_are_not_kept(self):
+        spec = EnumerationSpec((F(1, 2),), Affine(F(1, 3), F(-7, 5)))
+        oracle = intervalize(spec, F(1, 1000))
+        eps = F(1, 128)
+        oracle.at(0, eps)  # a prefix box, kept
+        tracemalloc.start()
+        try:
+            for n in range(1, 10**4 + 1):
+                oracle.at(n, eps)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024  # 10^4 kept boxes would hold megabytes
 
 
 class TestJsonFormat:

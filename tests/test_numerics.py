@@ -92,6 +92,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             weight_sum([0, 4096, bad])
 
+    @pytest.mark.parametrize("index", [True, False])
+    @pytest.mark.parametrize("weigh", [
+        dyadic_weight, dyadic_tail_weight, lambda n: weight_sum([0, 1, n]),
+    ], ids=["dyadic_weight", "dyadic_tail_weight", "weight_sum"])
+    def test_rejects_a_bool_index(self, weigh, index):
+        with pytest.raises(ValueError, match="natural number"):
+            weigh(index)
+
 
 small_rationals = st.fractions(max_denominator=2**48)
 comparisons = [operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge]

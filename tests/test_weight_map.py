@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -340,3 +341,15 @@ class TestBoxClassifier:
     def test_rejects_float_x(self):
         with pytest.raises(TypeError):
             box_classifier([RatInterval(0, 1)])(0.5)
+
+    def test_rows_take_memory_linear_in_the_box_count(self):
+        # a weight 2^(top - n) kept per row would hold about top^2 / 16 bytes: 16 MB here
+        top = 1 << 14
+        boxes = tuple(query_boxes(intervalize(EnumerationSpec((), Constant(F(1, 3)))), top, F(1, 128)))
+        tracemalloc.start()
+        try:
+            assert box_classifier(boxes)(F(1)) == RatInterval(2 - F(2, 1 << top), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
