@@ -60,8 +60,8 @@ __all__ = [
 # Deepest affine tail cut at 0 or at 2 that the map's closed forms accept.
 # They build 2^n for n up to the cuts, and a flat slope has about 2/|a|
 # plateaus.  Affine(1/8192, 0) (cut 16384) is inside; near the bound,
-# Affine(-1/8191, 2) takes about 2 s and 33 MB peak in compute_escape on a
-# 2-core x86 host, since its sweep tests all 16383 plateaus.
+# Affine(-1/8191, 2) takes 0.13-0.22 s and 34 MB peak in compute_escape on a
+# 2-core x86_64 VM, since its sweep tests all 16383 plateaus.
 MAX_TAIL_CUT = 1 << 14
 
 
@@ -173,9 +173,14 @@ def affine_cut(spec: EnumerationSpec, x: RationalLike) -> int:
     (A, B, D) it is (p*D - B*q) / (q*A), whose denominator has the sign of a.
     """
     x = as_fraction(x, "x")
+    return _cut(spec, x.numerator, x.denominator)
+
+
+def _cut(spec: EnumerationSpec, p: int, q: int) -> int:
+    """``affine_cut`` at x = p/q, q > 0; p/q need not be reduced."""
     slope, intercept, scale = spec.tail.line
-    num = x.numerator * scale - intercept * x.denominator
-    den = x.denominator * slope
+    num = p * scale - intercept * q
+    den = q * slope
     # the ceiling when a > 0; the floor plus one when a < 0
     cut = -(-num // den) if den > 0 else num // den + 1
     return max(len(spec.prefix), cut)
@@ -230,26 +235,27 @@ def tail_weight_sum(spec: EnumerationSpec, x: RationalLike) -> Fraction:
     x = as_fraction(x, "x")
     if isinstance(spec.tail, Cycle):
         return weight_sum(eligible_prefix_indices(spec, x)) / ((1 << len(spec.prefix)) - 1)
-    return _plus_tail(spec, x, 0)
+    weight = _plus_tail(spec, x.numerator, x.denominator, 0)
+    return weight if isinstance(weight, DyadicTail) else Fraction(*weight)
 
 
-def _plus_tail(spec: EnumerationSpec, x: Fraction, num: int) -> Fraction:
-    """num / 2^L plus the weight of a constant or affine tail's indices with f(n) < x.
+def _plus_tail(spec: EnumerationSpec, p: int, q: int, num: int) -> Union[tuple[int, int], DyadicTail]:
+    """num / 2^L plus the weight of a constant or affine tail's indices with f(n) < x = p/q.
 
-    One Fraction.  A constant tail below x adds 2 / 2^L.  An affine tail adds
-    2^(1-L) - 2^(1-cut) (a > 0) or 2^(1-cut) (a < 0), put over 2^cut, or kept
-    as a lazy ``DyadicTail`` once cut passes ``MAX_EXACT_EXPONENT``.
+    An unreduced pair, for any q > 0.  A constant tail below x adds 2 / 2^L.
+    An affine tail adds 2^(1-L) - 2^(1-cut) (a > 0) or 2^(1-cut) (a < 0),
+    put over 2^cut, or kept as a lazy ``DyadicTail`` past ``MAX_EXACT_EXPONENT``.
     """
     start = len(spec.prefix)
     tail = spec.tail
     if isinstance(tail, Constant):
-        below = tail.value.numerator * x.denominator < x.numerator * tail.value.denominator
-        return Fraction(num + 2 * below, 1 << start)
-    cut = affine_cut(spec, x)
+        c = tail.value
+        return num + 2 * (c.numerator * q < p * c.denominator), 1 << start
+    cut = _cut(spec, p, q)
     num, sign = (num + 2, -1) if tail.line[0] > 0 else (num, 1)
     if cut > MAX_EXACT_EXPONENT:
         return DyadicTail(Fraction(num, 1 << start), sign, cut - 1)
-    return Fraction((num << (cut - start)) + 2 * sign, 1 << cut)
+    return (num << (cut - start)) + 2 * sign, 1 << cut
 
 
 def tail_hits(spec: EnumerationSpec, v: RationalLike) -> bool:

@@ -40,6 +40,7 @@ from .enumeration import (
     affine_cut,
     check_exponent_bound,
     tail_hits,
+    value_at,
 )
 from .fixpoint import FixpointTrace, descend_from_top, gfp_descend, sup_postfix_oracle
 from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational
@@ -90,10 +91,12 @@ class Verdict:
             raise ValueError(f"where must be an index or 'tail', got {self.where!r}")
         if isinstance(self.where, int) and self.where < 0:
             raise ValueError(f"where must be a non-negative index, got {self.where}")
-        object.__setattr__(self, "value", as_fraction(self.value, "verdict value"))
+        if not isinstance(self.value, Fraction):
+            object.__setattr__(self, "value", as_fraction(self.value, "verdict value"))
         if self.relation not in _RELATIONS:
             raise ValueError(f"relation must be 'below' or 'above', got {self.relation!r}")
-        object.__setattr__(self, "gap", as_fraction(self.gap, "verdict gap"))
+        if not isinstance(self.gap, Fraction):
+            object.__setattr__(self, "gap", as_fraction(self.gap, "verdict gap"))
         if self.gap.numerator <= 0:
             raise ValueError(f"verdict gap must be positive, got {self.gap}")
 
@@ -143,7 +146,7 @@ def _tail_verdicts(spec: EnumerationSpec, x0: Fraction, distinct: dict) -> list[
     # closest approach of a*n + b to x0 over integer n >= start: the tail
     # crosses x0 between the cut and the index before it
     cut = affine_cut(spec, x0)
-    near = (_compare(x0, n, tail.a * n + tail.b) for n in sorted({max(start, cut - 1), cut}))
+    near = (_compare(x0, n, value_at(spec, n)) for n in sorted({max(start, cut - 1), cut}))
     return [min(near, key=lambda v: (v.gap, v.relation != "below"))]
 
 

@@ -11,8 +11,8 @@ descent and the closed-form map never read, so a fault in the walk shows as
 a disagreement:
 
 * ``sup_postfix_oracle`` sweeps the map's plateau values on [0, 2] from the
-  top down and stops at the first postfixpoint, the largest (the supremum
-  construction);
+  top down, as integer pairs, and stops at the first postfixpoint, the
+  largest (the supremum construction);
 * ``subset_fixpoint_oracle`` reads the map literally as a supremum over
   finite index sets: every candidate is weight_sum(S) + tail-state for a
   prefix subset S, and the largest candidate fixed by the map wins.  The map
@@ -32,7 +32,7 @@ from typing import Callable
 
 from .enumeration import MAX_TAIL_CUT, Affine, Constant, EnumerationSpec, _affine_window, tail_weight_sum
 from .numerics import dyadic_weight
-from .weight_map import step_structure, weight_below
+from .weight_map import _weight_pair, step_structure, weight_below
 
 __all__ = [
     "SUBSET_MAX_PREFIX",
@@ -170,19 +170,22 @@ def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     from the top down; every jump is positive, so they descend and the first
     postfixpoint met is the largest.  The true greatest postfixpoint is a
     fixpoint, hence a candidate, so the sweep is exact and stops after one
-    test per distinct value above it (a repeat is not tested twice).  The
-    running plateau value is an integer over the step structure's
-    denominator; only a candidate the sweep reaches becomes a Fraction.
-    Independent of the descent.
+    test per distinct value above it (a repeat is not tested twice).  Each
+    candidate is an integer pair, tested against the map's unreduced pair
+    by one cross-multiplication, with no Fraction or gcd per test; only the
+    returned one becomes a Fraction.  Independent of the descent.
     """
     steps = step_structure(spec)
-    plateau_values = (steps.fraction(t) for t, _ in steps.plateaus())
-    candidates = chain((weight_below(spec, _TWO),), plateau_values)
-    failed = None
-    for v in candidates:
-        if v != failed and v <= weight_below(spec, v):
-            return v
-        failed = v
+    # each candidate lies in [0, 2], so an affine tail's cut there is at most the
+    # top index steps already built 2^top for: the map's value is a pair, never a DyadicTail
+    candidates = chain((_weight_pair(spec, 2, 1),), (steps.pair(t) for t, _ in steps.plateaus()))
+    failed_p, failed_q = -1, 1  # below every candidate
+    for p, q in candidates:
+        if p * failed_q != failed_p * q:
+            g_p, g_q = _weight_pair(spec, p, q)
+            if p * g_q <= g_p * q:
+                return Fraction(p, q)
+        failed_p, failed_q = p, q
     raise RuntimeError("no candidate is a postfixpoint; map evaluation is inconsistent")
 
 

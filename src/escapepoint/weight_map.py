@@ -40,7 +40,7 @@ from .enumeration import (
     _line_index,
     _plus_tail,
 )
-from .numerics import RatInterval, RationalLike, as_fraction
+from .numerics import DyadicTail, RatInterval, RationalLike, as_fraction
 
 __all__ = [
     "MAX_N_KNOWN",
@@ -59,27 +59,31 @@ __all__ = [
 # refused up front.
 MAX_N_KNOWN = 1 << 16
 
-_ZERO = Fraction(0)
 _TWO = Fraction(2)
 
 
 def weight_below(spec: EnumerationSpec, x: RationalLike) -> Fraction:
-    """Exact value of the weight map at x, as one Fraction.
+    """Exact value of the weight map at x, as one Fraction: ``_weight_pair`` reduced once."""
+    x = as_fraction(x, "x")
+    weight = _weight_pair(spec, x.numerator, x.denominator)
+    return weight if isinstance(weight, DyadicTail) else Fraction(*weight)
+
+
+def _weight_pair(spec: EnumerationSpec, p: int, q: int) -> Union[tuple[int, int], DyadicTail]:
+    """The weight map at x = p/q (q > 0, p/q need not be reduced) as an unreduced pair.
 
     The eligible prefix weight W = num / 2^L is summed by cross-multiplication.
     A cycle tail makes it W + W / (2^L - 1) = num / (2^L - 1); ``_plus_tail``
-    adds a constant or affine tail.
+    adds a constant or affine tail, lazily past ``MAX_EXACT_EXPONENT``.
     """
-    x = as_fraction(x, "x")
-    p, q = x.numerator, x.denominator
     length = len(spec.prefix)
     num = 0
     for n, (a, b) in enumerate(spec.prefix_pairs):
         if a * q < p * b:
             num += 1 << (length - n)
     if isinstance(spec.tail, Cycle):
-        return Fraction(num, (1 << length) - 1)
-    return _plus_tail(spec, x, num)
+        return num, (1 << length) - 1
+    return _plus_tail(spec, p, q, num)
 
 
 def query_boxes(
@@ -182,11 +186,15 @@ class StepStructure:
             total -= jumps[k]
             yield total, k
 
-    def fraction(self, num: int) -> Fraction:
-        """num / den, with the shared twos cancelled first so that Fraction's gcd stays cheap."""
+    def pair(self, num: int) -> tuple[int, int]:
+        """num / den as a pair with the twos they share stripped by a shift, with no gcd."""
         both = num | self.den
         twos = (both & -both).bit_length() - 1
-        return Fraction(num >> twos, self.den >> twos)
+        return num >> twos, self.den >> twos
+
+    def fraction(self, num: int) -> Fraction:
+        """num / den; stripping the shared twos first keeps Fraction's gcd cheap."""
+        return Fraction(*self.pair(num))
 
 
 def step_structure(spec: EnumerationSpec) -> StepStructure:
@@ -245,6 +253,6 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
             pos = min(max(pos, 0), len(run))
         jumps.insert(pos, jump)
         breaks.insert(pos, v)
-    # g(0) is a sum of weights that den is a common denominator of
-    g0 = weight_below(spec, _ZERO)
-    return StepStructure(den, g0.numerator * (den // g0.denominator), jumps, breaks, line)
+    # g(0) is a sum of weights over 2^L - 1, 2^L or 2^cut(0), each of which divides den
+    g0, d0 = _weight_pair(spec, 0, 1)
+    return StepStructure(den, g0 * (den // d0), jumps, breaks, line)

@@ -60,6 +60,15 @@ class TestVerdict:
         with pytest.raises(ValueError):
             Verdict(where=0, value=F(1), relation="below", gap=F(0))
 
+    def test_coerces_int_fields_and_refuses_floats(self):
+        v = Verdict(where=0, value=3, relation="above", gap=2)
+        assert type(v.value) is F and type(v.gap) is F
+        assert v == Verdict(where=0, value=F(3), relation="above", gap=F(2))
+        with pytest.raises(TypeError, match="verdict value"):
+            Verdict(where=0, value=0.5, relation="below", gap=F(1))
+        with pytest.raises(TypeError, match="verdict gap"):
+            Verdict(where=0, value=F(1), relation="below", gap=0.5)
+
 
 class TestComputeEscape:
     def test_affine_worked_example(self):

@@ -182,8 +182,8 @@ class TestSupremumSweep:
         x0, _ = gfp_descend(spec)
         above = sum(1 for value in plateau_values(spec) if value > x0)
         calls = []
-        real = fixpoint.weight_below
-        monkeypatch.setattr(fixpoint, "weight_below", lambda s, x: calls.append(x) or real(s, x))
+        real = fixpoint._weight_pair
+        monkeypatch.setattr(fixpoint, "_weight_pair", lambda s, p, q: calls.append((p, q)) or real(s, p, q))
         assert sup_postfix_oracle(spec) == x0
         # the map at 2, then one test per candidate down to x0
         assert len(calls) <= above + 2
@@ -199,15 +199,16 @@ class TestSupremumSweep:
         x0, _ = gfp_descend(spec)
         above = sum(1 for value in plateau_values(spec) if value > x0)
         calls = []
-        real = fixpoint.weight_below
-        monkeypatch.setattr(fixpoint, "weight_below", lambda s, x: calls.append(x) or real(s, x))
+        real = fixpoint._weight_pair
+        monkeypatch.setattr(fixpoint, "_weight_pair", lambda s, p, q: calls.append((p, q)) or real(s, p, q))
         assert sup_postfix_oracle(spec) == x0
         # the map at 2, then one test per plateau value from the top down to
         # x0: no fewer, so that no candidate goes untested
         assert len(calls) == above + 2
 
     def test_map_below_every_candidate_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(fixpoint, "weight_below", lambda spec, x: x - 1)
+        # the map at x = p/q sends it to x - 1, as the pair (p - q, q)
+        monkeypatch.setattr(fixpoint, "_weight_pair", lambda spec, p, q: (p - q, q))
         with pytest.raises(RuntimeError, match="no candidate is a postfixpoint"):
             sup_postfix_oracle(SPEC2)
 

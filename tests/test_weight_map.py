@@ -10,6 +10,7 @@ from corpus import build_corpus, random_spec
 from escapepoint import (
     Affine,
     Constant,
+    Cycle,
     EnumerationSpec,
     DyadicTail,
     RatInterval,
@@ -27,7 +28,8 @@ from escapepoint import (
 )
 from escapepoint.enumeration import affine_cut
 from escapepoint.numerics import MAX_EXACT_EXPONENT
-from escapepoint.weight_map import step_structure
+from escapepoint.weight_map import _weight_pair, step_structure
+from test_golden import affine_grid
 
 spec_indices = st.integers(min_value=0, max_value=2999)
 unit_range = st.fractions(min_value=0, max_value=2, max_denominator=1000)
@@ -231,6 +233,54 @@ class TestPlateaus:
     @settings(deadline=None)
     def test_affine_specs(self, spec):
         walk_plateaus(spec)
+
+
+small_values = st.fractions(min_value=-1, max_value=3, max_denominator=64)
+# a spec of every tail kind, values near [0, 2] so that they land among the breaks
+specs_of_every_kind = st.one_of(
+    affine_specs(),
+    st.builds(lambda p, c: EnumerationSpec(tuple(p), Constant(c)), st.lists(small_values, max_size=8), small_values),
+    st.lists(small_values, min_size=1, max_size=8).map(lambda p: EnumerationSpec(tuple(p), Cycle())),
+)
+# scale factors for an unreduced x = k*p / k*q, powers of two among them
+scales = st.one_of(st.integers(min_value=1, max_value=10**12), st.integers(0, 80).map(lambda e: 1 << e))
+
+
+def core_points(spec: EnumerationSpec) -> set[F]:
+    """0, 2, the breaks, the plateau values the sweep tests, and enumerated values in and out of [0, 2]."""
+    steps = step_structure(spec)
+    breaks = {steps.at(k) for k in range(len(steps.jumps))}
+    plateaus = {steps.fraction(t) for t, _ in steps.plateaus()}
+    enumerated = {value_at(spec, n) for n in range(len(spec.prefix) + 4)}
+    return {F(0), F(2)} | breaks | plateaus | enumerated
+
+
+def check_weight_pair(spec: EnumerationSpec, scale) -> None:
+    """The integer core at every core point, scaled by ``scale(x)``, against weight_below."""
+    steps = step_structure(spec)
+    for t, _ in steps.plateaus():
+        p, q = steps.pair(t)
+        assert F(p, q) == steps.fraction(t) and (p | q) & 1  # no two left in common
+    for x in core_points(spec):
+        k = scale(x)
+        assert F(*_weight_pair(spec, k * x.numerator, k * x.denominator)) == weight_below(spec, x), (spec, x, k)
+
+
+class TestWeightPair:
+    @given(spec_indices, scales)
+    @settings(deadline=None)
+    def test_corpus(self, index, k):
+        check_weight_pair(corpus_spec(index), lambda x: k)
+
+    def test_affine_grid(self):
+        rng = random.Random(14)
+        for spec in affine_grid():
+            check_weight_pair(spec, lambda x: rng.choice([1, 3, 1 << rng.randint(1, 64), rng.randint(2, 10**9)]))
+
+    @given(specs_of_every_kind, scales)
+    @settings(deadline=None)
+    def test_specs_of_every_kind(self, spec, k):
+        check_weight_pair(spec, lambda x: k)
 
 
 def queried_bounds(ienum, n_known, eps, x) -> RatInterval:
