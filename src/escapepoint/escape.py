@@ -244,9 +244,9 @@ def enclose_escape_traced(
     bound; both bound maps are monotone and bracket the true map, so the pair
     of settled values brackets the true escape value.  Each index
     0, ..., n_known-1 is queried once, before either descent, and both
-    descents share one ``box_classifier`` over those boxes, which reads
-    their endpoints and weight shifts into integers once: memory linear in
-    n_known (``intervalize`` also returns one shared box per repeated value).
+    descents share one ``box_classifier`` over those boxes, which keeps one
+    row per distinct box (``intervalize`` returns one shared box per
+    repeated value), so each step tests every distinct box once.
     The IntervalEnumeration contract makes answers deterministic per
     (n, eps), so sharing the boxes gives the bounds fresh queries would.
     Each bound map moves only past the n_known box ends on its side, so it

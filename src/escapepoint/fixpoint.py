@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable
 
-from .enumeration import MAX_TAIL_CUT, Affine, Constant, EnumerationSpec, _affine_window, tail_weight_sum
+from .enumeration import Affine, Constant, EnumerationSpec, _affine_window, tail_weight_sum
 from .numerics import dyadic_weight
 from .weight_map import _weight_pair, step_structure, weight_below
 
@@ -200,20 +200,15 @@ def subset_fixpoint_oracle(spec: EnumerationSpec) -> Fraction:
     identical to the naive enumeration.  The realizable tail states are the
     tail weights at the plateaus, one per plateau.  Only plateaus holding
     their own value are tried, from the top down, so the first hit is the
-    largest.  Scope guards: prefix length <= ``SUBSET_MAX_PREFIX`` and at
-    most ``MAX_TAIL_CUT`` affine tail states, checked before any plateau is
-    built.
+    largest.  Scope guard: prefix length <= ``SUBSET_MAX_PREFIX``, checked
+    before any plateau is built; ``step_structure`` refuses an affine tail
+    past ``check_exponent_bound``, which bounds its tail states too.
     """
     length = len(spec.prefix)
     if length > SUBSET_MAX_PREFIX:
         raise OracleScopeError(
             f"prefix length {length} exceeds the oracle bound SUBSET_MAX_PREFIX={SUBSET_MAX_PREFIX}"
         )
-    if isinstance(spec.tail, Affine):
-        # the tail's cut moves through every index between its cuts at 0 and 2
-        lo, hi = _affine_window(spec)
-        if hi - lo > MAX_TAIL_CUT:
-            raise OracleScopeError(f"{hi - lo + 1} affine tail states exceed the oracle bound {MAX_TAIL_CUT}")
     steps = step_structure(spec)
     plateaus = list(steps.plateaus())
     # plateau k ends at break k, the top plateau at 2

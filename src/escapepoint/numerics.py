@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
@@ -206,16 +206,23 @@ def weight_sum(indices: Iterable[int]) -> Fraction:
 
 @dataclass(frozen=True)
 class RatInterval:
-    """Closed interval [lo, hi] with exact rational endpoints, lo <= hi."""
+    """Closed interval [lo, hi] with exact rational endpoints, lo <= hi.
+
+    ``pairs`` = (lo_p, lo_q, hi_p, hi_q) holds both endpoints as integers, read once here.
+    """
 
     lo: Fraction
     hi: Fraction
+    pairs: tuple[int, int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", as_fraction(self.lo, "lo"))
-        object.__setattr__(self, "hi", as_fraction(self.hi, "hi"))
-        if self.lo.numerator * self.hi.denominator > self.hi.numerator * self.lo.denominator:
-            raise ValueError(f"empty interval: lo {self.lo} > hi {self.hi}")
+        lo, hi = as_fraction(self.lo, "lo"), as_fraction(self.hi, "hi")
+        pairs = lo_p, lo_q, hi_p, hi_q = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if lo_p * hi_q > hi_p * lo_q:
+            raise ValueError(f"empty interval: lo {lo} > hi {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def width(self) -> Fraction:

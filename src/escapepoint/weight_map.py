@@ -11,15 +11,8 @@ one denominator, and ``StepStructure.plateaus`` walks its plateaus from the
 top down for both fixpoint oracles.  The semi-decidable variant is
 ``query_boxes`` followed by ``box_classifier``: with only n_known interval
 queries at precision eps it brackets the true value from both sides in a
-``RatInterval``, charging every unseen index to a tail allowance.  The
-classifier reads each box's endpoints into integer pairs once, with the
-shift of the box's dyadic weight rather than the weight itself, so its
-memory is linear in the number of boxes.  It then places x against every
-box by cross-multiplication, in one linear scan with no Fraction
-comparison, and builds a weight only for a box below x.  An enclosure
-queries and reads the boxes once and calls the classifier at every step
-of both descents; they take about two steps each, too few for sorting the
-boxes to pay off.
+``RatInterval``, charging every unseen index to a tail allowance.  Both do
+their per-box work once per distinct box rather than once per index.
 """
 
 from __future__ import annotations
@@ -37,8 +30,11 @@ from .enumeration import (
     IntervalEnumeration,
     _affine_window,
     _ascending,
+    _check_width,
     _line_index,
     _plus_tail,
+    _positive_eps,
+    check_exponent_bound,
 )
 from .numerics import DyadicTail, RatInterval, RationalLike, as_fraction
 
@@ -51,12 +47,9 @@ __all__ = [
     "step_structure",
 ]
 
-# Most indices one bound map or enclosure may query.  An enclosure keeps
-# one classifier row per index (about 120 bytes), and while it reads them
-# the boxes: shared for the prefix and a constant or cycle tail, about 300
-# bytes each for an affine tail.  That is 8 MB (27 MB affine) traced at this
-# bound.  The tail allowance is 2^(1 - n_known); a larger n_known is
-# refused up front.
+# Most indices one bound map or enclosure may query; its tail allowance is 2^(1 - n_known).
+# An enclosure holds the boxes and a classifier row (about 100 bytes) per distinct box: 4 MB
+# traced at this bound, 30 MB for an affine tail, whose boxes all differ.  More is refused.
 MAX_N_KNOWN = 1 << 16
 
 _TWO = Fraction(2)
@@ -94,42 +87,62 @@ def query_boxes(
     """The boxes of indices 0, ..., n_known-1 at width eps, in index order.
 
     n_known (at most ``MAX_N_KNOWN``) and eps are checked at the call; each
-    index is queried once, as the returned iterator reaches it.
+    index is queried once, as the returned iterator reaches it, and the
+    width contract is checked once for each distinct box.
     """
     if isinstance(n_known, bool) or not isinstance(n_known, int) or n_known < 1:
         raise ValueError(f"n_known must be a positive integer, got {n_known!r}")
     if n_known > MAX_N_KNOWN:
         raise ValueError(f"n_known {n_known} exceeds the bound {MAX_N_KNOWN} on interval queries")
-    eps = as_fraction(eps, "eps")
-    return (ienum.at(n, eps) for n in range(n_known))
+    eps = _positive_eps(eps)
+    def boxes() -> Iterator[RatInterval]:
+        checked = set()  # endpoint pairs of the boxes checked so far: equal boxes pass alike
+        for n in range(n_known):
+            box = ienum.oracle(n, eps)
+            if box.pairs not in checked:
+                checked.add(_check_width(box, n, eps).pairs)
+            yield box
+
+    return boxes()
 
 
 def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], RatInterval]:
     """The bound map x -> RatInterval of the boxes of indices 0, ..., len(boxes)-1.
 
-    Each box's endpoints and the shift top - n of its weight 2^(top - n),
-    top = len(boxes), are read into integers here, once, so the rows take
-    memory linear in top.  At each x the lower end weighs the boxes with
-    hi < x and the upper end those with lo < x (the certain ones plus the
-    undecided lo < x <= hi, since lo <= hi), plus 2^(1 - top) for every
-    index not queried; each test is one cross-multiplication, and a weight
-    is built only for a box below x.  When every box holds its index's
-    value, as the IntervalEnumeration contract guarantees, the exact map
-    value lies in the returned interval.
+    Equal boxes share one row, weighing 2^(top - n) for each of their
+    indices n, top = len(boxes), as one bit pattern built here, unless that
+    takes over 64 bytes per repeat: then each index keeps its shift top - n.
+    At each x the lower end weighs the rows with hi < x and the upper end
+    those with lo < x (certain or undecided), plus 2^(1 - top) for every
+    index not queried; each test is one cross-multiplication on ``pairs``.
+    When every box holds its index's value, as the IntervalEnumeration
+    contract guarantees, the exact map value lies in the returned interval.
     """
     top = len(boxes)
-    rows = [
-        (b.lo.numerator, b.lo.denominator, b.hi.numerator, b.hi.denominator, top - n)
-        for n, b in enumerate(boxes)
-    ]
+    first, later = {}, {}  # box.pairs -> the shift of its first index, and of the later ones
+    for n, box in enumerate(boxes):
+        if first.setdefault(box.pairs, top - n) != top - n:
+            later.setdefault(box.pairs, []).append(top - n)
+    rows = []  # flat, (box.pairs, pattern, shift) per row of weight pattern << shift
+    for pairs, shift in first.items():
+        pattern, more = 1, later.get(pairs, ())
+        if more and shift - more[-1] < 512 * len(more):
+            low = more[-1]
+            bits = bytearray((shift - low) // 8 + 1)
+            for s in (shift, *more):
+                bits[(s - low) // 8] |= 1 << (s - low) % 8
+            pattern, shift, more = int.from_bytes(bits, "little"), low, ()
+        for shift in (shift, *more):
+            rows += pairs, pattern, shift
 
     def bounds(x: RationalLike) -> RatInterval:
         x = as_fraction(x, "x")
         p, q = x.numerator, x.denominator
         lower = upper = 0
-        for lo_p, lo_q, hi_p, hi_q, shift in rows:
+        slots = iter(rows)
+        for (lo_p, lo_q, hi_p, hi_q), pattern, shift in zip(slots, slots, slots):
             if lo_p * q < p * lo_q:
-                weight = 1 << shift
+                weight = pattern << shift
                 upper += weight
                 if hi_p * q < p * hi_q:
                     lower += weight
@@ -200,6 +213,7 @@ class StepStructure:
 def step_structure(spec: EnumerationSpec) -> StepStructure:
     """Build the step structure of the weight map on [0, 2].
 
+    An affine tail past ``check_exponent_bound`` is refused before any step.
     A cycle tail repeats every prefix jump in each later lap, which scales
     it by 2^L / (2^L - 1).  An affine tail contributes one break per index
     whose value lands in [0, 2], found between the cuts at 0 and 2: at most
@@ -211,6 +225,7 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     integer key each, and merged in by position; one that lands on the line
     adds its jump to that index's jump.
     """
+    check_exponent_bound(spec)
     start = len(spec.prefix)
     tail = spec.tail
     line = (0, 0, 1)

@@ -299,6 +299,15 @@ class TestEnclosure:
         _, lo_trace, hi_trace = enclose_escape_traced(intervalize(build_corpus(300)[58]), 2, F(1, 128))
         assert (lo_trace.steps, hi_trace.steps) == (4, 1)
 
+    def test_readme_cycle_spec_at_the_largest_n_known(self):
+        # every value lies below 2, so x0 = 2; each bound map's repeated boxes share one row
+        spec = EnumerationSpec((F(3, 2), F(1, 8), F(1, 2)), Cycle())
+        enc, lo_trace, hi_trace = enclose_escape_traced(intervalize(spec), MAX_N_KNOWN, F(1, 128))
+        lo = 2 - F(2, 1 << MAX_N_KNOWN)  # all but the tail allowance
+        assert (enc.lo, enc.hi) == (lo, 2)
+        assert lo_trace.iterates == (2, lo, lo)
+        assert hi_trace.iterates == (2, 2)
+
     def test_n_known_past_the_bound_is_refused_before_any_query(self):
         asked = []
         exact = intervalize(SPEC2)

@@ -1,4 +1,6 @@
 import random
+import resource
+from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import chain
 
@@ -15,6 +17,7 @@ from escapepoint import (
     Constant,
     Cycle,
     EnumerationSpec,
+    ExponentBoundError,
     FixpointTrace,
     OracleScopeError,
     descend_from_top,
@@ -140,6 +143,28 @@ class TestStepBound:
         assert gfp_descend(spec)[1].steps == length + 2 == fixpoint._step_bound(spec)
 
 
+@contextmanager
+def memory_cap(spare: int = 1 << 30):
+    """Cap this process's address space ``spare`` bytes above its current size.
+
+    A plateau build past the exponent bound then fails with MemoryError
+    instead of taking the machine's memory.  No cap where /proc is missing.
+    """
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    try:
+        with open("/proc/self/statm") as statm:
+            size = int(statm.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        yield
+        return
+    cap = size + spare if limits[1] == resource.RLIM_INFINITY else min(size + spare, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+
+
 class TestOracles:
     def test_worked_example_candidates(self):
         assert sup_postfix_oracle(SPEC2) == F(1, 2)
@@ -161,8 +186,15 @@ class TestOracles:
         with pytest.raises(OracleScopeError, match="prefix length 13 exceeds .*SUBSET_MAX_PREFIX=12"):
             subset_fixpoint_oracle(long_prefix)
         flat = EnumerationSpec((), Affine(F(1, 10**5), 0))
-        with pytest.raises(OracleScopeError):
+        with pytest.raises(ExponentBoundError):
             subset_fixpoint_oracle(flat)
+
+    @pytest.mark.parametrize("oracle", [sup_postfix_oracle, subset_fixpoint_oracle])
+    # cuts at 2 * 10^6, and at 10^8 and 10^8 + 2 (three tail states), past MAX_TAIL_CUT
+    @pytest.mark.parametrize("tail", [Affine(F(1, 10**6), 0), Affine(1, -10**8)])
+    def test_oversized_affine_tails_are_refused_before_any_plateau(self, oracle, tail):
+        with memory_cap(), pytest.raises(ExponentBoundError, match="past the bound"):
+            oracle(EnumerationSpec((), tail))
 
     @pytest.mark.parametrize("slope", [F(1, 256), F(-1, 256)])
     @pytest.mark.parametrize("intercept", [0, 1, 2])

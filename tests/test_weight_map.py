@@ -13,6 +13,7 @@ from escapepoint import (
     Cycle,
     EnumerationSpec,
     DyadicTail,
+    IntervalEnumeration,
     RatInterval,
     box_classifier,
     dyadic_tail_weight,
@@ -347,6 +348,18 @@ def boxes_and_x(draw):
     return [RatInterval(min(a, b), max(a, b)) for a, b in pairs], x
 
 
+@st.composite
+def repeated_boxes_and_x(draw):
+    """Boxes drawn from a few objects, each repeated at several indices, equal copies mixed in, and x."""
+    x = draw(box_ends)
+    end = st.one_of(st.just(x), box_ends)
+    palette = [RatInterval(min(a, b), max(a, b)) for a, b in draw(st.lists(st.tuples(end, end), min_size=1, max_size=4))]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(palette) - 1), st.booleans()), min_size=1, max_size=40))
+    # a copy is an equal but distinct object
+    boxes = [RatInterval(palette[k].lo, palette[k].hi) if copy else palette[k] for k, copy in picks]
+    return boxes * draw(st.integers(1, 20)), x
+
+
 def three_way(box: RatInterval, x: F) -> str:
     """Is every point of the box strictly below x, none of them, or undecided?"""
     if box.hi < x:
@@ -388,6 +401,23 @@ class TestBoxClassifier:
         for z in [x, *more, x]:
             assert bounds(z) == reference_bounds(boxes, z)
 
+    @given(repeated_boxes_and_x(), st.lists(box_ends, max_size=4))
+    def test_repeated_boxes_match_the_per_index_reference(self, case, more):
+        boxes, x = case
+        bounds = box_classifier(boxes)
+        for z in [x, *more]:
+            assert bounds(z) == reference_bounds(boxes, z)
+
+    @pytest.mark.parametrize("gap", [1, 2, 1022, 1023, 2000])
+    def test_a_box_shared_far_apart(self, gap):
+        # indices 0, gap and gap + 1 hold equal boxes: one row with a pattern of
+        # gap + 2 bits while that is at most 512 bits per repeat, then a row per index
+        shared, other = RatInterval(F(1, 4), F(1, 2)), RatInterval(F(3, 4), 1)
+        boxes = [shared] + [other] * (gap - 1) + [shared, RatInterval(F(1, 4), F(1, 2))]
+        bounds = box_classifier(boxes)
+        for x in (F(0), F(1, 4), F(1, 3), F(1, 2), F(5, 8), F(7, 8), F(1), F(2)):
+            assert bounds(x) == reference_bounds(boxes, x)
+
     def test_rejects_float_x(self):
         with pytest.raises(TypeError):
             box_classifier([RatInterval(0, 1)])(0.5)
@@ -403,3 +433,42 @@ class TestBoxClassifier:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+    def test_distinct_boxes_take_memory_linear_in_their_count(self):
+        # an affine tail's boxes are all distinct, one row each; a weight kept per row would take 16 MB here
+        top = 1 << 14
+        boxes = tuple(query_boxes(intervalize(EnumerationSpec((), Affine(F(-1, 3), F(1, 2)))), top, F(1, 128)))
+        assert len({box.pairs for box in boxes}) == top
+        tracemalloc.start()
+        try:
+            assert box_classifier(boxes)(F(1)) == RatInterval(2 - F(2, 1 << top), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
+class TestWidthContract:
+    NARROW, WIDE = RatInterval(0, F(1, 100)), RatInterval(0, 1)
+
+    def test_a_shared_box_too_wide_is_refused_at_its_first_index(self):
+        oracle = IntervalEnumeration(lambda n, eps: self.NARROW if n < 3 else self.WIDE)
+        boxes = query_boxes(oracle, 8, F(1, 10))
+        assert [next(boxes) for _ in range(3)] == [self.NARROW] * 3
+        with pytest.raises(ValueError, match="broke its width contract at n=3"):
+            next(boxes)
+
+    def test_a_fresh_box_too_wide_at_a_late_index_is_refused(self):
+        oracle = IntervalEnumeration(lambda n, eps: RatInterval(0, 1 if n == 200 else F(1, 100)))
+        with pytest.raises(ValueError, match="broke its width contract at n=200"):
+            list(query_boxes(oracle, 256, F(1, 10)))
+        with pytest.raises(ValueError, match="broke its width contract at n=200"):
+            enclose_escape_traced(oracle, 256, F(1, 10))
+
+    @pytest.mark.parametrize("eps", [0, F(-1, 10**30)])
+    def test_nonpositive_eps_is_refused_before_any_query(self, eps):
+        asked = []
+        oracle = IntervalEnumeration(lambda n, at_eps: asked.append(n) or self.NARROW)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            query_boxes(oracle, 4, eps)
+        assert asked == []
