@@ -285,25 +285,15 @@ class IntervalEnumeration:
     def at(self, n: int, eps: RationalLike) -> RatInterval:
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"enumeration index must be a natural number, got {n!r}")
-        eps = _positive_eps(eps)
-        return _check_width(self.oracle(n, eps), n, eps)
-
-
-def _positive_eps(eps: RationalLike) -> Fraction:
-    """eps as a Fraction, refused unless it is positive."""
-    eps = as_fraction(eps, "eps")
-    if eps.numerator <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return eps
-
-
-def _check_width(box: RatInterval, n: int, eps: Fraction) -> RatInterval:
-    """The oracle's box for index n, refused if it is wider than eps."""
-    lo_p, lo_q, hi_p, hi_q = box.pairs
-    # hi - lo > eps, cross-multiplied over the three positive denominators
-    if (hi_p * lo_q - lo_p * hi_q) * eps.denominator > eps.numerator * hi_q * lo_q:
-        raise ValueError(f"interval oracle broke its width contract at n={n}: {box}")
-    return box
+        eps = as_fraction(eps, "eps")
+        if eps.numerator <= 0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        box = self.oracle(n, eps)
+        lo_p, lo_q, hi_p, hi_q = box.pairs
+        # hi - lo > eps, cross-multiplied over the three positive denominators
+        if (hi_p * lo_q - lo_p * hi_q) * eps.denominator > eps.numerator * hi_q * lo_q:
+            raise ValueError(f"interval oracle broke its width contract at n={n}: {box}")
+        return box
 
 
 def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnumeration:

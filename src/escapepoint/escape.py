@@ -246,7 +246,8 @@ def enclose_escape_traced(
     0, ..., n_known-1 is queried once, before either descent, and both
     descents share one ``box_classifier`` over those boxes, which keeps one
     row per distinct box (``intervalize`` returns one shared box per
-    repeated value), so each step tests every distinct box once.
+    repeated value): each step tests every distinct box once, in time
+    linear in n_known.
     The IntervalEnumeration contract makes answers deterministic per
     (n, eps), so sharing the boxes gives the bounds fresh queries would.
     Each bound map moves only past the n_known box ends on its side, so it

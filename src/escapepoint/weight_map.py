@@ -11,8 +11,9 @@ one denominator, and ``StepStructure.plateaus`` walks its plateaus from the
 top down for both fixpoint oracles.  The semi-decidable variant is
 ``query_boxes`` followed by ``box_classifier``: with only n_known interval
 queries at precision eps it brackets the true value from both sides in a
-``RatInterval``, charging every unseen index to a tail allowance.  Both do
-their per-box work once per distinct box rather than once per index.
+``RatInterval``, charging every unseen index to a tail allowance.  The
+classifier tests each distinct box once per x, and its time and memory are
+linear in n_known.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
 from .enumeration import (
@@ -30,10 +32,8 @@ from .enumeration import (
     IntervalEnumeration,
     _affine_window,
     _ascending,
-    _check_width,
     _line_index,
     _plus_tail,
-    _positive_eps,
     check_exponent_bound,
 )
 from .numerics import DyadicTail, RatInterval, RationalLike, as_fraction
@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 # Most indices one bound map or enclosure may query; its tail allowance is 2^(1 - n_known).
-# An enclosure holds the boxes and a classifier row (about 100 bytes) per distinct box: 4 MB
-# traced at this bound, 30 MB for an affine tail, whose boxes all differ.  More is refused.
+# An enclosure holds the boxes, a classifier row per distinct box and a row number per index:
+# 2 MB traced at this bound for a cycle tail, 30 MB for an affine tail, whose boxes all differ.
+# More is refused.
 MAX_N_KNOWN = 1 << 16
 
 _TWO = Fraction(2)
@@ -86,66 +87,55 @@ def query_boxes(
 ) -> Iterator[RatInterval]:
     """The boxes of indices 0, ..., n_known-1 at width eps, in index order.
 
-    n_known (at most ``MAX_N_KNOWN``) and eps are checked at the call; each
-    index is queried once, as the returned iterator reaches it, and the
-    width contract is checked once for each distinct box.
+    n_known (at most ``MAX_N_KNOWN``) is checked at the call; each index is
+    queried once, through ``IntervalEnumeration.at``, as the returned
+    iterator reaches it.
     """
     if isinstance(n_known, bool) or not isinstance(n_known, int) or n_known < 1:
         raise ValueError(f"n_known must be a positive integer, got {n_known!r}")
     if n_known > MAX_N_KNOWN:
         raise ValueError(f"n_known {n_known} exceeds the bound {MAX_N_KNOWN} on interval queries")
-    eps = _positive_eps(eps)
-    def boxes() -> Iterator[RatInterval]:
-        checked = set()  # endpoint pairs of the boxes checked so far: equal boxes pass alike
-        for n in range(n_known):
-            box = ienum.oracle(n, eps)
-            if box.pairs not in checked:
-                checked.add(_check_width(box, n, eps).pairs)
-            yield box
+    eps = as_fraction(eps, "eps")
+    return (ienum.at(n, eps) for n in range(n_known))
 
-    return boxes()
+
+# A row's side of x is one ASCII digit: 0 for x <= lo, 1 for lo < x <= hi, 2 for hi < x.
+_LOWER = bytes.maketrans(b"012", b"001")  # the digits as 1 where the box lies below x, else 0
+_UPPER = bytes.maketrans(b"012", b"011")  # and as 1 where it may
 
 
 def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], RatInterval]:
     """The bound map x -> RatInterval of the boxes of indices 0, ..., len(boxes)-1.
 
-    Equal boxes share one row, weighing 2^(top - n) for each of their
-    indices n, top = len(boxes), as one bit pattern built here, unless that
-    takes over 64 bytes per repeat: then each index keeps its shift top - n.
-    At each x the lower end weighs the rows with hi < x and the upper end
-    those with lo < x (certain or undecided), plus 2^(1 - top) for every
-    index not queried; each test is one cross-multiplication on ``pairs``.
-    When every box holds its index's value, as the IntervalEnumeration
-    contract guarantees, the exact map value lies in the returned interval.
+    Equal boxes share one row, numbered in order of first index.  At each x
+    every row is placed against x once, by cross-multiplication on its
+    ``pairs``, as one digit; picking each index's row digit, then a closing
+    0, spells a string whose base-2 value sums 2^(top - n), top =
+    len(boxes), over the indices n marked.  The lower end marks the boxes
+    with hi < x, the upper end those with lo < x, plus 2^(1 - top) for every
+    index not queried.  Time and memory are linear in top, and no weight is
+    kept per row.  When every box holds its index's value, as the
+    IntervalEnumeration contract guarantees, the exact map value lies in the
+    returned interval.
     """
     top = len(boxes)
-    first, later = {}, {}  # box.pairs -> the shift of its first index, and of the later ones
-    for n, box in enumerate(boxes):
-        if first.setdefault(box.pairs, top - n) != top - n:
-            later.setdefault(box.pairs, []).append(top - n)
-    rows = []  # flat, (box.pairs, pattern, shift) per row of weight pattern << shift
-    for pairs, shift in first.items():
-        pattern, more = 1, later.get(pairs, ())
-        if more and shift - more[-1] < 512 * len(more):
-            low = more[-1]
-            bits = bytearray((shift - low) // 8 + 1)
-            for s in (shift, *more):
-                bits[(s - low) // 8] |= 1 << (s - low) % 8
-            pattern, shift, more = int.from_bytes(bits, "little"), low, ()
-        for shift in (shift, *more):
-            rows += pairs, pattern, shift
+    rows: dict[tuple[int, int, int, int], int] = {}  # box.pairs -> its row
+    owner = [rows.setdefault(box.pairs, len(rows)) for box in boxes]
+    ends = list(rows)
+    spell = itemgetter(*owner, len(ends))  # each index's row, then one past the last row
 
     def bounds(x: RationalLike) -> RatInterval:
         x = as_fraction(x, "x")
         p, q = x.numerator, x.denominator
-        lower = upper = 0
-        slots = iter(rows)
-        for (lo_p, lo_q, hi_p, hi_q), pattern, shift in zip(slots, slots, slots):
-            if lo_p * q < p * lo_q:
-                weight = pattern << shift
-                upper += weight
-                if hi_p * q < p * hi_q:
-                    lower += weight
+        # each row's digit as its ASCII code, 48 + side; hi is tested only where lo < x
+        sides = [
+            (50 if hi_p * q < p * hi_q else 49) if lo_p * q < p * lo_q else 48
+            for lo_p, lo_q, hi_p, hi_q in ends
+        ]
+        sides.append(48)  # the closing 0
+        digits = bytes(spell(sides))
+        lower = int(digits.translate(_LOWER), 2)
+        upper = int(digits.translate(_UPPER), 2)
         return RatInterval(Fraction(lower, 1 << top), Fraction(upper + 2, 1 << top))
 
     return bounds

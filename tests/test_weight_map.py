@@ -408,16 +408,6 @@ class TestBoxClassifier:
         for z in [x, *more]:
             assert bounds(z) == reference_bounds(boxes, z)
 
-    @pytest.mark.parametrize("gap", [1, 2, 1022, 1023, 2000])
-    def test_a_box_shared_far_apart(self, gap):
-        # indices 0, gap and gap + 1 hold equal boxes: one row with a pattern of
-        # gap + 2 bits while that is at most 512 bits per repeat, then a row per index
-        shared, other = RatInterval(F(1, 4), F(1, 2)), RatInterval(F(3, 4), 1)
-        boxes = [shared] + [other] * (gap - 1) + [shared, RatInterval(F(1, 4), F(1, 2))]
-        bounds = box_classifier(boxes)
-        for x in (F(0), F(1, 4), F(1, 3), F(1, 2), F(5, 8), F(7, 8), F(1), F(2)):
-            assert bounds(x) == reference_bounds(boxes, x)
-
     def test_rejects_float_x(self):
         with pytest.raises(TypeError):
             box_classifier([RatInterval(0, 1)])(0.5)
@@ -447,6 +437,20 @@ class TestBoxClassifier:
             tracemalloc.stop()
         assert peak < 4 << 20
 
+    def test_boxes_repeated_far_apart_take_memory_linear_in_their_count(self):
+        # the second half repeats the first, so a bit pattern kept per shared box would span
+        # top / 2 bits: 2^13 rows of 1 KB, 8 MB here
+        half = 1 << 13
+        boxes = [RatInterval(F(n, half), F(n + 1, half)) for n in range(half)] * 2
+        expected = reference_bounds(boxes, F(1, 2))
+        tracemalloc.start()
+        try:
+            assert box_classifier(boxes)(F(1, 2)) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
 
 class TestWidthContract:
     NARROW, WIDE = RatInterval(0, F(1, 100)), RatInterval(0, 1)
@@ -470,5 +474,11 @@ class TestWidthContract:
         asked = []
         oracle = IntervalEnumeration(lambda n, at_eps: asked.append(n) or self.NARROW)
         with pytest.raises(ValueError, match="eps must be positive"):
-            query_boxes(oracle, 4, eps)
+            list(query_boxes(oracle, 4, eps))
         assert asked == []
+
+    def test_every_index_is_asked_through_at(self, monkeypatch):
+        asked, at = [], IntervalEnumeration.at
+        monkeypatch.setattr(IntervalEnumeration, "at", lambda self, n, eps: asked.append(n) or at(self, n, eps))
+        enclose_escape_traced(intervalize(EnumerationSpec((F(1, 2),), Cycle())), 16, F(1, 128))
+        assert asked == list(range(16))
