@@ -8,8 +8,11 @@ An enumeration is a finite rational prefix plus a total tail rule:
 * ``Affine(a, b)``  f(n) = a*n + b with a != 0 (a = 0 is normalized to
   ``Constant(b)`` at construction).
 
-The closed forms below make the total weight of eligible tail indices exact,
-which is what lets the fixpoint engine run without ever truncating a series.
+Past the prefix a tail is a periodic block (``EnumerationSpec.block_pairs``,
+for a constant or a cycle) or a line (``Affine.line``).  The closed forms
+below make the total weight of eligible tail indices exact, which is what
+lets the fixpoint engine run without ever truncating a series; one that
+needs 2^k past ``MAX_EXACT_EXPONENT`` raises ``ExponentBoundError`` instead.
 The same descriptions can be blurred into interval oracles (``intervalize``)
 for the semi-decidable mode.
 """
@@ -24,14 +27,12 @@ from typing import Callable, Collection, Union
 
 from .numerics import (
     MAX_EXACT_EXPONENT,
-    DyadicTail,
     ExponentBoundError,
     RatInterval,
     RationalLike,
     as_fraction,
     format_rational,
     parse_rational,
-    weight_sum,
 )
 
 __all__ = [
@@ -112,25 +113,35 @@ class EnumerationSpec:
 
     ``prefix_pairs`` holds each prefix value as its reduced (numerator,
     denominator) pair, read once here, so that order questions about the
-    prefix are answered by integer cross-multiplication.
+    prefix are answered by integer cross-multiplication.  ``block_pairs`` is
+    the periodic tail's block in the same form: f(n) = block[(n - L) mod P]
+    for n >= L.  It is (c,) for ``Constant(c)``, ``prefix_pairs`` for
+    ``Cycle()``, and empty for an affine tail, whose rule is its line.
     """
 
     prefix: tuple[Fraction, ...]
     tail: TailRule
     prefix_pairs: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    block_pairs: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         values = tuple(as_fraction(v, f"prefix[{i}]") for i, v in enumerate(self.prefix))
-        object.__setattr__(self, "prefix", values)
-        object.__setattr__(self, "prefix_pairs", tuple((v.numerator, v.denominator) for v in values))
+        pairs = tuple((v.numerator, v.denominator) for v in values)
         tail = self.tail
         if isinstance(tail, Affine) and tail.a == 0:
             tail = Constant(tail.b)  # degenerate slope: same map, simpler rule
-            object.__setattr__(self, "tail", tail)
-        if not isinstance(tail, (Constant, Cycle, Affine)):
+        if isinstance(tail, Constant):
+            block = ((tail.value.numerator, tail.value.denominator),)
+        elif isinstance(tail, Cycle):
+            if not values:
+                raise SpecError("cycle tail needs a nonempty prefix")
+            block = pairs
+        elif isinstance(tail, Affine):
+            block = ()
+        else:
             raise SpecError(f"unknown tail rule {tail!r}")
-        if isinstance(tail, Cycle) and not values:
-            raise SpecError("cycle tail needs a nonempty prefix")
+        for name, value in (("prefix", values), ("tail", tail), ("prefix_pairs", pairs), ("block_pairs", block)):
+            object.__setattr__(self, name, value)
 
 
 def value_at(spec: EnumerationSpec, n: int) -> Fraction:
@@ -148,12 +159,10 @@ def _pair_at(spec: EnumerationSpec, n: int) -> tuple[int, int]:
     length = len(spec.prefix)
     if n < length:
         return spec.prefix_pairs[n]
-    tail = spec.tail
-    if isinstance(tail, Constant):
-        return tail.value.numerator, tail.value.denominator
-    if isinstance(tail, Cycle):
-        return spec.prefix_pairs[n % length]
-    slope, intercept, scale = tail.line
+    block = spec.block_pairs
+    if block:
+        return block[(n - length) % len(block)]
+    slope, intercept, scale = spec.tail.line
     return slope * n + intercept, scale
 
 
@@ -171,7 +180,10 @@ def affine_cut(spec: EnumerationSpec, x: RationalLike) -> int:
     [cut, infinity) when a < 0.  The boundary (x - b) / a is strict and
     computed as one integer quotient: for x = p/q and the tail's line
     (A, B, D) it is (p*D - B*q) / (q*A), whose denominator has the sign of a.
+    A periodic tail has no line, and is refused with ``ValueError``.
     """
+    if spec.block_pairs:
+        raise ValueError(f"affine_cut needs an affine tail, got {spec.tail!r}")
     x = as_fraction(x, "x")
     return _cut(spec, x.numerator, x.denominator)
 
@@ -204,7 +216,7 @@ def _line_index(spec: EnumerationSpec, v: Fraction) -> tuple[int, bool]:
 
 def check_exponent_bound(spec: EnumerationSpec) -> None:
     """Raise ``ExponentBoundError`` if an affine tail's cut at 0 or 2 lies past ``MAX_TAIL_CUT``."""
-    if isinstance(spec.tail, Affine):
+    if not spec.block_pairs:
         cut = _affine_window(spec)[1]
         if cut > MAX_TAIL_CUT:
             raise ExponentBoundError(
@@ -223,52 +235,53 @@ def _ascending(pairs: Collection[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def tail_weight_sum(spec: EnumerationSpec, x: RationalLike) -> Fraction:
-    """Exact total weight of tail indices n >= L with f(n) < x.
-
-    Constant: the whole tail 2^(1-L) or nothing.  Cycle: every later lap
-    repeats the eligible prefix indices shifted by a multiple of L, so the
-    tail adds W(x) / (2^L - 1), where W(x) is the eligible prefix weight.
-    Affine: the indices on the eligible side of ``affine_cut``, an initial
-    segment (a > 0) or a final segment (a < 0) of the tail, summed in closed
-    form by ``_plus_tail``.
-    """
+    """Exact total weight of tail indices n >= L with f(n) < x: see ``_plus_tail``."""
     x = as_fraction(x, "x")
-    if isinstance(spec.tail, Cycle):
-        return weight_sum(eligible_prefix_indices(spec, x)) / ((1 << len(spec.prefix)) - 1)
-    weight = _plus_tail(spec, x.numerator, x.denominator, 0)
-    return weight if isinstance(weight, DyadicTail) else Fraction(*weight)
+    return Fraction(*_plus_tail(spec, x.numerator, x.denominator, 0))
 
 
-def _plus_tail(spec: EnumerationSpec, p: int, q: int, num: int) -> Union[tuple[int, int], DyadicTail]:
-    """num / 2^L plus the weight of a constant or affine tail's indices with f(n) < x = p/q.
+def _below(pairs: tuple[tuple[int, int], ...], p: int, q: int) -> int:
+    """The sum of 2^(len(pairs) - i) over the positions i whose pair a/b lies below p/q, q > 0."""
+    length = len(pairs)
+    num = 0
+    for i, (a, b) in enumerate(pairs):
+        if a * q < p * b:
+            num += 1 << (length - i)
+    return num
 
-    An unreduced pair, for any q > 0.  A constant tail below x adds 2 / 2^L.
-    An affine tail adds 2^(1-L) - 2^(1-cut) (a > 0) or 2^(1-cut) (a < 0),
-    put over 2^cut, or kept as a lazy ``DyadicTail`` past ``MAX_EXACT_EXPONENT``.
+
+def _plus_tail(spec: EnumerationSpec, p: int, q: int, num: int) -> tuple[int, int]:
+    """num / 2^L plus the weight of the tail's indices with f(n) < x = p/q.
+
+    An unreduced pair, for any q > 0.  Index L + j + kP of a periodic tail
+    weighs 2^-(L+j+kP), so over all laps block position j adds
+    2^(P-j) / ((2^P - 1) * 2^L).  An affine tail's eligible indices lie on
+    one side of the cut: it adds 2^(1-L) - 2^(1-cut) (a > 0) or 2^(1-cut)
+    (a < 0), over 2^cut, or raises ``ExponentBoundError`` past
+    ``MAX_EXACT_EXPONENT``, before 2^cut is built.
     """
     start = len(spec.prefix)
-    tail = spec.tail
-    if isinstance(tail, Constant):
-        c = tail.value
-        return num + 2 * (c.numerator * q < p * c.denominator), 1 << start
+    block = spec.block_pairs
+    if block:
+        lap = (1 << len(block)) - 1
+        return num * lap + _below(block, p, q), lap << start
     cut = _cut(spec, p, q)
-    num, sign = (num + 2, -1) if tail.line[0] > 0 else (num, 1)
     if cut > MAX_EXACT_EXPONENT:
-        return DyadicTail(Fraction(num, 1 << start), sign, cut - 1)
+        raise ExponentBoundError(
+            f"the affine tail crosses {p}/{q} at index {cut}, past the bound "
+            f"{MAX_EXACT_EXPONENT} on dyadic exponents"
+        )
+    num, sign = (num + 2, -1) if spec.tail.line[0] > 0 else (num, 1)
     return (num << (cut - start)) + 2 * sign, 1 << cut
 
 
 def tail_hits(spec: EnumerationSpec, v: RationalLike) -> bool:
     """Does any tail index n >= L satisfy f(n) = v?  Solved exactly."""
     v = as_fraction(v, "v")
-    start = len(spec.prefix)
-    tail = spec.tail
-    if isinstance(tail, Constant):
-        return tail.value == v
-    if isinstance(tail, Cycle):
-        return (v.numerator, v.denominator) in spec.prefix_pairs
+    if spec.block_pairs:
+        return (v.numerator, v.denominator) in spec.block_pairs
     n, on_line = _line_index(spec, v)
-    return on_line and n >= start
+    return on_line and n >= len(spec.prefix)
 
 
 @dataclass(frozen=True)
@@ -309,17 +322,17 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
     min(jitter, half) is k/(g*f), k = min(j*f, e*g), and half is e*g/(g*f).
     An affine tail's pair (A*n + B, D) need not be reduced; the endpoints are.
 
-    A box depends only on (p, q, k) at one eps.  The prefix and a constant
-    or cycle tail take at most L + 1 values, so their boxes are built once
-    and the same immutable box is returned again; they are kept for the
-    last eps asked only, at most 2(L + 1) of them.  An affine tail's boxes
-    are built on each query and never kept.
+    A box depends only on (p, q, k) at one eps.  The prefix and a periodic
+    tail's block of P values take at most L + P values, so their boxes are
+    built once and the same immutable box is returned again; they are kept
+    for the last eps asked only, at most 2(L + P) of them.  An affine tail's
+    boxes are built on each query and never kept.
     """
     jitter = as_fraction(jitter, "jitter")
     if jitter < 0:
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
     j, g = jitter.numerator, jitter.denominator
-    start, affine = len(spec.prefix), isinstance(spec.tail, Affine)
+    start, affine = len(spec.prefix), not spec.block_pairs
     kept: dict[tuple[int, int, int], RatInterval] = {}
     kept_at = (0, 0)  # (e, f) of the eps whose boxes ``kept`` holds
 

@@ -5,8 +5,8 @@ weight map, cross-checks it against the supremum oracle, and then builds one
 verdict per place the enumeration could have produced it:
 
 * each prefix index gets a verdict with the exact gap to the escape value;
-* a constant tail gets a single verdict covering every tail index;
-* a cycling tail gets one verdict per distinct repeated value;
+* a periodic tail (a constant, or a cycle of the prefix) gets one ``"tail"``
+  verdict per distinct value of its block, in ascending order;
 * an affine tail gets a verdict at its closest-approach index -- the tail is
   strictly monotone in the index, so every other tail value is at least as
   far away as the witnessed one.
@@ -28,9 +28,7 @@ from fractions import Fraction
 from typing import Union
 
 from .enumeration import (
-    Affine,
     Constant,
-    Cycle,
     EnumerationSpec,
     IntervalEnumeration,
     SpecError,
@@ -134,15 +132,15 @@ class EscapeCertificate:
 
 def _tail_verdicts(spec: EnumerationSpec, x0: Fraction, distinct: dict) -> list[Verdict]:
     """The tail's verdicts; ``distinct`` maps each prefix pair to its first verdict."""
-    tail = spec.tail
     start = len(spec.prefix)
-    if isinstance(tail, Constant):
-        return [_compare(x0, "tail", tail.value)]
-    if isinstance(tail, Cycle):
-        # the distinct prefix values, ascending, with the prefix's relations and gaps
-        firsts = (distinct[pair] for pair in _ascending(distinct))
-        return [Verdict("tail", v.value, v.relation, v.gap) for v in firsts]
-    assert isinstance(tail, Affine)
+    if spec.block_pairs:
+        # the distinct block values, ascending; one the prefix takes reuses its relation and gap
+        verdicts = []
+        for pair in _ascending(set(spec.block_pairs)):
+            first = distinct.get(pair)
+            verdicts.append(_compare(x0, "tail", Fraction(*pair)) if first is None
+                            else Verdict("tail", first.value, first.relation, first.gap))
+        return verdicts
     # closest approach of a*n + b to x0 over integer n >= start: the tail
     # crosses x0 between the cut and the index before it
     cut = affine_cut(spec, x0)
@@ -209,15 +207,16 @@ def adjoin_escape_demo(spec: EnumerationSpec) -> tuple[EscapeCertificate, Enumer
     and affine tails, which would change the enumeration at infinitely many
     places instead of one.  The constant must sit at least one appended-index
     weight above the old escape value -- then the new escape value provably
-    rises by at least 2^-L, where L is the old prefix length.
+    rises by at least 2^-L, where L is the old prefix length.  Any other
+    tail is refused before an escape value is computed.
     """
-    before = compute_escape(spec)
-    x0 = before.x0
     if not isinstance(spec.tail, Constant):
         raise DemoNotApplicableError(
             "appending the escape value needs a constant tail; cycling and affine "
             "tails change meaning when the prefix grows"
         )
+    before = compute_escape(spec)
+    x0 = before.x0
     threshold = x0 + dyadic_weight(len(spec.prefix))
     if spec.tail.value < threshold:
         raise DemoNotApplicableError(

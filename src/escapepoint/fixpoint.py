@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable
 
-from .enumeration import Affine, Constant, EnumerationSpec, _affine_window, tail_weight_sum
+from .enumeration import EnumerationSpec, _affine_window, tail_weight_sum
 from .numerics import dyadic_weight
 from .weight_map import _weight_pair, step_structure, weight_below
 
@@ -143,16 +143,13 @@ def _step_bound(spec: EnumerationSpec) -> int:
     """Most applications of the weight map a descent from 2 can take.
 
     On [0, 2] the map moves only past the enumerated values in [0, 2): at
-    most L prefix values, a constant tail's value if it lies there, and the
-    affine tail values, which lie at indices between the cuts at 0 and 2
-    (at most hi - lo + 2 of them).  With B such breaks the map takes at most
-    B + 1 values there, so the descent settles within B + 2 applications.
+    most L prefix values, the block values there, and the affine tail's
+    values, at indices between the cuts at 0 and 2 (at most hi - lo + 2).
+    With B such breaks the map takes at most B + 1 values there, so the
+    descent settles within B + 2 applications.
     """
-    tail = spec.tail
-    breaks = len(spec.prefix)
-    if isinstance(tail, Constant):
-        breaks += 0 <= tail.value < _TWO
-    elif isinstance(tail, Affine):
+    breaks = len(spec.prefix) + sum(0 <= p < 2 * q for p, q in spec.block_pairs)
+    if not spec.block_pairs:
         lo, hi = _affine_window(spec)
         breaks += hi - lo + 2
     return breaks + 2
@@ -177,7 +174,7 @@ def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     """
     steps = step_structure(spec)
     # each candidate lies in [0, 2], so an affine tail's cut there is at most the
-    # top index steps already built 2^top for: the map's value is a pair, never a DyadicTail
+    # top index steps already built 2^top for: the map's value is never refused here
     candidates = chain((_weight_pair(spec, 2, 1),), (steps.pair(t) for t, _ in steps.plateaus()))
     failed_p, failed_q = -1, 1  # below every candidate
     for p, q in candidates:

@@ -20,23 +20,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
 from .enumeration import (
-    Affine,
-    Constant,
-    Cycle,
     EnumerationSpec,
     IntervalEnumeration,
     _affine_window,
     _ascending,
+    _below,
     _line_index,
     _plus_tail,
     check_exponent_bound,
 )
-from .numerics import DyadicTail, RatInterval, RationalLike, as_fraction
+from .numerics import RatInterval, RationalLike, as_fraction
 
 __all__ = [
     "MAX_N_KNOWN",
@@ -59,25 +57,17 @@ _TWO = Fraction(2)
 def weight_below(spec: EnumerationSpec, x: RationalLike) -> Fraction:
     """Exact value of the weight map at x, as one Fraction: ``_weight_pair`` reduced once."""
     x = as_fraction(x, "x")
-    weight = _weight_pair(spec, x.numerator, x.denominator)
-    return weight if isinstance(weight, DyadicTail) else Fraction(*weight)
+    return Fraction(*_weight_pair(spec, x.numerator, x.denominator))
 
 
-def _weight_pair(spec: EnumerationSpec, p: int, q: int) -> Union[tuple[int, int], DyadicTail]:
+def _weight_pair(spec: EnumerationSpec, p: int, q: int) -> tuple[int, int]:
     """The weight map at x = p/q (q > 0, p/q need not be reduced) as an unreduced pair.
 
-    The eligible prefix weight W = num / 2^L is summed by cross-multiplication.
-    A cycle tail makes it W + W / (2^L - 1) = num / (2^L - 1); ``_plus_tail``
-    adds a constant or affine tail, lazily past ``MAX_EXACT_EXPONENT``.
+    The eligible prefix weight num / 2^L is summed by cross-multiplication,
+    and ``_plus_tail`` adds the tail's, refusing an affine cut past
+    ``MAX_EXACT_EXPONENT`` with ``ExponentBoundError``.
     """
-    length = len(spec.prefix)
-    num = 0
-    for n, (a, b) in enumerate(spec.prefix_pairs):
-        if a * q < p * b:
-            num += 1 << (length - n)
-    if isinstance(spec.tail, Cycle):
-        return num, (1 << length) - 1
-    return _plus_tail(spec, p, q, num)
+    return _plus_tail(spec, p, q, _below(spec.prefix_pairs, p, q))
 
 
 def query_boxes(
@@ -151,10 +141,11 @@ class StepStructure:
 
     ``jumps[k]`` belongs to the k-th break in ascending order.  Every jump is
     positive, so the plateau values base, base + jumps[0], ... ascend.  A
-    break is a prefix or constant tail value (a Fraction), or an affine tail
+    break is a prefix or block value (a Fraction), or an affine tail
     index n (an int) that stands for its value (A*n + B) / D, where
     ``line`` = (A, B, D); ``at`` turns either into a Fraction.  ``den`` is
-    2^top for the deepest index top, times 2^L - 1 for a cycle.
+    (2^P - 1) * 2^top for a periodic tail's block of P values, with top = L,
+    and 2^top for an affine tail, with top the deepest index in [0, 2].
     """
 
     den: int
@@ -204,25 +195,26 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     """Build the step structure of the weight map on [0, 2].
 
     An affine tail past ``check_exponent_bound`` is refused before any step.
-    A cycle tail repeats every prefix jump in each later lap, which scales
-    it by 2^L / (2^L - 1).  An affine tail contributes one break per index
-    whose value lands in [0, 2], found between the cuts at 0 and 2: at most
-    2/|a| + 1 indices.  Their values (A*n + B) / D, from the tail's
-    ``Affine.line``, are distinct and monotone in n, so the run is
-    walked as an integer progression, with no Fraction, hash or sort per
-    index.  The at most L prefix values (and a constant tail value) in
-    [0, 2] are keyed by their (numerator, denominator) pairs, ordered by one
-    integer key each, and merged in by position; one that lands on the line
-    adds its jump to that index's jump.
+    Over den = (2^P - 1) * 2^top, prefix index n weighs (2^P - 1) * 2^(top-n)
+    and a periodic tail's block position j, summed over its laps, weighs
+    2^(P-j+top-L); an affine tail has P = 0 and den = 2^top.  An affine tail
+    contributes one break per index whose value lands in [0, 2], found
+    between the cuts at 0 and 2: at most 2/|a| + 1 indices.  Their values
+    (A*n + B) / D, from the tail's ``Affine.line``, are distinct and
+    monotone in n, so the run is walked as an integer progression, with no
+    Fraction, hash or sort per index.  The at most L + P prefix and block
+    values in [0, 2] are keyed by their (numerator, denominator) pairs,
+    ordered by one integer key each, and merged in by position; one that
+    lands on the line adds its jump to that index's jump.
     """
     check_exponent_bound(spec)
     start = len(spec.prefix)
-    tail = spec.tail
+    block = spec.block_pairs
     line = (0, 0, 1)
     run = range(0)  # the affine tail indices with values in [0, 2], by ascending value
     top = start
-    if isinstance(tail, Affine):
-        line = slope, intercept, scale = tail.line
+    if not block:
+        line = slope, intercept, scale = spec.tail.line
         lo, hi = _affine_window(spec)
         top = max(start, hi + 1)
         # the cuts are strict, so each end may hold one index just outside [0, 2]
@@ -232,22 +224,26 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
         if not 0 <= slope * last + intercept <= 2 * scale:
             last -= 1
         run = range(first, last + 1) if slope > 0 else range(last, first - 1, -1)
-    lap = start if isinstance(tail, Cycle) else 0
-    den = max(1, (1 << lap) - 1) << top
-    # (value, pair, shift): each prefix value and a constant tail value weighs 2^shift / den
-    entries = zip(spec.prefix, spec.prefix_pairs, range(top + lap, top + lap - start, -1))
-    if isinstance(tail, Constant):
-        c = tail.value
-        entries = chain(entries, [(c, (c.numerator, c.denominator), top - start + 1)])
+    period = len(block)
+    lap = max(1, (1 << period) - 1)
+    den = lap << top
+    # (pair, value, shift, unit): each weighs unit << shift over den; a block value's
+    # Fraction is built only if no prefix value has its pair
+    entries = chain(
+        zip(spec.prefix_pairs, spec.prefix, range(top, top - start, -1), repeat(lap)),
+        zip(block, repeat(None), range(period + top - start, top - start, -1), repeat(1)),
+    )
     points: dict[tuple[int, int], list] = {}  # pair in [0, 2] -> [value, jump]
-    for v, (p, q), shift in entries:
+    for (p, q), v, shift, unit in entries:
         if 0 <= p <= 2 * q:
-            points.setdefault((p, q), [v, 0])[1] += 1 << shift
+            points.setdefault((p, q), [v, 0])[1] += unit << shift
     jumps = [1 << (top - n) for n in run]
     breaks: list[Union[Fraction, int]] = list(run)
     # from the top value down, so that each insertion leaves lower slots in place
     for pair in reversed(_ascending(points)):
         v, jump = points[pair]
+        if v is None:
+            v = Fraction(*pair)
         pos = 0  # where v sits among the line's values, counted from the lowest
         if run:
             n, on_line = _line_index(spec, v)
@@ -258,6 +254,6 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
             pos = min(max(pos, 0), len(run))
         jumps.insert(pos, jump)
         breaks.insert(pos, v)
-    # g(0) is a sum of weights over 2^L - 1, 2^L or 2^cut(0), each of which divides den
+    # g(0) is a sum of weights over (2^P - 1) * 2^L or 2^cut(0), each of which divides den
     g0, d0 = _weight_pair(spec, 0, 1)
     return StepStructure(den, g0 * (den // d0), jumps, breaks, line)

@@ -20,7 +20,6 @@ from escapepoint import (
     IntervalEnumeration,
     RatInterval,
     SpecError,
-    dyadic_tail_weight,
     dyadic_weight,
     eligible_prefix_indices,
     intervalize,
@@ -30,6 +29,7 @@ from escapepoint import (
     tail_weight_sum,
     value_at,
 )
+from test_fixpoint import memory_cap
 
 spec_indices = st.integers(min_value=0, max_value=2999)
 rationals = st.fractions(max_denominator=1000)
@@ -72,6 +72,15 @@ class TestConstruction:
         assert same == spec and hash(same) == hash(spec)
         shorter = dataclasses.replace(spec, prefix=spec.prefix[:1])
         assert shorter.prefix_pairs == ((2, 1),)
+
+    def test_block_pairs_spell_the_periodic_tail(self):
+        prefix = (F(2, 4), 3)
+        assert EnumerationSpec(prefix, Constant(F(-6, 4))).block_pairs == ((-3, 2),)
+        cycle = EnumerationSpec(prefix, Cycle())
+        assert cycle.block_pairs == cycle.prefix_pairs == ((1, 2), (3, 1))
+        assert "block_pairs" not in repr(cycle)
+        assert EnumerationSpec(prefix, Affine(1, 0)).block_pairs == ()
+        assert EnumerationSpec(prefix, Affine(0, 5)).block_pairs == ((5, 1),)  # a constant tail
 
 
 class TestValueAt:
@@ -163,6 +172,12 @@ class TestAffineCut:
         cut = math.ceil(boundary) if a > 0 else math.floor(boundary) + 1
         assert enumeration.affine_cut(spec, x) == max(length, cut)
 
+    @pytest.mark.parametrize("tail", [Constant(F(1, 2)), Cycle()])
+    def test_a_periodic_tail_is_refused(self, tail):
+        spec = EnumerationSpec((F(1, 3),), tail)
+        with pytest.raises(ValueError, match=rf"affine_cut needs an affine tail, got {type(tail).__name__}\("):
+            enumeration.affine_cut(spec, 0)
+
     def test_line_holds_the_rule_and_is_not_compared(self):
         tail = Affine(F(3, 4), F(-5, 6))
         assert tail.line == (9, -10, 12)
@@ -174,11 +189,15 @@ class TestAffineCut:
 class TestTailWeightSum:
     @given(spec_indices, rationals)
     @settings(deadline=None)
-    # cuts near 10^10 and 10^11, where the closed form's 2^cut is never built
+    # cuts near 10^10 and 10^11, past MAX_EXACT_EXPONENT: refused before 2^cut is built
     @example(566, F(5620175149))
     @example(2000, F(-11060971072))
     def test_matches_truncated_series(self, index, x):
         spec = corpus_spec(index)
+        if isinstance(spec.tail, Affine) and enumeration.affine_cut(spec, x) > MAX_EXACT_EXPONENT:
+            with memory_cap(), pytest.raises(ExponentBoundError, match="past the bound"):
+                tail_weight_sum(spec, x)
+            return
         start = len(spec.prefix)
         closed = tail_weight_sum(spec, x)
         window = range(start, start + 70)
@@ -319,10 +338,14 @@ class TestIntervalize:
             oracle.at(0, eps)
         assert asked == []
 
-    def test_lazy_dyadic_eps_is_a_typed_refusal(self):
-        eps = dyadic_tail_weight(MAX_EXACT_EXPONENT + 2)
-        with pytest.raises(ExponentBoundError):
-            intervalize(corpus_spec(0)).at(0, eps)
+    def test_eps_at_the_exponent_bound_is_exact(self):
+        # the finest eps a tail weight can be: a 2^MAX_EXACT_EXPONENT denominator
+        eps = dyadic_weight(MAX_EXACT_EXPONENT)
+        spec = corpus_spec(0)
+        for n in (0, len(spec.prefix) + 1):
+            box = intervalize(spec).at(n, eps)
+            assert box.width == eps
+            assert box.lo < value_at(spec, n) < box.hi
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus, random_spec
+from test_golden import canonical_text
 from escapepoint import escape
 from escapepoint import (
     MAX_N_KNOWN,
@@ -238,11 +239,18 @@ class TestAdjoinDemo:
         assert extended.prefix == (F(0),)
         assert after.x0 == 1
 
-    def test_needs_constant_tail(self):
-        with pytest.raises(DemoNotApplicableError, match="constant tail"):
-            adjoin_escape_demo(SPEC1)
-        with pytest.raises(DemoNotApplicableError, match="constant tail"):
-            adjoin_escape_demo(EnumerationSpec((F(0), F(1)), Cycle()))
+    def test_needs_constant_tail(self, monkeypatch):
+        computed = []
+        real = escape.compute_escape
+        monkeypatch.setattr(escape, "compute_escape", lambda spec: computed.append(spec) or real(spec))
+        # an affine tail past the exponent bound is refused as a demo, not as a computation
+        for spec in (SPEC1, EnumerationSpec((F(0), F(1)), Cycle()),
+                     EnumerationSpec((), Affine(F(1, 10**10), 0))):
+            with pytest.raises(DemoNotApplicableError, match="constant tail"):
+                adjoin_escape_demo(spec)
+        assert computed == []
+        adjoin_escape_demo(SPEC2)
+        assert len(computed) == 2  # the count sees the escapes an applicable spec computes
 
     def test_needs_headroom_above_escape_value(self):
         # x0 = 2 here, and the constant 1/4 sits far below 2 + 1
@@ -261,6 +269,39 @@ class TestAdjoinDemo:
             applicable += 1
             assert after.x0 >= before.x0 + dyadic_weight(len(spec.prefix))
         assert applicable >= 15  # the corpus must actually exercise the demo
+
+
+# corpus-like values: small ones that collide and sit in [0, 2], and wide ones
+spelled_values = st.one_of(
+    st.fractions(min_value=-1, max_value=3, max_denominator=8),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+)
+
+
+def check_one_enumeration(one: EnumerationSpec, other: EnumerationSpec, points) -> None:
+    """Two spellings of one enumeration: one weight map at every point, one escape value."""
+    assert [value_at(one, n) for n in range(40)] == [value_at(other, n) for n in range(40)]
+    for x in points:
+        assert weight_below(one, x) == weight_below(other, x), x
+    assert compute_escape(one).x0 == compute_escape(other).x0
+
+
+class TestSpellings:
+    @given(st.lists(spelled_values, min_size=1, max_size=12).map(tuple), spelled_values,
+           st.lists(st.fractions(min_value=-1, max_value=3, max_denominator=64), max_size=6))
+    @example((F(1, 2),), F(1, 2), [])
+    @example((F(0), F(3, 2)), F(3), [])
+    @settings(deadline=None)
+    def test_a_periodic_tail_spelled_two_ways(self, prefix, c, xs):
+        # the breaks of both maps, and points between them
+        points = [*xs, *prefix, c, F(0), F(2)]
+        check_one_enumeration(EnumerationSpec(prefix, Cycle()),
+                              EnumerationSpec(prefix + prefix, Cycle()), points)
+        check_one_enumeration(EnumerationSpec(prefix, Constant(c)),
+                              EnumerationSpec(prefix + (c,), Constant(c)), points)
+        lap, constant = EnumerationSpec((c,), Cycle()), EnumerationSpec((c,), Constant(c))
+        check_one_enumeration(lap, constant, points)
+        assert canonical_text(lap) == canonical_text(constant)
 
 
 class TestEnclosure:

@@ -12,7 +12,7 @@ from escapepoint import (
     Constant,
     Cycle,
     EnumerationSpec,
-    DyadicTail,
+    ExponentBoundError,
     IntervalEnumeration,
     RatInterval,
     box_classifier,
@@ -30,6 +30,7 @@ from escapepoint import (
 from escapepoint.enumeration import affine_cut
 from escapepoint.numerics import MAX_EXACT_EXPONENT
 from escapepoint.weight_map import _weight_pair, step_structure
+from test_fixpoint import memory_cap
 from test_golden import affine_grid
 
 spec_indices = st.integers(min_value=0, max_value=2999)
@@ -122,14 +123,21 @@ tail_offsets = st.one_of(st.none(), st.integers(min_value=0, max_value=80))
 
 
 def check_against_references(spec: EnumerationSpec, x: F, offset) -> None:
-    """weight_below against the set route and against a series truncated after L + 70 indices."""
+    """weight_below against the set route and against a series truncated after L + 70 indices.
+
+    An affine cut past ``MAX_EXACT_EXPONENT`` must be refused by both routes, and nothing else.
+    """
     start = len(spec.prefix)
     if offset is not None:
         x = value_at(spec, start + offset)
+    if isinstance(spec.tail, Affine) and affine_cut(spec, x) > MAX_EXACT_EXPONENT:
+        for route in (weight_below, tail_weight_sum):
+            with memory_cap(), pytest.raises(ExponentBoundError, match="past the bound"):
+                route(spec, x)
+        return
     got = weight_below(spec, x)
     reference = weight_sum(eligible_prefix_indices(spec, x)) + tail_weight_sum(spec, x)
-    # repr tells a Fraction's value and a lazy DyadicTail's base, sign and exponent
-    assert repr(got) == repr(reference)
+    assert type(got) is F and got == reference
     window = range(start + 70)
     brute = sum((dyadic_weight(n) for n in window if value_at(spec, n) < x), F(0))
     assert brute <= got <= brute + dyadic_tail_weight(window.stop)
@@ -138,7 +146,7 @@ def check_against_references(spec: EnumerationSpec, x: F, offset) -> None:
 class TestWeightBelowReferences:
     @given(spec_indices, points, tail_offsets)
     @settings(deadline=None)
-    # cuts near 10^10 and 10^11, past MAX_EXACT_EXPONENT: the DyadicTail route
+    # cuts near 10^10 and 10^11, past MAX_EXACT_EXPONENT: refused
     @example(566, F(5620175149), None)
     @example(2000, F(-11060971072), None)
     def test_corpus(self, index, x, offset):
@@ -146,20 +154,37 @@ class TestWeightBelowReferences:
 
     @given(affine_specs(), points, tail_offsets)
     @settings(deadline=None)
-    @example(EnumerationSpec((F(1, 2), F(3)), Affine(F(-1, 64), F(1, 3))), F(-10**7), None)
+    @example(EnumerationSpec((F(1, 2), F(3)), Affine(F(-1, 64), F(1, 3))), F(-10**7), None)  # refused
     def test_affine_specs(self, spec, x, offset):
         check_against_references(spec, x, offset)
 
     @pytest.mark.parametrize("slope", [F(1, 3), F(-1, 3)])
-    def test_lazy_past_the_exponent_bound(self, slope):
+    def test_refused_past_the_exponent_bound(self, slope):
         spec = EnumerationSpec((F(1, 2), F(5)), Affine(slope, 0))
         x = F(10**7) if slope > 0 else F(-10**7)
         assert affine_cut(spec, x) > MAX_EXACT_EXPONENT
-        got = weight_below(spec, x)
-        assert isinstance(got, DyadicTail)
-        # both prefix values and all but a 2^-cut sliver of the tail, or only that sliver
-        assert (F(3, 2) < got < 2) if slope > 0 else (0 < got < dyadic_weight(MAX_EXACT_EXPONENT))
         check_against_references(spec, x, None)
+
+    @pytest.mark.parametrize("slope, x", [(1, MAX_EXACT_EXPONENT), (-1, 1 - MAX_EXACT_EXPONENT)])
+    def test_exact_up_to_the_exponent_bound(self, slope, x):
+        # f(n) = n or -n from index 0, cut at x on the bound's index: exact there, refused one further
+        spec = EnumerationSpec((), Affine(slope, 0))
+        for step, cut in ((-slope, MAX_EXACT_EXPONENT - 1), (0, MAX_EXACT_EXPONENT)):
+            assert affine_cut(spec, x + step) == cut
+            tail = F(2, 2**cut)
+            assert weight_below(spec, x + step) == (2 - tail if slope > 0 else tail)
+        with memory_cap(), pytest.raises(ExponentBoundError, match=f"index {MAX_EXACT_EXPONENT + 1},"):
+            weight_below(spec, x + slope)
+
+    # a flat line is a constant tail: it has no cut, like any periodic block
+    @pytest.mark.parametrize("tail", [Constant(F(1, 2)), Cycle(), Affine(0, F(1, 2))])
+    @pytest.mark.parametrize("x", [F(10**10), F(-10**10)])
+    def test_a_periodic_tail_is_exact_at_any_x(self, tail, x):
+        spec = EnumerationSpec((F(1, 3), F(5, 3), F(1, 3)), tail)
+        assert spec.block_pairs
+        with memory_cap():
+            assert weight_below(spec, x) == (2 if x > 0 else 0)
+            check_against_references(spec, x, None)
 
 
 class TestStepStructure:
