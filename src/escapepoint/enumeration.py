@@ -61,8 +61,8 @@ __all__ = [
 # Deepest affine tail cut at 0 or at 2 that the map's closed forms accept.
 # They build 2^n for n up to the cuts, and a flat slope has about 2/|a|
 # plateaus.  Affine(1/8192, 0) (cut 16384) is inside; near the bound,
-# Affine(-1/8191, 2) takes 0.13-0.22 s and 34 MB peak in compute_escape on a
-# 2-core x86_64 VM, since its sweep tests all 16383 plateaus.
+# Affine(-1/8191, 2) takes 0.05-0.06 s and 34 MB peak in compute_escape on a
+# 2-core x86_64 VM, since its sweep decides all 16383 plateaus.
 MAX_TAIL_CUT = 1 << 14
 
 

@@ -7,12 +7,12 @@ stays below every iterate by induction).
 
 Two oracles recompute the same value through different routes and exist only
 to cross-check the descent.  Both walk ``StepStructure.plateaus``, which the
-descent and the closed-form map never read, so a fault in the walk shows as
-a disagreement:
+descent never reads; of the closed-form map it takes only the value at 2,
+the descent's first step, so a fault in the walk shows as a disagreement:
 
 * ``sup_postfix_oracle`` sweeps the map's plateau values on [0, 2] from the
-  top down, as integer pairs, and stops at the first postfixpoint, the
-  largest (the supremum construction);
+  top down, by one comparison with a break each, and stops at the first
+  postfixpoint, the largest (the supremum construction);
 * ``subset_fixpoint_oracle`` reads the map literally as a supremum over
   finite index sets: every candidate is weight_sum(S) + tail-state for a
   prefix subset S, and the largest candidate fixed by the map wins.  The map
@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Callable
 
 from .enumeration import EnumerationSpec, _affine_window, tail_weight_sum
 from .numerics import dyadic_weight
-from .weight_map import _weight_pair, step_structure, weight_below
+from .weight_map import step_structure, weight_below
 
 __all__ = [
     "SUBSET_MAX_PREFIX",
@@ -163,27 +162,22 @@ def gfp_descend(spec: EnumerationSpec) -> tuple[Fraction, FixpointTrace]:
 def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     """The escape value as a supremum: largest plateau value v with v <= map(v).
 
-    Candidates are the map's value at 2, then its plateau values on [0, 2]
-    from the top down; every jump is positive, so they descend and the first
-    postfixpoint met is the largest.  The true greatest postfixpoint is a
-    fixpoint, hence a candidate, so the sweep is exact and stops after one
-    test per distinct value above it (a repeat is not tested twice).  Each
-    candidate is an integer pair, tested against the map's unreduced pair
-    by one cross-multiplication, with no Fraction or gcd per test; only the
-    returned one becomes a Fraction.  Independent of the descent.
+    The plateau values on [0, 2] descend from the top, so the first
+    postfixpoint met is the largest; the greatest postfixpoint is a
+    fixpoint, hence a plateau value, so the sweep is exact.  Plateau k has
+    value v = T_k / den and map(v) = T_j / den, where j counts the breaks
+    below v; the T ascend strictly, so v <= map(v) exactly when k = 0 or
+    break k-1 lies below v: one integer cross-multiplication per plateau,
+    with no evaluation of the map.  Independent of the descent.
     """
     steps = step_structure(spec)
-    # each candidate lies in [0, 2], so an affine tail's cut there is at most the
-    # top index steps already built 2^top for: the map's value is never refused here
-    candidates = chain((_weight_pair(spec, 2, 1),), (steps.pair(t) for t, _ in steps.plateaus()))
-    failed_p, failed_q = -1, 1  # below every candidate
-    for p, q in candidates:
-        if p * failed_q != failed_p * q:
-            g_p, g_q = _weight_pair(spec, p, q)
-            if p * g_q <= g_p * q:
-                return Fraction(p, q)
-        failed_p, failed_q = p, q
-    raise RuntimeError("no candidate is a postfixpoint; map evaluation is inconsistent")
+    for t, k in steps.plateaus():
+        if k == 0:
+            break
+        edge = steps.at(k - 1)
+        if edge.numerator * steps.den < t * edge.denominator:
+            break
+    return steps.fraction(t)
 
 
 def subset_fixpoint_oracle(spec: EnumerationSpec) -> Fraction:

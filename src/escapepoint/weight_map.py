@@ -51,23 +51,17 @@ __all__ = [
 # More is refused.
 MAX_N_KNOWN = 1 << 16
 
-_TWO = Fraction(2)
-
 
 def weight_below(spec: EnumerationSpec, x: RationalLike) -> Fraction:
-    """Exact value of the weight map at x, as one Fraction: ``_weight_pair`` reduced once."""
-    x = as_fraction(x, "x")
-    return Fraction(*_weight_pair(spec, x.numerator, x.denominator))
-
-
-def _weight_pair(spec: EnumerationSpec, p: int, q: int) -> tuple[int, int]:
-    """The weight map at x = p/q (q > 0, p/q need not be reduced) as an unreduced pair.
+    """Exact value of the weight map at x, as one Fraction.
 
     The eligible prefix weight num / 2^L is summed by cross-multiplication,
     and ``_plus_tail`` adds the tail's, refusing an affine cut past
     ``MAX_EXACT_EXPONENT`` with ``ExponentBoundError``.
     """
-    return _plus_tail(spec, p, q, _below(spec.prefix_pairs, p, q))
+    x = as_fraction(x, "x")
+    p, q = x.numerator, x.denominator
+    return Fraction(*_plus_tail(spec, p, q, _below(spec.prefix_pairs, p, q)))
 
 
 def query_boxes(
@@ -112,7 +106,9 @@ def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], Rat
     rows: dict[tuple[int, int, int, int], int] = {}  # box.pairs -> its row
     owner = [rows.setdefault(box.pairs, len(rows)) for box in boxes]
     ends = list(rows)
-    spell = itemgetter(*owner, len(ends))  # each index's row, then one past the last row
+    # each index's row, then one past the last row; with no index, the closing 0 alone,
+    # since an itemgetter of one item returns it bare
+    spell = itemgetter(*owner, len(ends)) if owner else list
 
     def bounds(x: RationalLike) -> RatInterval:
         x = as_fraction(x, "x")
@@ -137,19 +133,20 @@ class StepStructure:
 
     For x in [0, 2]:
 
-        weight_below(spec, x) = (base + sum of jumps[k] over breaks k below x) / den
+        weight_below(spec, x) = (peak - sum of jumps[k] over breaks k at or above x) / den
 
-    ``jumps[k]`` belongs to the k-th break in ascending order.  Every jump is
-    positive, so the plateau values base, base + jumps[0], ... ascend.  A
-    break is a prefix or block value (a Fraction), or an affine tail
-    index n (an int) that stands for its value (A*n + B) / D, where
-    ``line`` = (A, B, D); ``at`` turns either into a Fraction.  ``den`` is
-    (2^P - 1) * 2^top for a periodic tail's block of P values, with top = L,
-    and 2^top for an affine tail, with top the deepest index in [0, 2].
+    The breaks are the enumerated values in [0, 2), the only ones the map
+    moves past on [0, 2], in ascending order; ``jumps[k]`` belongs to the
+    k-th and is positive.  A break is a prefix or block value (a Fraction),
+    or an affine tail index n (an int) that stands for its value
+    (A*n + B) / D, where ``line`` = (A, B, D); ``at`` turns either into a
+    Fraction.  ``den`` is (2^P - 1) * 2^top for a periodic tail's block of
+    P values, with top = L, and 2^top for an affine tail, with top the
+    deepest index in [0, 2].
     """
 
     den: int
-    base: int
+    peak: int
     jumps: list[int]
     breaks: list[Union[Fraction, int]]
     line: tuple[int, int, int]
@@ -166,17 +163,14 @@ class StepStructure:
         """Each plateau on [0, 2] from the top down, as (value numerator over den, k).
 
         Plateau k is the piece (break k-1, break k] on which the map is
-        (base + jumps[0] + ... + jumps[k-1]) / den: plateau 0 starts at 0 and
+        (peak - jumps[k] - jumps[k+1] - ...) / den: plateau 0 starts at 0 and
         is closed there, and the top plateau ends at 2.  The values descend,
         since every jump is positive.
         """
         jumps = self.jumps
-        count = len(jumps)
-        if count and self.at(count - 1) == _TWO:
-            count -= 1  # a break at 2 opens no plateau inside [0, 2]
-        total = self.base + sum(jumps[:count])
-        yield total, count
-        for k in range(count - 1, -1, -1):
+        total = self.peak
+        yield total, len(jumps)
+        for k in range(len(jumps) - 1, -1, -1):
             total -= jumps[k]
             yield total, k
 
@@ -197,13 +191,14 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     An affine tail past ``check_exponent_bound`` is refused before any step.
     Over den = (2^P - 1) * 2^top, prefix index n weighs (2^P - 1) * 2^(top-n)
     and a periodic tail's block position j, summed over its laps, weighs
-    2^(P-j+top-L); an affine tail has P = 0 and den = 2^top.  An affine tail
-    contributes one break per index whose value lands in [0, 2], found
+    2^(P-j+top-L); an affine tail has P = 0 and den = 2^top.  ``peak`` is
+    den times the map's value at 2, from ``weight_below``.  An affine tail
+    contributes one break per index whose value lands in [0, 2), found
     between the cuts at 0 and 2: at most 2/|a| + 1 indices.  Their values
     (A*n + B) / D, from the tail's ``Affine.line``, are distinct and
     monotone in n, so the run is walked as an integer progression, with no
     Fraction, hash or sort per index.  The at most L + P prefix and block
-    values in [0, 2] are keyed by their (numerator, denominator) pairs,
+    values in [0, 2) are keyed by their (numerator, denominator) pairs,
     ordered by one integer key each, and merged in by position; one that
     lands on the line adds its jump to that index's jump.
     """
@@ -211,17 +206,17 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     start = len(spec.prefix)
     block = spec.block_pairs
     line = (0, 0, 1)
-    run = range(0)  # the affine tail indices with values in [0, 2], by ascending value
+    run = range(0)  # the affine tail indices with values in [0, 2), by ascending value
     top = start
     if not block:
         line = slope, intercept, scale = spec.tail.line
         lo, hi = _affine_window(spec)
         top = max(start, hi + 1)
-        # the cuts are strict, so each end may hold one index just outside [0, 2]
+        # the cuts are strict, so each end may hold one index outside [0, 2): 2 is first if a < 0
         first, last = max(start, lo - 1), hi
-        if not 0 <= slope * first + intercept <= 2 * scale:
+        if not 0 <= slope * first + intercept < 2 * scale:
             first += 1
-        if not 0 <= slope * last + intercept <= 2 * scale:
+        if not 0 <= slope * last + intercept < 2 * scale:
             last -= 1
         run = range(first, last + 1) if slope > 0 else range(last, first - 1, -1)
     period = len(block)
@@ -233,9 +228,9 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
         zip(spec.prefix_pairs, spec.prefix, range(top, top - start, -1), repeat(lap)),
         zip(block, repeat(None), range(period + top - start, top - start, -1), repeat(1)),
     )
-    points: dict[tuple[int, int], list] = {}  # pair in [0, 2] -> [value, jump]
+    points: dict[tuple[int, int], list] = {}  # pair in [0, 2) -> [value, jump]
     for (p, q), v, shift, unit in entries:
-        if 0 <= p <= 2 * q:
+        if 0 <= p < 2 * q:
             points.setdefault((p, q), [v, 0])[1] += unit << shift
     jumps = [1 << (top - n) for n in run]
     breaks: list[Union[Fraction, int]] = list(run)
@@ -254,6 +249,6 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
             pos = min(max(pos, 0), len(run))
         jumps.insert(pos, jump)
         breaks.insert(pos, v)
-    # g(0) is a sum of weights over (2^P - 1) * 2^L or 2^cut(0), each of which divides den
-    g0, d0 = _weight_pair(spec, 0, 1)
-    return StepStructure(den, g0 * (den // d0), jumps, breaks, line)
+    # g(2) is a sum of weights over (2^P - 1) * 2^L or 2^cut(2), each of which divides den
+    g2 = weight_below(spec, 2)
+    return StepStructure(den, g2.numerator * (den // g2.denominator), jumps, breaks, line)

@@ -1,6 +1,7 @@
 import random
 import resource
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import chain
 
@@ -20,8 +21,12 @@ from escapepoint import (
     ExponentBoundError,
     FixpointTrace,
     OracleScopeError,
+    StepStructure,
+    TheoremViolationError,
+    compute_escape,
     descend_from_top,
     gfp_descend,
+    step_structure,
     subset_fixpoint_oracle,
     sup_postfix_oracle,
     value_at,
@@ -204,6 +209,20 @@ class TestOracles:
         assert subset_fixpoint_oracle(spec) == gfp_descend(spec)[0]
 
 
+def decided_plateaus(monkeypatch) -> list[tuple[int, int]]:
+    """Every plateau the sweep is handed from here on: each one it decides, in order."""
+    seen = []
+    walk = StepStructure.plateaus
+
+    def plateaus(self):
+        for plateau in walk(self):
+            seen.append(plateau)
+            yield plateau
+
+    monkeypatch.setattr(StepStructure, "plateaus", plateaus)
+    return seen
+
+
 class TestSupremumSweep:
     @pytest.mark.parametrize("seed", range(4))
     def test_stops_at_the_first_postfixpoint(self, seed, monkeypatch):
@@ -213,12 +232,10 @@ class TestSupremumSweep:
         )
         x0, _ = gfp_descend(spec)
         above = sum(1 for value in plateau_values(spec) if value > x0)
-        calls = []
-        real = fixpoint._weight_pair
-        monkeypatch.setattr(fixpoint, "_weight_pair", lambda s, p, q: calls.append((p, q)) or real(s, p, q))
+        decided = decided_plateaus(monkeypatch)
         assert sup_postfix_oracle(spec) == x0
-        # the map at 2, then one test per candidate down to x0
-        assert len(calls) <= above + 2
+        # one decision per plateau from the top down to x0's, and none past it
+        assert len(decided) == above + 1
 
     @pytest.mark.parametrize("slope", [F(1, 256), F(-1, 256)])
     @pytest.mark.parametrize("intercept", [0, 1, 2, F(1, 7)])
@@ -229,20 +246,25 @@ class TestSupremumSweep:
         # up to 513 plateaus; 1/2, 0 and 2 land on the line for most intercepts
         spec = EnumerationSpec(prefix, Affine(slope, intercept))
         x0, _ = gfp_descend(spec)
-        above = sum(1 for value in plateau_values(spec) if value > x0)
-        calls = []
-        real = fixpoint._weight_pair
-        monkeypatch.setattr(fixpoint, "_weight_pair", lambda s, p, q: calls.append((p, q)) or real(s, p, q))
+        decided = decided_plateaus(monkeypatch)
         assert sup_postfix_oracle(spec) == x0
-        # the map at 2, then one test per plateau value from the top down to
-        # x0: no fewer, so that no candidate goes untested
-        assert len(calls) == above + 2
+        # every plateau value from the top down to x0 is decided, in order: no
+        # fewer, so that no candidate goes untested
+        steps = step_structure(spec)
+        assert [steps.fraction(t) for t, _ in decided] == sorted(
+            (value for value in plateau_values(spec) if value >= x0), reverse=True
+        )
 
-    def test_map_below_every_candidate_is_an_error(self, monkeypatch):
-        # the map at x = p/q sends it to x - 1, as the pair (p - q, q)
-        monkeypatch.setattr(fixpoint, "_weight_pair", lambda spec, p, q: (p - q, q))
-        with pytest.raises(RuntimeError, match="no candidate is a postfixpoint"):
-            sup_postfix_oracle(SPEC2)
+    def test_a_corrupted_top_jump_is_caught_by_the_certificate(self, monkeypatch):
+        # SPEC2 has x0 = 1/2 below its top plateau 3/2; a top jump of 1 puts the
+        # next plateau just under 3/2, above its break 1/8, so the sweep returns it
+        def corrupted(spec):
+            steps = step_structure(spec)
+            return replace(steps, jumps=[*steps.jumps[:-1], 1])
+
+        monkeypatch.setattr(fixpoint, "step_structure", corrupted)
+        with pytest.raises(TheoremViolationError, match="descent found 1/2 but the supremum oracle found"):
+            compute_escape(SPEC2)
 
 
 def divisor_lattice(n):

@@ -29,7 +29,7 @@ from escapepoint import (
 )
 from escapepoint.enumeration import affine_cut
 from escapepoint.numerics import MAX_EXACT_EXPONENT
-from escapepoint.weight_map import _weight_pair, step_structure
+from escapepoint.weight_map import step_structure
 from test_fixpoint import memory_cap
 from test_golden import affine_grid
 
@@ -63,10 +63,10 @@ def corpus_spec(index: int) -> EnumerationSpec:
 
 
 def profile(spec: EnumerationSpec) -> tuple[F, tuple[tuple[F, F], ...]]:
-    """The map's value at 0 and its ascending (break, jump) pairs, from step_structure."""
+    """The map's value at 2 and its ascending (break, jump) pairs, from step_structure."""
     steps = step_structure(spec)
     breaks = tuple((steps.at(k), steps.fraction(jump)) for k, jump in enumerate(steps.jumps))
-    return steps.fraction(steps.base), breaks
+    return steps.fraction(steps.peak), breaks
 
 
 def walk_plateaus(spec: EnumerationSpec) -> list[tuple[F, int]]:
@@ -188,35 +188,36 @@ class TestWeightBelowReferences:
 
 
 class TestStepStructure:
-    def test_base_is_value_at_zero(self):
+    def test_peak_is_value_at_two(self):
         for spec in build_corpus(60):
-            base, _ = profile(spec)
-            assert base == weight_below(spec, F(0))
+            peak, breaks = profile(spec)
+            assert peak == weight_below(spec, F(2))
+            assert peak - sum(jump for _, jump in breaks) == weight_below(spec, F(0))
 
     def test_breaks_sorted_with_positive_jumps(self):
         for spec in build_corpus(60):
             _, breaks = profile(spec)
             ats = [at for at, _ in breaks]
             assert ats == sorted(set(ats))
-            assert all(0 <= at <= 2 for at in ats)
+            assert all(0 <= at < 2 for at in ats)
             assert all(jump > 0 for _, jump in breaks)
 
     def test_reconstructs_the_map(self):
         # the step structure must reproduce weight_below across [0, 2],
         # including exactly at the breakpoints (strict eligibility)
         for spec in build_corpus(60, seed=4):
-            base, breaks = profile(spec)
+            peak, breaks = profile(spec)
             probes = {F(0), F(2), F(1, 3)}
             for at, _ in breaks:
                 probes.update({at, min(F(2), at + F(1, 10**6))})
             for x in probes:
-                rebuilt = base + sum((j for at, j in breaks if at < x), F(0))
+                rebuilt = peak - sum((j for at, j in breaks if at >= x), F(0))
                 assert rebuilt == weight_below(spec, x), (spec, x)
 
     def test_affine_break_count_tracks_slope(self):
         spec = EnumerationSpec(prefix=(), tail=Affine(F(1, 16), 0))
         _, breaks = profile(spec)
-        assert len(breaks) == 33  # values k/16 in [0, 2]
+        assert len(breaks) == 32  # values k/16 in [0, 2)
 
     @given(affine_specs())
     @settings(deadline=None)
@@ -226,26 +227,26 @@ class TestStepStructure:
         jumps = {}
         for n in range(hi + 1):
             v = value_at(spec, n)
-            if 0 <= v <= 2:
+            if 0 <= v < 2:
                 jumps[v] = jumps.get(v, F(0)) + dyadic_weight(n)
-        assert profile(spec) == (weight_below(spec, F(0)), tuple(sorted(jumps.items())))
+        assert profile(spec) == (weight_below(spec, F(2)), tuple(sorted(jumps.items())))
 
     def test_negative_slope_lands_on_both_ends(self):
-        # f(n) = 2 - n/4 takes the value 2 at n = 0 and 0 at n = 8
+        # f(n) = 2 - n/4 takes the value 2 at n = 0, which is no break, and 0 at n = 8
         spec = EnumerationSpec(prefix=(), tail=Affine(F(-1, 4), 2))
-        base, breaks = profile(spec)
-        assert [at for at, _ in breaks] == [F(k, 4) for k in range(9)]
+        peak, breaks = profile(spec)
+        assert [at for at, _ in breaks] == [F(k, 4) for k in range(8)]
         for x in [F(k, 8) for k in range(17)]:
-            rebuilt = base + sum((j for at, j in breaks if at < x), F(0))
+            rebuilt = peak - sum((j for at, j in breaks if at >= x), F(0))
             assert rebuilt == weight_below(spec, x), x
 
 
 class TestPlateaus:
     def test_breaks_at_both_ends(self):
-        # f(n) = 2 - n/4 has breaks k/4 for k = 0..8; the one at 2 opens no
-        # plateau and the one at 0 closes plateau 0 at [0, 0]
+        # f(n) = 2 - n/4 takes k/4 for k = 0..8; the value 2 is no break, since
+        # the map moves only past values below 2, and 0 closes plateau 0 at [0, 0]
         spec = EnumerationSpec(prefix=(), tail=Affine(F(-1, 4), 2))
-        assert len(step_structure(spec).jumps) == 9
+        assert len(step_structure(spec).jumps) == 8
         walk = walk_plateaus(spec)
         assert [k for _, k in walk] == list(range(8, -1, -1))
         assert walk[0][0] == weight_below(spec, F(2)) == 1
@@ -268,45 +269,30 @@ specs_of_every_kind = st.one_of(
     st.builds(lambda p, c: EnumerationSpec(tuple(p), Constant(c)), st.lists(small_values, max_size=8), small_values),
     st.lists(small_values, min_size=1, max_size=8).map(lambda p: EnumerationSpec(tuple(p), Cycle())),
 )
-# scale factors for an unreduced x = k*p / k*q, powers of two among them
-scales = st.one_of(st.integers(min_value=1, max_value=10**12), st.integers(0, 80).map(lambda e: 1 << e))
 
 
-def core_points(spec: EnumerationSpec) -> set[F]:
-    """0, 2, the breaks, the plateau values the sweep tests, and enumerated values in and out of [0, 2]."""
-    steps = step_structure(spec)
-    breaks = {steps.at(k) for k in range(len(steps.jumps))}
-    plateaus = {steps.fraction(t) for t, _ in steps.plateaus()}
-    enumerated = {value_at(spec, n) for n in range(len(spec.prefix) + 4)}
-    return {F(0), F(2)} | breaks | plateaus | enumerated
-
-
-def check_weight_pair(spec: EnumerationSpec, scale) -> None:
-    """The integer core at every core point, scaled by ``scale(x)``, against weight_below."""
+def check_plateau_pairs(spec: EnumerationSpec) -> None:
+    """Each plateau value as ``StepStructure.pair`` gives it: its value, with no two left in common."""
     steps = step_structure(spec)
     for t, _ in steps.plateaus():
         p, q = steps.pair(t)
-        assert F(p, q) == steps.fraction(t) and (p | q) & 1  # no two left in common
-    for x in core_points(spec):
-        k = scale(x)
-        assert F(*_weight_pair(spec, k * x.numerator, k * x.denominator)) == weight_below(spec, x), (spec, x, k)
+        assert F(p, q) == F(t, steps.den) and (p | q) & 1, (spec, t)
 
 
-class TestWeightPair:
-    @given(spec_indices, scales)
+class TestPlateauPairs:
+    @given(spec_indices)
     @settings(deadline=None)
-    def test_corpus(self, index, k):
-        check_weight_pair(corpus_spec(index), lambda x: k)
+    def test_corpus(self, index):
+        check_plateau_pairs(corpus_spec(index))
 
     def test_affine_grid(self):
-        rng = random.Random(14)
         for spec in affine_grid():
-            check_weight_pair(spec, lambda x: rng.choice([1, 3, 1 << rng.randint(1, 64), rng.randint(2, 10**9)]))
+            check_plateau_pairs(spec)
 
-    @given(specs_of_every_kind, scales)
+    @given(specs_of_every_kind)
     @settings(deadline=None)
-    def test_specs_of_every_kind(self, spec, k):
-        check_weight_pair(spec, lambda x: k)
+    def test_specs_of_every_kind(self, spec):
+        check_plateau_pairs(spec)
 
 
 def queried_bounds(ienum, n_known, eps, x) -> RatInterval:
@@ -432,6 +418,11 @@ class TestBoxClassifier:
         bounds = box_classifier(boxes)
         for z in [x, *more]:
             assert bounds(z) == reference_bounds(boxes, z)
+
+    @pytest.mark.parametrize("x", [F(-1), F(0), F(1), F(3)])
+    def test_no_boxes_bound_the_map_by_0_and_2(self, x):
+        # with top = 0 every index is unqueried, 2^(1 - 0) in all
+        assert box_classifier(())(x) == RatInterval(F(0), F(2))
 
     def test_rejects_float_x(self):
         with pytest.raises(TypeError):
