@@ -299,12 +299,13 @@ class IntervalEnumeration:
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"enumeration index must be a natural number, got {n!r}")
         eps = as_fraction(eps, "eps")
-        if eps.numerator <= 0:
+        e, d = eps.numerator, eps.denominator
+        if e <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
         box = self.oracle(n, eps)
         lo_p, lo_q, hi_p, hi_q = box.pairs
         # hi - lo > eps, cross-multiplied over the three positive denominators
-        if (hi_p * lo_q - lo_p * hi_q) * eps.denominator > eps.numerator * hi_q * lo_q:
+        if (hi_p * lo_q - lo_p * hi_q) * d > e * hi_q * lo_q:
             raise ValueError(f"interval oracle broke its width contract at n={n}: {box}")
         return box
 
@@ -322,35 +323,49 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
     min(jitter, half) is k/(g*f), k = min(j*f, e*g), and half is e*g/(g*f).
     An affine tail's pair (A*n + B, D) need not be reduced; the endpoints are.
 
-    A box depends only on (p, q, k) at one eps.  The prefix and a periodic
-    tail's block of P values take at most L + P values, so their boxes are
-    built once and the same immutable box is returned again; they are kept
-    for the last eps asked only, at most 2(L + P) of them.  An affine tail's
-    boxes are built on each query and never kept.
+    e, f and k are worked out once per eps.  A box depends only on
+    (p, q, k), and past the prefix a periodic tail's index n repeats both
+    its value and the sign of its skew with period W = lcm(P, 2), the sign
+    following n's parity.  So the prefix and the tail answer from L + W
+    slots, slot n for n < L and L + (n - L) mod W after that.  A slot is
+    filled on its first query with the box of its (p, q, k), built once and
+    shared by every slot with that triple; all are kept for the last eps
+    asked only.  An affine tail's boxes are built on each query and never
+    kept.
     """
     jitter = as_fraction(jitter, "jitter")
     if jitter < 0:
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
     j, g = jitter.numerator, jitter.denominator
-    start, affine = len(spec.prefix), not spec.block_pairs
+    start, period = len(spec.prefix), len(spec.block_pairs)
+    wrap = math.lcm(period, 2) if period else 0  # no slot past the prefix for an affine tail
+    at_eps = e = f = k = None  # the eps last asked, and its e, f and even-index skew k
+    slots: list = []
     kept: dict[tuple[int, int, int], RatInterval] = {}
-    kept_at = (0, 0)  # (e, f) of the eps whose boxes ``kept`` holds
 
     def oracle(n: int, eps: Fraction) -> RatInterval:
-        nonlocal kept_at
-        p, q = _pair_at(spec, n)
-        e, f = eps.numerator, 2 * eps.denominator
-        k = j * f if j * f < e * g else e * g
-        if n % 2:
-            k = -k
-        if affine and n >= start:
-            return _box(p, q, k, e, f, g)
-        if (e, f) != kept_at:
-            kept.clear()
-            kept_at = (e, f)
-        box = kept.get((p, q, k))
+        nonlocal at_eps, e, f, k, slots
+        if eps is not at_eps:
+            if eps != at_eps:
+                e, f = eps.numerator, 2 * eps.denominator
+                k = j * f if j * f < e * g else e * g
+                slots = [None] * (start + wrap)
+                kept.clear()
+            at_eps = eps
+        slot = n
+        if n >= start:
+            if not wrap:
+                p, q = _pair_at(spec, n)
+                return _box(p, q, -k if n % 2 else k, e, f, g)
+            slot = start + (n - start) % wrap
+        box = slots[slot]
         if box is None:
-            box = kept[p, q, k] = _box(p, q, k, e, f, g)
+            p, q = _pair_at(spec, n)
+            skew = -k if n % 2 else k
+            box = kept.get((p, q, skew))
+            if box is None:
+                box = kept[p, q, skew] = _box(p, q, skew, e, f, g)
+            slots[slot] = box
         return box
 
     return IntervalEnumeration(oracle)
@@ -359,7 +374,7 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
 def _box(p: int, q: int, k: int, e: int, f: int, g: int) -> RatInterval:
     """The box of value p/q skewed by k/(g*f), of half width e/f: see ``intervalize``."""
     center, half, den = p * g * f + k * q, e * g * q, q * g * f
-    return RatInterval(Fraction(center - half, den), Fraction(center + half, den))
+    return RatInterval.of_pairs(center - half, den, center + half, den)
 
 
 # -- text format ------------------------------------------------------------

@@ -174,8 +174,8 @@ def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     for t, k in steps.plateaus():
         if k == 0:
             break
-        edge = steps.at(k - 1)
-        if edge.numerator * steps.den < t * edge.denominator:
+        p, q = steps.edge(k - 1)
+        if p * steps.den < t * q:
             break
     return steps.fraction(t)
 

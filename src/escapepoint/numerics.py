@@ -9,9 +9,11 @@ on output.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Union
 
 __all__ = [
@@ -106,34 +108,64 @@ def weight_sum(indices: Iterable[int]) -> Fraction:
     return Fraction(sum(1 << (top - n) for n in distinct), 1 << top)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class RatInterval:
     """Closed interval [lo, hi] with exact rational endpoints, lo <= hi.
 
-    ``pairs`` = (lo_p, lo_q, hi_p, hi_q) holds both endpoints as integers, read once here.
+    ``pairs`` = (lo_p, lo_q, hi_p, hi_q) is the only stored form: both
+    endpoints reduced, with positive denominators, so ``==`` and ``hash``
+    compare them.  ``width``, ``in`` and ``encloses`` decide on the pairs by
+    cross-multiplication; ``lo`` and ``hi`` are Fractions built on first read.
     """
 
-    lo: Fraction
-    hi: Fraction
-    pairs: tuple[int, int, int, int] = field(init=False, compare=False, repr=False)
+    pairs: tuple[int, int, int, int]
 
-    def __post_init__(self) -> None:
-        lo, hi = as_fraction(self.lo, "lo"), as_fraction(self.hi, "hi")
-        pairs = lo_p, lo_q, hi_p, hi_q = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        if lo_p * hi_q > hi_p * lo_q:
-            raise ValueError(f"empty interval: lo {lo} > hi {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(self, lo: RationalLike, hi: RationalLike) -> None:
+        lo, hi = as_fraction(lo, "lo"), as_fraction(hi, "hi")
+        _refuse_empty(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        object.__setattr__(self, "pairs", (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+        self.__dict__.update(lo=lo, hi=hi)  # already built: the first read finds them
+
+    @classmethod
+    def of_pairs(cls, lo_p: int, lo_q: int, hi_p: int, hi_q: int) -> "RatInterval":
+        """[lo_p/lo_q, hi_p/hi_q] from integer pairs, denominators positive, reduced here."""
+        if lo_q <= 0 or hi_q <= 0:
+            raise ValueError(f"denominators must be positive, got {lo_q} and {hi_q}")
+        _refuse_empty(lo_p, lo_q, hi_p, hi_q)
+        box = object.__new__(cls)
+        g, h = math.gcd(lo_p, lo_q), math.gcd(hi_p, hi_q)
+        object.__setattr__(box, "pairs", (lo_p // g, lo_q // g, hi_p // h, hi_q // h))
+        return box
+
+    @cached_property
+    def lo(self) -> Fraction:
+        return Fraction(self.pairs[0], self.pairs[1])
+
+    @cached_property
+    def hi(self) -> Fraction:
+        return Fraction(self.pairs[2], self.pairs[3])
+
+    def __repr__(self) -> str:
+        return f"RatInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        lo_p, lo_q, hi_p, hi_q = self.pairs
+        return Fraction(hi_p * lo_q - lo_p * hi_q, hi_q * lo_q)
 
     def __contains__(self, value: RationalLike) -> bool:
         value = as_fraction(value)
-        return self.lo <= value <= self.hi
+        p, q = value.numerator, value.denominator
+        lo_p, lo_q, hi_p, hi_q = self.pairs
+        return lo_p * q <= p * lo_q and p * hi_q <= hi_p * q
 
     def encloses(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        lo_p, lo_q, hi_p, hi_q = self.pairs
+        in_lo_p, in_lo_q, in_hi_p, in_hi_q = other.pairs
+        return lo_p * in_lo_q <= in_lo_p * lo_q and in_hi_p * hi_q <= hi_p * in_hi_q
 
+
+def _refuse_empty(lo_p: int, lo_q: int, hi_p: int, hi_q: int) -> None:
+    """Raise ``ValueError`` if lo_p/lo_q > hi_p/hi_q, both denominators positive."""
+    if lo_p * hi_q > hi_p * lo_q:
+        raise ValueError(f"empty interval: lo {Fraction(lo_p, lo_q)} > hi {Fraction(hi_p, hi_q)}")

@@ -47,7 +47,7 @@ __all__ = [
 
 # Most indices one bound map or enclosure may query; its tail allowance is 2^(1 - n_known).
 # An enclosure holds the boxes, a classifier row per distinct box and a row number per index:
-# 2 MB traced at this bound for a cycle tail, 30 MB for an affine tail, whose boxes all differ.
+# 2 MB traced at this bound for a cycle tail, 24 MB for an affine tail, whose boxes all differ.
 # More is refused.
 MAX_N_KNOWN = 1 << 16
 
@@ -57,11 +57,16 @@ def weight_below(spec: EnumerationSpec, x: RationalLike) -> Fraction:
 
     The eligible prefix weight num / 2^L is summed by cross-multiplication,
     and ``_plus_tail`` adds the tail's, refusing an affine cut past
-    ``MAX_EXACT_EXPONENT`` with ``ExponentBoundError``.
+    ``MAX_EXACT_EXPONENT`` with ``ExponentBoundError``.  A cycle's block is
+    its prefix, so its block sum is num again, and the map is
+    (num * (2^L - 1) + num) / ((2^L - 1) * 2^L) = num / (2^L - 1).
     """
     x = as_fraction(x, "x")
     p, q = x.numerator, x.denominator
-    return Fraction(*_plus_tail(spec, p, q, _below(spec.prefix_pairs, p, q)))
+    num = _below(spec.prefix_pairs, p, q)
+    if spec.prefix and spec.block_pairs is spec.prefix_pairs:  # a cycle; with no prefix, () is () too
+        return Fraction(num, (1 << len(spec.prefix)) - 1)
+    return Fraction(*_plus_tail(spec, p, q, num))
 
 
 def query_boxes(
@@ -122,7 +127,7 @@ def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], Rat
         digits = bytes(spell(sides))
         lower = int(digits.translate(_LOWER), 2)
         upper = int(digits.translate(_UPPER), 2)
-        return RatInterval(Fraction(lower, 1 << top), Fraction(upper + 2, 1 << top))
+        return RatInterval.of_pairs(lower, 1 << top, upper + 2, 1 << top)
 
     return bounds
 
@@ -139,10 +144,10 @@ class StepStructure:
     moves past on [0, 2], in ascending order; ``jumps[k]`` belongs to the
     k-th and is positive.  A break is a prefix or block value (a Fraction),
     or an affine tail index n (an int) that stands for its value
-    (A*n + B) / D, where ``line`` = (A, B, D); ``at`` turns either into a
-    Fraction.  ``den`` is (2^P - 1) * 2^top for a periodic tail's block of
-    P values, with top = L, and 2^top for an affine tail, with top the
-    deepest index in [0, 2].
+    (A*n + B) / D, where ``line`` = (A, B, D); ``edge`` turns either into
+    an integer pair and ``at`` into a Fraction.  ``den`` is
+    (2^P - 1) * 2^top for a periodic tail's block of P values, with top = L,
+    and 2^top for an affine tail, with top the deepest index in [0, 2].
     """
 
     den: int
@@ -151,13 +156,18 @@ class StepStructure:
     breaks: list[Union[Fraction, int]]
     line: tuple[int, int, int]
 
-    def at(self, k: int) -> Fraction:
-        """The enumerated value at the k-th break."""
+    def edge(self, k: int) -> tuple[int, int]:
+        """The enumerated value at the k-th break as (p, q), q > 0; unreduced on the line."""
         point = self.breaks[k]
         if isinstance(point, int):
             slope, intercept, scale = self.line
-            return Fraction(slope * point + intercept, scale)
-        return point
+            return slope * point + intercept, scale
+        return point.numerator, point.denominator
+
+    def at(self, k: int) -> Fraction:
+        """The enumerated value at the k-th break."""
+        point = self.breaks[k]
+        return point if isinstance(point, Fraction) else Fraction(*self.edge(k))
 
     def plateaus(self) -> Iterator[tuple[int, int]]:
         """Each plateau on [0, 2] from the top down, as (value numerator over den, k).

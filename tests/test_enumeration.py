@@ -422,6 +422,21 @@ class TestKeptBoxes:
         assert oracle.at(15, eps) is odd
         assert (odd == even) == (jitter == 0)
 
+    @pytest.mark.parametrize("spec", [
+        EnumerationSpec((F(1, 3), F(5, 2)), Constant(F(1, 3))),
+        EnumerationSpec((F(1, 3), F(5, 2), F(-1, 7)), Cycle()),
+        EnumerationSpec((F(2),) * 5, Cycle()),
+    ], ids=["constant P=1", "cycle P=3", "cycle P=5 of one value"])
+    def test_an_odd_period_repeats_its_skew_every_two_laps(self, spec):
+        # the skew's sign follows n's parity, so with P odd, index n and n + P differ
+        oracle = intervalize(spec, F(1, 1000))
+        start, period, eps = len(spec.prefix), len(spec.block_pairs), F(1, 128)
+        for i in range(2 * period):
+            first = oracle.at(start + i, eps)
+            assert oracle.at(start + i + period, eps) != first
+            assert oracle.at(start + i + 2 * period, eps) is first
+            assert oracle.at(start + i + 6 * period, eps) is first
+
     def test_affine_tail_boxes_are_not_kept(self):
         spec = EnumerationSpec((F(1, 2),), Affine(F(1, 3), F(-7, 5)))
         oracle = intervalize(spec, F(1, 1000))

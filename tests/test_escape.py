@@ -313,6 +313,21 @@ class TestEnclosure:
         finer = enclose_escape_traced(intervalize(SPEC1), 8, F(1, 100))[0]
         assert (finer.lo, finer.hi) == (F(3, 2), F(193, 128))
 
+    def test_queried_boxes_build_no_endpoint(self, monkeypatch):
+        # an affine tail's boxes all differ; enclosing reads only their integer pairs
+        spec = EnumerationSpec((F(3, 2), F(1, 8)), Affine(F(1, 3), F(1, 2)))
+        asked = []
+
+        def recording(*args):
+            boxes = tuple(query_boxes(*args))
+            asked.extend(boxes)
+            return iter(boxes)
+
+        monkeypatch.setattr(escape, "query_boxes", recording)
+        enc = enclose_escape_traced(intervalize(spec), 4096, F(1, 128))[0]
+        assert len(asked) == 4096 and enc.lo <= compute_escape(spec).x0 <= enc.hi
+        assert [n for n, box in enumerate(asked) if {"lo", "hi"} & vars(box).keys()] == []
+
     def test_boundary_value_keeps_upper_at_top(self):
         # the constant tail value 2 sits on the domain edge: no finite-width
         # query can certify it is not below 2, so the upper bound stays there

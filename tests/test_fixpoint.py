@@ -255,6 +255,30 @@ class TestSupremumSweep:
             (value for value in plateau_values(spec) if value >= x0), reverse=True
         )
 
+    @pytest.mark.parametrize("spec", [
+        EnumerationSpec((), Affine(F(-1, 256), 2)),
+        EnumerationSpec((F(1, 2), F(2), F(0)), Affine(F(-1, 256), F(15, 7))),
+        EnumerationSpec(tuple(F(n, 40) for n in range(80, 0, -1)), Cycle()),
+    ], ids=["line", "line with prefix", "cycle of 80"])
+    def test_builds_no_fraction_per_break(self, spec, monkeypatch):
+        x0, _ = gfp_descend(spec)
+        steps = step_structure(spec)
+        monkeypatch.setattr(fixpoint, "step_structure", lambda _: steps)
+        decided = decided_plateaus(monkeypatch)
+        built = []
+        construct = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return construct(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counting))
+        found = sup_postfix_oracle(spec)
+        monkeypatch.undo()
+        assert found == x0 and len(decided) > 60
+        # each break is compared as an integer pair; only the returned value becomes a Fraction
+        assert len(built) == 1
+
     def test_a_corrupted_top_jump_is_caught_by_the_certificate(self, monkeypatch):
         # SPEC2 has x0 = 1/2 below its top plateau 3/2; a top jump of 1 puts the
         # next plateau just under 3/2, above its break 1/8, so the sweep returns it

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -151,3 +153,45 @@ class TestRatInterval:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             RatInterval(0.1, 0.2)
+
+    @given(
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=60),
+    )
+    @example(0, 5, 0, 3, 4, 7)  # zero numerators, denominators not 1
+    @example(-4, 6, 6, 4, 1, 1)  # unreduced and negative as drawn
+    @example(2, 3, 1, 3, 5, 5)  # lo above hi
+    def test_of_pairs_is_the_fraction_constructor(self, a, b, c, d, s, t):
+        lo, hi = F(a, b), F(c, d)
+        pairs = (a * s, b * s, c * t, d * t)  # unreduced as drawn, or once scaled
+        if lo > hi:
+            for refused in (lambda: RatInterval.of_pairs(*pairs), lambda: RatInterval(lo, hi)):
+                with pytest.raises(ValueError, match=re.escape(f"empty interval: lo {lo} > hi {hi}")):
+                    refused()
+            return
+        got, want = RatInterval.of_pairs(*pairs), RatInterval(lo, hi)
+        assert got.pairs == want.pairs == (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want) == f"RatInterval(lo={lo!r}, hi={hi!r})"
+        assert (got.lo, got.hi) == (lo, hi) and type(got.lo) is type(got.hi) is F
+
+    @pytest.mark.parametrize("pairs", [(0, 0, 1, 1), (0, 1, 1, 0), (1, -2, 1, 1), (0, 1, -1, -2)])
+    def test_of_pairs_refuses_a_nonpositive_denominator(self, pairs):
+        with pytest.raises(ValueError, match="denominators must be positive"):
+            RatInterval.of_pairs(*pairs)
+
+    def test_predicates_read_only_the_pairs(self):
+        box, point = RatInterval.of_pairs(2, 8, 6, 8), RatInterval.of_pairs(3, 6, 1, 2)
+        assert box.width == F(1, 2) and type(box.width) is F and point.width == 0
+        assert F(1, 2) in box and 0 not in box and F(1, 4) in box and F(3, 4) in box
+        assert box.encloses(point) and box.encloses(box) and not point.encloses(box)
+        # no endpoint was built to decide
+        assert "lo" not in vars(box) and "hi" not in vars(box)
+        assert "lo" not in vars(point) and "hi" not in vars(point)
+
+    def test_fields_are_the_pairs_alone(self):
+        assert [field.name for field in dataclasses.fields(RatInterval)] == ["pairs"]

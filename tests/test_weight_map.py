@@ -27,6 +27,7 @@ from escapepoint import (
     weight_below,
     weight_sum,
 )
+from escapepoint import enumeration, weight_map
 from escapepoint.enumeration import affine_cut
 from escapepoint.numerics import MAX_EXACT_EXPONENT
 from escapepoint.weight_map import step_structure
@@ -115,6 +116,31 @@ class TestWeightBelow:
         if 0 <= v < 2:
             y = min(F(2), v + F(1, 10**9))
             assert weight_below(spec, y) >= weight_below(spec, v) + dyadic_weight(n)
+
+    @pytest.mark.parametrize("tail, walked", [
+        (Cycle(), [9]),  # the block is the prefix: its sum is the prefix's
+        (Constant(F(1, 3)), [9, 1]),
+        (Affine(F(1, 3), 0), [9]),
+    ], ids=["cycle", "constant", "affine"])
+    def test_walks_a_cycle_once(self, tail, walked, monkeypatch):
+        spec = EnumerationSpec(tuple(F(n, 7) for n in range(9)), tail)
+        sizes = []
+        walk = enumeration._below
+
+        def counting(pairs, p, q):
+            sizes.append(len(pairs))
+            return walk(pairs, p, q)
+
+        monkeypatch.setattr(enumeration, "_below", counting)
+        monkeypatch.setattr(weight_map, "_below", counting)
+        for x in (F(-1), F(0), F(4, 7), F(13, 14), F(2), F(3)):
+            sizes.clear()
+            got = weight_below(spec, x)
+            assert sizes == walked
+            sizes.clear()
+            # the tail alone still walks a periodic block
+            assert got == weight_sum(eligible_prefix_indices(spec, x)) + tail_weight_sum(spec, x)
+            assert sizes == ([len(spec.block_pairs)] if spec.block_pairs else [])
 
 
 # x inside and outside [0, 2]; a tail offset, when drawn, moves x onto the tail value there
