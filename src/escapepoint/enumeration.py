@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Collection, Union
+from typing import Callable, Collection, Optional, Union
 
 from .numerics import (
     MAX_EXACT_EXPONENT,
@@ -61,8 +61,8 @@ __all__ = [
 # Deepest affine tail cut at 0 or at 2 that the map's closed forms accept.
 # They build 2^n for n up to the cuts, and a flat slope has about 2/|a|
 # plateaus.  Affine(1/8192, 0) (cut 16384) is inside; near the bound,
-# Affine(-1/8191, 2) takes 0.05-0.06 s and 34 MB peak in compute_escape on a
-# 2-core x86_64 VM, since its sweep decides all 16383 plateaus.
+# Affine(-1/8191, 2) takes 0.026-0.027 s in compute_escape on a 2-core x86_64
+# VM, as its sweep decides all 16383 plateaus, and peaks at 0.02 MB traced.
 MAX_TAIL_CUT = 1 << 14
 
 
@@ -117,12 +117,15 @@ class EnumerationSpec:
     the periodic tail's block in the same form: f(n) = block[(n - L) mod P]
     for n >= L.  It is (c,) for ``Constant(c)``, ``prefix_pairs`` for
     ``Cycle()``, and empty for an affine tail, whose rule is its line.
+    ``window`` is an affine tail's cuts at 0 and at 2, the smaller first,
+    taken here once and nowhere else; None for a periodic tail.
     """
 
     prefix: tuple[Fraction, ...]
     tail: TailRule
     prefix_pairs: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
     block_pairs: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    window: Optional[tuple[int, int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         values = tuple(as_fraction(v, f"prefix[{i}]") for i, v in enumerate(self.prefix))
@@ -142,6 +145,8 @@ class EnumerationSpec:
             raise SpecError(f"unknown tail rule {tail!r}")
         for name, value in (("prefix", values), ("tail", tail), ("prefix_pairs", pairs), ("block_pairs", block)):
             object.__setattr__(self, name, value)
+        window = None if block else tuple(sorted((_cut(self, 0, 1), _cut(self, 2, 1))))
+        object.__setattr__(self, "window", window)
 
 
 def value_at(spec: EnumerationSpec, n: int) -> Fraction:
@@ -198,31 +203,23 @@ def _cut(spec: EnumerationSpec, p: int, q: int) -> int:
     return max(len(spec.prefix), cut)
 
 
-def _affine_window(spec: EnumerationSpec) -> tuple[int, int]:
-    """The affine tail's cuts at 0 and at 2, the smaller first."""
-    lo, hi = sorted((affine_cut(spec, 0), affine_cut(spec, 2)))
-    return lo, hi
+def _line_index(spec: EnumerationSpec, p: int, q: int) -> tuple[int, bool]:
+    """The index n where an affine tail may take the value p/q, q > 0, and whether a*n + b = p/q.
 
-
-def _line_index(spec: EnumerationSpec, v: Fraction) -> tuple[int, bool]:
-    """The index n where an affine tail may take the value v, and whether a*n + b = v.
-
-    n is the cut at v (a > 0) or the index before it (a < 0), so it can be L - 1.
+    n is the cut at p/q (a > 0) or the index before it (a < 0), so it can be L - 1.
     """
     slope, intercept, scale = spec.tail.line
-    n = affine_cut(spec, v) - (slope < 0)
-    return n, v.numerator * scale == v.denominator * (slope * n + intercept)
+    n = _cut(spec, p, q) - (slope < 0)
+    return n, p * scale == q * (slope * n + intercept)
 
 
 def check_exponent_bound(spec: EnumerationSpec) -> None:
     """Raise ``ExponentBoundError`` if an affine tail's cut at 0 or 2 lies past ``MAX_TAIL_CUT``."""
-    if not spec.block_pairs:
-        cut = _affine_window(spec)[1]
-        if cut > MAX_TAIL_CUT:
-            raise ExponentBoundError(
-                f"the affine tail crosses [0, 2] at index {cut}, past the bound "
-                f"{MAX_TAIL_CUT} on dyadic exponents"
-            )
+    if spec.window and spec.window[1] > MAX_TAIL_CUT:
+        raise ExponentBoundError(
+            f"the affine tail crosses [0, 2] at index {spec.window[1]}, past the bound "
+            f"{MAX_TAIL_CUT} on dyadic exponents"
+        )
 
 
 def _ascending(pairs: Collection[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -280,7 +277,7 @@ def tail_hits(spec: EnumerationSpec, v: RationalLike) -> bool:
     v = as_fraction(v, "v")
     if spec.block_pairs:
         return (v.numerator, v.denominator) in spec.block_pairs
-    n, on_line = _line_index(spec, v)
+    n, on_line = _line_index(spec, v.numerator, v.denominator)
     return on_line and n >= len(spec.prefix)
 
 

@@ -33,9 +33,9 @@ from .enumeration import (
     IntervalEnumeration,
     SpecError,
     _ascending,
+    _cut,
     _expect_keys,
     _rational_at,
-    affine_cut,
     check_exponent_bound,
     tail_hits,
     value_at,
@@ -141,11 +141,15 @@ def _tail_verdicts(spec: EnumerationSpec, x0: Fraction, distinct: dict) -> list[
             verdicts.append(_compare(x0, "tail", Fraction(*pair)) if first is None
                             else Verdict("tail", first.value, first.relation, first.gap))
         return verdicts
-    # closest approach of a*n + b to x0 over integer n >= start: the tail
-    # crosses x0 between the cut and the index before it
-    cut = affine_cut(spec, x0)
-    near = (_compare(x0, n, value_at(spec, n)) for n in sorted({max(start, cut - 1), cut}))
-    return [min(near, key=lambda v: (v.gap, v.relation != "below"))]
+    # closest approach of a*n + b to x0 = num/d over integer n >= start: the tail
+    # crosses x0 between the cut and the index before it.  Both gaps are over D*d,
+    # so their numerators |(A*n + B)*d - num*D| decide, and a tie goes to the value below
+    slope, intercept, scale = spec.tail.line
+    num, d = x0.numerator, x0.denominator
+    cut = _cut(spec, num, d)
+    diffs = {n: (slope * n + intercept) * d - num * scale for n in (max(start, cut - 1), cut)}
+    n = min(diffs, key=lambda n: (abs(diffs[n]), diffs[n] > 0))
+    return [_compare(x0, n, value_at(spec, n))]
 
 
 def _compare(x0: Fraction, where: Union[int, str], value: Fraction) -> Verdict:

@@ -8,7 +8,9 @@ stays below every iterate by induction).
 Two oracles recompute the same value through different routes and exist only
 to cross-check the descent.  Both walk ``StepStructure.plateaus``, which the
 descent never reads; of the closed-form map it takes only the value at 2,
-the descent's first step, so a fault in the walk shows as a disagreement:
+the descent's first step, so a fault in the walk shows as a disagreement.
+The walk merges the affine run and the prefix and block points from the
+top down as it is iterated, so neither oracle holds a list of breaks:
 
 * ``sup_postfix_oracle`` sweeps the map's plateau values on [0, 2] from the
   top down, by one comparison with a break each, and stops at the first
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .enumeration import EnumerationSpec, _affine_window, tail_weight_sum
+from .enumeration import EnumerationSpec, tail_weight_sum
 from .numerics import dyadic_weight
 from .weight_map import step_structure, weight_below
 
@@ -47,7 +49,6 @@ __all__ = [
 # Longest prefix the subset oracle accepts; its candidates are the 2^L subset sums.
 SUBSET_MAX_PREFIX = 12
 
-_ZERO = Fraction(0)
 _TWO = Fraction(2)
 
 
@@ -143,14 +144,13 @@ def _step_bound(spec: EnumerationSpec) -> int:
 
     On [0, 2] the map moves only past the enumerated values in [0, 2): at
     most L prefix values, the block values there, and the affine tail's
-    values, at indices between the cuts at 0 and 2 (at most hi - lo + 2).
-    With B such breaks the map takes at most B + 1 values there, so the
-    descent settles within B + 2 applications.
+    values, at indices between the cuts at 0 and 2, ``spec.window`` (at
+    most hi - lo + 2).  With B such breaks the map takes at most B + 1
+    values there, so the descent settles within B + 2 applications.
     """
     breaks = len(spec.prefix) + sum(0 <= p < 2 * q for p, q in spec.block_pairs)
-    if not spec.block_pairs:
-        lo, hi = _affine_window(spec)
-        breaks += hi - lo + 2
+    if spec.window:
+        breaks += spec.window[1] - spec.window[0] + 2
     return breaks + 2
 
 
@@ -167,15 +167,15 @@ def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     fixpoint, hence a plateau value, so the sweep is exact.  Plateau k has
     value v = T_k / den and map(v) = T_j / den, where j counts the breaks
     below v; the T ascend strictly, so v <= map(v) exactly when k = 0 or
-    break k-1 lies below v: one integer cross-multiplication per plateau,
-    with no evaluation of the map.  Independent of the descent.
+    the break below the plateau lies below v: one integer
+    cross-multiplication per plateau, with no evaluation of the map.  The
+    walk builds each plateau as it is reached, so the sweep pays only for
+    the plateaus it decides.  Independent of the descent.
     """
     steps = step_structure(spec)
-    for t, k in steps.plateaus():
-        if k == 0:
-            break
-        p, q = steps.edge(k - 1)
-        if p * steps.den < t * q:
+    den = steps.den
+    for t, below in steps.plateaus():
+        if below is None or below[0] * den < t * below[1]:
             break
     return steps.fraction(t)
 
@@ -202,15 +202,16 @@ def subset_fixpoint_oracle(spec: EnumerationSpec) -> Fraction:
         )
     steps = step_structure(spec)
     plateaus = list(steps.plateaus())
-    # plateau k ends at break k, the top plateau at 2
-    edges = [steps.at(k) for k in range(plateaus[0][1])] + [_TWO]
-    states = {tail_weight_sum(spec, hi) for hi in edges}
+    # the breaks from the top down; a plateau ends at the break below the one above it, the top one at 2
+    lows = [Fraction(*below) for _, below in plateaus[:-1]]
+    highs = [_TWO, *lows]
+    states = {tail_weight_sum(spec, hi) for hi in highs}
     # with no prefix the only subset sum is 0, which any unit divides
     unit = dyadic_weight(length - 1) if length else Fraction(1)
-    for t, k in plateaus:
+    # the bottom plateau starts at 0 and is closed there, and its value is at least 0
+    for (t, _), lo, hi in zip(plateaus, [*lows, None], highs):
         value = steps.fraction(t)
-        lo = edges[k - 1] if k else _ZERO
-        if lo < value <= edges[k] or (k == 0 and value == lo):
+        if (lo is None or lo < value) and value <= hi:
             for state in states:
                 multiple = (value - state) / unit
                 if multiple.denominator == 1 and 0 <= multiple < 1 << length:

@@ -6,9 +6,12 @@ value lies strictly below x:
     weight_below(spec, x)  =  sum of 2^-n over { n : f(n) < x }.
 
 It is monotone, bounded by [0, 2], and (restricted to [0, 2]) a finite step
-function: ``step_structure`` builds that structure once, as integers over
-one denominator, and ``StepStructure.plateaus`` walks its plateaus from the
-top down for both fixpoint oracles.  The semi-decidable variant is
+function: ``step_structure`` describes it once, as integers over one
+denominator: an affine tail's breaks as one ``range`` of indices between
+the cuts in ``EnumerationSpec.window``, and the few prefix and block values
+as points placed on it.  ``StepStructure.plateaus`` merges the two lazily,
+from the top down, for both fixpoint oracles, so a plateau is built only
+when the walk reaches it.  The semi-decidable variant is
 ``query_boxes`` followed by ``box_classifier``: with only n_known interval
 queries at precision eps it brackets the true value from both sides in a
 ``RatInterval``, charging every unseen index to a tail allowance.  The
@@ -22,12 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from .enumeration import (
     EnumerationSpec,
     IntervalEnumeration,
-    _affine_window,
     _ascending,
     _below,
     _line_index,
@@ -138,51 +140,49 @@ class StepStructure:
 
     For x in [0, 2]:
 
-        weight_below(spec, x) = (peak - sum of jumps[k] over breaks k at or above x) / den
+        weight_below(spec, x) = (peak - sum of the jumps of the breaks at or above x) / den
 
     The breaks are the enumerated values in [0, 2), the only ones the map
-    moves past on [0, 2], in ascending order; ``jumps[k]`` belongs to the
-    k-th and is positive.  A break is a prefix or block value (a Fraction),
-    or an affine tail index n (an int) that stands for its value
-    (A*n + B) / D, where ``line`` = (A, B, D); ``edge`` turns either into
-    an integer pair and ``at`` into a Fraction.  ``den`` is
-    (2^P - 1) * 2^top for a periodic tail's block of P values, with top = L,
-    and 2^top for an affine tail, with top the deepest index in [0, 2].
+    moves past on [0, 2], and every jump is positive.  ``run`` holds the
+    affine tail's indices whose values (A*n + B) / D, with ``line`` =
+    (A, B, D), lie in [0, 2), by ascending value; index n jumps by
+    den >> n.  ``points`` holds the at most L + P prefix and block values
+    in [0, 2) by ascending value, each as (pos, on_line, pair, jump): pos
+    run values lie below it, or, when on_line, it equals run value pos and
+    adds its jump to that index's.  ``den`` is (2^P - 1) * 2^top for a
+    periodic tail's block of P values, with top = L, and 2^top for an
+    affine tail, with top the deepest index in [0, 2].
     """
 
     den: int
     peak: int
-    jumps: list[int]
-    breaks: list[Union[Fraction, int]]
     line: tuple[int, int, int]
+    run: range
+    points: tuple[tuple[int, bool, tuple[int, int], int], ...]
 
-    def edge(self, k: int) -> tuple[int, int]:
-        """The enumerated value at the k-th break as (p, q), q > 0; unreduced on the line."""
-        point = self.breaks[k]
-        if isinstance(point, int):
-            slope, intercept, scale = self.line
-            return slope * point + intercept, scale
-        return point.numerator, point.denominator
+    def plateaus(self) -> Iterator[tuple[int, Optional[tuple[int, int]]]]:
+        """Each plateau on [0, 2] from the top down, as (value numerator over den, break below it).
 
-    def at(self, k: int) -> Fraction:
-        """The enumerated value at the k-th break."""
-        point = self.breaks[k]
-        return point if isinstance(point, Fraction) else Fraction(*self.edge(k))
-
-    def plateaus(self) -> Iterator[tuple[int, int]]:
-        """Each plateau on [0, 2] from the top down, as (value numerator over den, k).
-
-        Plateau k is the piece (break k-1, break k] on which the map is
-        (peak - jumps[k] - jumps[k+1] - ...) / den: plateau 0 starts at 0 and
-        is closed there, and the top plateau ends at 2.  The values descend,
-        since every jump is positive.
+        The break below is an integer pair (p, q), q > 0, unreduced on the
+        line, or None for the bottom plateau, which starts at 0 and is closed
+        there; the top plateau ends at 2.  The run and the points are merged
+        as the walk goes, so a plateau costs nothing until it is reached.
+        The values descend, since every jump is positive.
         """
-        jumps = self.jumps
+        slope, intercept, scale = self.line
+        run, den = self.run, self.den
         total = self.peak
-        yield total, len(jumps)
-        for k in range(len(jumps) - 1, -1, -1):
-            total -= jumps[k]
-            yield total, k
+        i = len(run)  # the run values from position i up are walked
+        # a last point at the bottom, with no pair, walks the rest of the run
+        for pos, on_line, pair, jump in chain(reversed(self.points), [(0, False, None, 0)]):
+            for n in reversed(run[pos + on_line:i]):
+                yield total, (slope * n + intercept, scale)
+                total -= den >> n
+            i = pos
+            if on_line:
+                jump += den >> run[pos]
+            yield total, pair
+            total -= jump
 
     def pair(self, num: int) -> tuple[int, int]:
         """num / den as a pair with the twos they share stripped by a shift, with no gcd."""
@@ -196,7 +196,7 @@ class StepStructure:
 
 
 def step_structure(spec: EnumerationSpec) -> StepStructure:
-    """Build the step structure of the weight map on [0, 2].
+    """Build the step structure of the weight map on [0, 2], leaving its plateaus to the walk.
 
     An affine tail past ``check_exponent_bound`` is refused before any step.
     Over den = (2^P - 1) * 2^top, prefix index n weighs (2^P - 1) * 2^(top-n)
@@ -204,23 +204,19 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     2^(P-j+top-L); an affine tail has P = 0 and den = 2^top.  ``peak`` is
     den times the map's value at 2, from ``weight_below``.  An affine tail
     contributes one break per index whose value lands in [0, 2), found
-    between the cuts at 0 and 2: at most 2/|a| + 1 indices.  Their values
-    (A*n + B) / D, from the tail's ``Affine.line``, are distinct and
-    monotone in n, so the run is walked as an integer progression, with no
-    Fraction, hash or sort per index.  The at most L + P prefix and block
-    values in [0, 2) are keyed by their (numerator, denominator) pairs,
-    ordered by one integer key each, and merged in by position; one that
-    lands on the line adds its jump to that index's jump.
+    between the cuts at 0 and 2, ``spec.window``: at most 2/|a| + 1
+    indices, kept as one ``range``, with no jump built.  Their values are
+    distinct and monotone in n.  The at most L + P prefix and block values
+    in [0, 2) are keyed by their (numerator, denominator) pairs, ordered by
+    one integer key each, and placed on the run by their cut.
     """
     check_exponent_bound(spec)
     start = len(spec.prefix)
     block = spec.block_pairs
-    line = (0, 0, 1)
-    run = range(0)  # the affine tail indices with values in [0, 2), by ascending value
-    top = start
+    line, run, top = (0, 0, 1), range(0), start  # a periodic tail has no run
     if not block:
         line = slope, intercept, scale = spec.tail.line
-        lo, hi = _affine_window(spec)
+        lo, hi = spec.window
         top = max(start, hi + 1)
         # the cuts are strict, so each end may hold one index outside [0, 2): 2 is first if a < 0
         first, last = max(start, lo - 1), hi
@@ -232,33 +228,24 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     period = len(block)
     lap = max(1, (1 << period) - 1)
     den = lap << top
-    # (pair, value, shift, unit): each weighs unit << shift over den; a block value's
-    # Fraction is built only if no prefix value has its pair
+    # (pair, shift, unit): each weighs unit << shift over den
     entries = chain(
-        zip(spec.prefix_pairs, spec.prefix, range(top, top - start, -1), repeat(lap)),
-        zip(block, repeat(None), range(period + top - start, top - start, -1), repeat(1)),
+        zip(spec.prefix_pairs, range(top, top - start, -1), repeat(lap)),
+        zip(block, range(period + top - start, top - start, -1), repeat(1)),
     )
-    points: dict[tuple[int, int], list] = {}  # pair in [0, 2) -> [value, jump]
-    for (p, q), v, shift, unit in entries:
+    jumps: dict[tuple[int, int], int] = {}  # pair in [0, 2) -> its jump
+    for (p, q), shift, unit in entries:
         if 0 <= p < 2 * q:
-            points.setdefault((p, q), [v, 0])[1] += unit << shift
-    jumps = [1 << (top - n) for n in run]
-    breaks: list[Union[Fraction, int]] = list(run)
-    # from the top value down, so that each insertion leaves lower slots in place
-    for pair in reversed(_ascending(points)):
-        v, jump = points[pair]
-        if v is None:
-            v = Fraction(*pair)
-        pos = 0  # where v sits among the line's values, counted from the lowest
+            jumps[p, q] = jumps.get((p, q), 0) + (unit << shift)
+    points = []
+    for pair in _ascending(jumps):
+        pos, on_line = 0, False  # where the value sits among the run's, counted from the lowest
         if run:
-            n, on_line = _line_index(spec, v)
+            n, on_line = _line_index(spec, *pair)
             pos = (n - run.start) * run.step
-            if 0 <= pos < len(run) and on_line:
-                jumps[pos] += jump
-                continue
+            on_line = on_line and 0 <= pos < len(run)
             pos = min(max(pos, 0), len(run))
-        jumps.insert(pos, jump)
-        breaks.insert(pos, v)
+        points.append((pos, on_line, pair, jumps[pair]))
     # g(2) is a sum of weights over (2^P - 1) * 2^L or 2^cut(2), each of which divides den
     g2 = weight_below(spec, 2)
-    return StepStructure(den, g2.numerator * (den // g2.denominator), jumps, breaks, line)
+    return StepStructure(den, g2.numerator * (den // g2.denominator), line, run, tuple(points))

@@ -4,6 +4,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import chain
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -209,7 +210,7 @@ class TestOracles:
         assert subset_fixpoint_oracle(spec) == gfp_descend(spec)[0]
 
 
-def decided_plateaus(monkeypatch) -> list[tuple[int, int]]:
+def decided_plateaus(monkeypatch) -> list[tuple[int, Optional[tuple[int, int]]]]:
     """Every plateau the sweep is handed from here on: each one it decides, in order."""
     seen = []
     walk = StepStructure.plateaus
@@ -284,7 +285,8 @@ class TestSupremumSweep:
         # next plateau just under 3/2, above its break 1/8, so the sweep returns it
         def corrupted(spec):
             steps = step_structure(spec)
-            return replace(steps, jumps=[*steps.jumps[:-1], 1])
+            pos, on_line, pair, _ = steps.points[-1]
+            return replace(steps, points=(*steps.points[:-1], (pos, on_line, pair, 1)))
 
         monkeypatch.setattr(fixpoint, "step_structure", corrupted)
         with pytest.raises(TheoremViolationError, match="descent found 1/2 but the supremum oracle found"):

@@ -1,13 +1,16 @@
-"""Two decisions stay where they belong.
+"""Three decisions stay where they belong.
 
 Past the prefix, the library reads a tail as a periodic block
 (``EnumerationSpec.block_pairs``) or an affine line.  Only the spec's
 construction, the tail's JSON form and the append demonstration may ask
-whether a tail is a ``Constant`` or a ``Cycle``.  And the supremum sweep
-reads the map from its step structure alone.
+whether a tail is a ``Constant`` or a ``Cycle``.  The supremum sweep
+reads the map from its step structure alone.  And only the spec's
+construction takes an affine tail's cuts at 0 and 2 (``EnumerationSpec.window``);
+everything else reads them from the spec.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import escapepoint
@@ -16,6 +19,7 @@ SOURCE = Path(escapepoint.__file__).parent
 ALLOWED = {"EnumerationSpec.__post_init__", "tail_to_jsonable", "adjoin_escape_demo"}
 PERIODIC_RULES = {"Constant", "Cycle"}
 CLOSED_FORM = {"weight_below", "_plus_tail", "_below", "tail_weight_sum"}  # the map's evaluators
+CUTS = {"affine_cut": 1, "_cut": 2}  # each cut's arguments that spell its x: x, or p and q
 
 
 def scoped_calls(tree: ast.AST) -> list[tuple[str, ast.Call]]:
@@ -106,3 +110,47 @@ def test_the_sweep_and_the_step_structure_never_evaluate_the_map():
     assert readers == []
     # the builder takes the map's value at 2, so the walk does read the source
     assert ("step_structure", "weight_below") in {(scope, name) for scope, name, _ in found}
+
+
+def constant(node: ast.AST):
+    """The number a node spells as a literal, bare or wrapped once as in Fraction(2); else None."""
+    if isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords:
+        node = node.args[0]
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    return None
+
+
+def window_cuts(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing definition, line) of each affine_cut or _cut call at a constant 0 or 2."""
+    found = []
+    for scope, node in scoped_calls(tree):
+        func = node.func
+        spelled = CUTS.get(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+        if spelled is None:
+            continue
+        x = [constant(arg) for arg in node.args[1:1 + spelled]]
+        if len(x) == spelled and None not in x and x[1:] != [0] and Fraction(*x) in (0, 2):
+            found.append((scope, node.lineno))
+    return found
+
+
+def test_the_cut_walker_sees_constants_bare_and_wrapped():
+    tree = ast.parse(
+        "def f(spec, x):\n"
+        "    return affine_cut(spec, 0), enumeration.affine_cut(spec, F(2)), affine_cut(spec, x)\n"
+        "class S:\n"
+        "    def g(self):\n"
+        "        return _cut(self, 4, 2) + _cut(self, 2, q) + _cut(self, 1, 1) + max(self, 0, 2)\n"
+        "def h(spec):\n"
+        "    return _cut(spec, 0, 1)\n"
+    )
+    assert window_cuts(tree) == [("f", 2), ("f", 2), ("S.g", 5), ("h", 7)]
+
+
+def test_only_the_spec_takes_the_window_cuts():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += window_cuts(ast.parse(path.read_text(), str(path)))
+    # both cuts, in the one place that takes them, so the walk reads the source
+    assert [scope for scope, _ in found] == ["EnumerationSpec.__post_init__"] * 2

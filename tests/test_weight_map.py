@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,19 +17,23 @@ from escapepoint import (
     IntervalEnumeration,
     RatInterval,
     box_classifier,
+    compute_escape,
     dyadic_tail_weight,
     dyadic_weight,
     eligible_prefix_indices,
     enclose_escape_traced,
+    gfp_descend,
     intervalize,
     query_boxes,
+    subset_fixpoint_oracle,
+    sup_postfix_oracle,
     tail_weight_sum,
     value_at,
     weight_below,
     weight_sum,
 )
 from escapepoint import enumeration, weight_map
-from escapepoint.enumeration import affine_cut
+from escapepoint.enumeration import MAX_TAIL_CUT, affine_cut
 from escapepoint.numerics import MAX_EXACT_EXPONENT
 from escapepoint.weight_map import step_structure
 from test_fixpoint import memory_cap
@@ -64,23 +69,29 @@ def corpus_spec(index: int) -> EnumerationSpec:
 
 
 def profile(spec: EnumerationSpec) -> tuple[F, tuple[tuple[F, F], ...]]:
-    """The map's value at 2 and its ascending (break, jump) pairs, from step_structure."""
+    """The map's value at 2 and its ascending (break, jump) pairs, from the plateau walk."""
     steps = step_structure(spec)
-    breaks = tuple((steps.at(k), steps.fraction(jump)) for k, jump in enumerate(steps.jumps))
-    return steps.fraction(steps.peak), breaks
+    walk = list(steps.plateaus())
+    down = [(F(*below), steps.fraction(t - lower)) for (t, below), (lower, _) in zip(walk, walk[1:])]
+    return steps.fraction(walk[0][0]), tuple(reversed(down))
 
 
-def walk_plateaus(spec: EnumerationSpec) -> list[tuple[F, int]]:
-    """StepStructure.plateaus() as (value, k), checked against weight_below at each upper edge."""
+def walk_plateaus(spec: EnumerationSpec) -> list[tuple[F, Optional[F]]]:
+    """StepStructure.plateaus() as (value, break below), checked against weight_below at each edge.
+
+    A plateau (lo, hi] takes its value at hi and between its ends, and the
+    bottom one, below which lies no break, takes it at 0 as well.
+    """
     steps = step_structure(spec)
-    walk = [(steps.fraction(t), k) for t, k in steps.plateaus()]
-    top = walk[0][1]
-    assert [k for _, k in walk] == list(range(top, -1, -1))
+    walk = [(steps.fraction(t), below and F(*below)) for t, below in steps.plateaus()]
     values = [value for value, _ in walk]
+    lows = [lo for _, lo in walk]
+    assert lows[-1] is None and None not in lows[:-1]
     assert all(a > b for a, b in zip(values, values[1:]))
-    for value, k in walk:
-        edge = F(2) if k == top else steps.at(k)
-        assert value == weight_below(spec, edge), (spec, k)
+    assert all(2 > a > b >= 0 for a, b in zip(lows, lows[1:-1])) and all(0 <= lo < 2 for lo in lows[:-1])
+    for (value, lo), hi in zip(walk, [F(2), *lows]):
+        inside = F(0) if lo is None else (lo + hi) / 2
+        assert weight_below(spec, hi) == weight_below(spec, inside) == value, (spec, lo, hi)
     return walk
 
 
@@ -272,9 +283,9 @@ class TestPlateaus:
         # f(n) = 2 - n/4 takes k/4 for k = 0..8; the value 2 is no break, since
         # the map moves only past values below 2, and 0 closes plateau 0 at [0, 0]
         spec = EnumerationSpec(prefix=(), tail=Affine(F(-1, 4), 2))
-        assert len(step_structure(spec).jumps) == 8
+        assert len(step_structure(spec).run) == 8
         walk = walk_plateaus(spec)
-        assert [k for _, k in walk] == list(range(8, -1, -1))
+        assert [lo for _, lo in walk] == [F(k, 4) for k in range(7, -1, -1)] + [None]
         assert walk[0][0] == weight_below(spec, F(2)) == 1
         assert walk[-1][0] == weight_below(spec, F(0)) == F(1, 256)
 
@@ -286,6 +297,89 @@ class TestPlateaus:
     @settings(deadline=None)
     def test_affine_specs(self, spec):
         walk_plateaus(spec)
+
+
+# both slope signs, down to 1/8192; a flat line starts near one end of [0, 2], so its run holds about 1024 values
+MERGE_LINES = {
+    "up": Affine(F(1, 3), F(1, 7)),
+    "down": Affine(F(-1, 3), F(13, 7)),
+    "flat up": Affine(F(1, 8192), F(15, 8)),
+    "flat down": Affine(F(-1, 8192), F(1, 8)),
+}
+MERGE_POSITIONS = ["first", "last", "interior", "between", "under the run", "over the run",
+                   "zero", "two", "below zero", "above two"]
+
+
+def run_values(line: Affine, start: int) -> list[F]:
+    """The line's values in [0, 2) at tail indices from ``start``, ascending: the walk's run."""
+    spec = EnumerationSpec((F(0),) * start, line)
+    window = range(start, spec.window[1] + 1)  # past the larger cut every value lies outside [0, 2]
+    return sorted(v for v in (value_at(spec, n) for n in window) if 0 <= v < 2)
+
+
+def merge_spec(line: Affine, where: str, kind: str) -> tuple[EnumerationSpec, list[F]]:
+    """A spec whose prefix, constant or cycle value sits at ``where`` among the line's run values.
+
+    A prefix value meets the run itself.  A periodic tail has no run, so its
+    prefix holds the run's first, middle and last values in its place.
+    Returns the spec and the values of its tail that may be breaks.
+    """
+    values = run_values(line, 1)
+    mid = len(values) // 2
+    v = {
+        "first": values[0],
+        "last": values[-1],
+        "interior": values[mid],  # its jump adds to that index's
+        "between": (values[mid] + values[mid + 1]) / 2,
+        "under the run": values[0] / 2,
+        "over the run": (values[-1] + 2) / 2,
+        "zero": F(0),
+        "two": F(2),
+        "below zero": F(-1, 5),
+        "above two": F(7, 3),
+    }[where]
+    anchors = (values[0], values[mid], values[-1])
+    if kind == "prefix":
+        return EnumerationSpec((v,), line), values
+    if kind == "constant":
+        return EnumerationSpec(anchors, Constant(v)), [v]
+    return EnumerationSpec((*anchors, v), Cycle()), []
+
+
+class TestLazyWalk:
+    @pytest.mark.parametrize("kind", ["prefix", "constant", "cycle"])
+    @pytest.mark.parametrize("where", MERGE_POSITIONS)
+    @pytest.mark.parametrize("line", MERGE_LINES.values(), ids=MERGE_LINES.keys())
+    def test_merge_edges(self, line, where, kind):
+        spec, tail_values = merge_spec(line, where, kind)
+        walk = walk_plateaus(spec)
+        # one break per distinct enumerated value in [0, 2), merged from the top down
+        breaks = {v for v in (*spec.prefix, *tail_values) if 0 <= v < 2}
+        assert [lo for _, lo in walk[:-1]] == sorted(breaks, reverse=True)
+        x0, _ = gfp_descend(spec)
+        assert sup_postfix_oracle(spec) == x0 == subset_fixpoint_oracle(spec)
+        assert x0 in {value for value, _ in walk}
+
+    @pytest.mark.parametrize("where", ["first", "last", "interior", "between", "under the run", "over the run", "zero"])
+    @pytest.mark.parametrize("line", MERGE_LINES.values(), ids=MERGE_LINES.keys())
+    def test_a_prefix_value_on_the_run_joins_its_index(self, line, where):
+        spec, values = merge_spec(line, where, "prefix")
+        (pos, on_line, pair, _), = step_structure(spec).points
+        assert on_line == (spec.prefix[0] in values)
+        assert pos == sum(v < F(*pair) for v in values)
+
+    @pytest.mark.parametrize("tail", [Affine(F(1, 8192), 0), Affine(F(-1, 8191), 2)], ids=["up", "down"])
+    def test_compute_escape_at_the_tail_cut_peaks_under_a_megabyte(self, tail):
+        # the down line's sweep decides all 16383 plateaus; a list of their jumps would take 19 MB
+        spec = EnumerationSpec((), tail)
+        assert MAX_TAIL_CUT - 1 <= spec.window[1] <= MAX_TAIL_CUT
+        tracemalloc.start()
+        try:
+            compute_escape(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 small_values = st.fractions(min_value=-1, max_value=3, max_denominator=64)
