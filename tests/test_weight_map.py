@@ -88,7 +88,7 @@ def walk_plateaus(spec: EnumerationSpec) -> list[tuple[F, Optional[F]]]:
     lows = [lo for _, lo in walk]
     assert lows[-1] is None and None not in lows[:-1]
     assert all(a > b for a, b in zip(values, values[1:]))
-    assert all(2 > a > b >= 0 for a, b in zip(lows, lows[1:-1])) and all(0 <= lo < 2 for lo in lows[:-1])
+    assert all(a > b for a, b in zip(lows, lows[1:-1])) and all(0 <= lo < 2 for lo in lows[:-1])
     for (value, lo), hi in zip(walk, [F(2), *lows]):
         inside = F(0) if lo is None else (lo + hi) / 2
         assert weight_below(spec, hi) == weight_below(spec, inside) == value, (spec, lo, hi)
