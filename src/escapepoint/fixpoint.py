@@ -166,8 +166,8 @@ def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
     postfixpoint met is the largest; the greatest postfixpoint is a
     fixpoint, hence a plateau value, so the sweep is exact.  Plateau k has
     value v = T_k / den and map(v) = T_j / den, where j counts the breaks
-    below v; the T ascend strictly, so v <= map(v) exactly when k = 0 or
-    the break below the plateau lies below v: one integer
+    below v; the T ascend strictly, so v <= map(v) exactly when k = 0, the
+    bottom plateau, or the break below the plateau lies below v: one integer
     cross-multiplication per plateau, with no evaluation of the map.  The
     walk builds each plateau as it is reached, so the sweep pays only for
     the plateaus it decides.  Independent of the descent.
