@@ -133,14 +133,8 @@ class RatInterval:
             raise ValueError(f"denominators must be positive, got {lo_q} and {hi_q}")
         _refuse_empty(lo_p, lo_q, hi_p, hi_q)
         box = object.__new__(cls)
-        if lo_q & (lo_q - 1) or hi_q & (hi_q - 1):
-            g, h = math.gcd(lo_p, lo_q), math.gcd(hi_p, hi_q)
-            pairs = (lo_p // g, lo_q // g, hi_p // h, hi_q // h)
-        else:  # over powers of two each gcd is the lowest set bit of p | q, taken off by a shift
-            lo, hi = lo_p | lo_q, hi_p | hi_q
-            g, h = (lo & -lo).bit_length() - 1, (hi & -hi).bit_length() - 1
-            pairs = (lo_p >> g, lo_q >> g, hi_p >> h, hi_q >> h)
-        object.__setattr__(box, "pairs", pairs)
+        g, h = math.gcd(lo_p, lo_q), math.gcd(hi_p, hi_q)
+        object.__setattr__(box, "pairs", (lo_p // g, lo_q // g, hi_p // h, hi_q // h))
         return box
 
     @cached_property

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import re
 from fractions import Fraction as F
 
@@ -179,20 +178,6 @@ class TestRatInterval:
         assert got == want and hash(got) == hash(want)
         assert repr(got) == repr(want) == f"RatInterval(lo={lo!r}, hi={hi!r})"
         assert (got.lo, got.hi) == (lo, hi) and type(got.lo) is type(got.hi) is F
-
-    @given(
-        *[st.builds(lambda m, j: m << j, st.integers(min_value=0, max_value=10**6),
-                    st.integers(min_value=0, max_value=300)),
-          st.one_of(st.integers(min_value=0, max_value=300).map(lambda k: 1 << k),
-                    st.integers(min_value=1, max_value=10**6))] * 2
-    )
-    @example(0, 1 << 200, 5, 1 << 200)  # all of a denominator is shared
-    @example(3 << 7, 1 << 5, 3, 1 << 9)  # more twos in p than in q
-    @example(12, 1 << 3, 12, 6)  # one denominator a power of two, the other not
-    def test_of_pairs_reduces_as_the_gcd_does(self, p, q, r, s):
-        # powers of two are reduced by a shift, any other denominator by a gcd: the same pairs
-        g, h = math.gcd(p, q), math.gcd(r, s)
-        assert RatInterval.of_pairs(-p, q, r, s).pairs == (-p // g, q // g, r // h, s // h)
 
     @pytest.mark.parametrize("pairs", [(0, 0, 1, 1), (0, 1, 1, 0), (1, -2, 1, 1), (0, 1, -1, -2)])
     def test_of_pairs_refuses_a_nonpositive_denominator(self, pairs):
