@@ -325,10 +325,9 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
     its value and the sign of its skew with period W = lcm(P, 2), the sign
     following n's parity.  So the prefix and the tail answer from L + W
     slots, slot n for n < L and L + (n - L) mod W after that.  A slot is
-    filled on its first query with the box of its (p, q, k), built once and
-    shared by every slot with that triple; all are kept for the last eps
-    asked only.  An affine tail's boxes are built on each query and never
-    kept.
+    filled on its first query with the box of its (p, q, k), and the slots
+    are kept for the last eps asked only.  An affine tail's boxes are built
+    on each query and never kept.
     """
     jitter = as_fraction(jitter, "jitter")
     if jitter < 0:
@@ -338,7 +337,6 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
     wrap = math.lcm(period, 2) if period else 0  # no slot past the prefix for an affine tail
     at_eps = e = f = k = None  # the eps last asked, and its e, f and even-index skew k
     slots: list = []
-    kept: dict[tuple[int, int, int], RatInterval] = {}
 
     def oracle(n: int, eps: Fraction) -> RatInterval:
         nonlocal at_eps, e, f, k, slots
@@ -347,7 +345,6 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
                 e, f = eps.numerator, 2 * eps.denominator
                 k = j * f if j * f < e * g else e * g
                 slots = [None] * (start + wrap)
-                kept.clear()
             at_eps = eps
         slot = n
         if n >= start:
@@ -358,11 +355,7 @@ def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnum
         box = slots[slot]
         if box is None:
             p, q = _pair_at(spec, n)
-            skew = -k if n % 2 else k
-            box = kept.get((p, q, skew))
-            if box is None:
-                box = kept[p, q, skew] = _box(p, q, skew, e, f, g)
-            slots[slot] = box
+            box = slots[slot] = _box(p, q, -k if n % 2 else k, e, f, g)
         return box
 
     return IntervalEnumeration(oracle)

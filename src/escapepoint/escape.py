@@ -13,10 +13,11 @@ verdict per place the enumeration could have produced it:
 
 Every verdict compares by exact integer cross-multiplication: for a value
 p/q and x0 = n/d, diff = p*d - n*q gives the relation by its sign and the
-gap |diff| / (q*d), computed once per distinct value.  A zero diff means the
-claimed escape value is actually enumerated and raises
-``TheoremViolationError`` rather than producing a broken certificate.  The
-certificate audit checks every verdict again the same way.
+gap |diff| / (q*d), computed once per distinct value.  These comparisons
+reach every tail value that could equal x0, so a zero diff is the one
+refusal of an enumerated x0: it raises ``TheoremViolationError`` rather
+than producing a broken certificate.  The certificate audit checks every
+verdict again the same way.
 
 ``enclose_escape_traced`` brackets the escape value from interval queries.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 from .enumeration import (
@@ -37,8 +39,6 @@ from .enumeration import (
     _expect_keys,
     _rational_at,
     check_exponent_bound,
-    tail_hits,
-    value_at,
 )
 from .fixpoint import FixpointTrace, descend_from_top, gfp_descend, sup_postfix_oracle
 from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational
@@ -130,35 +130,43 @@ class EscapeCertificate:
                 raise ValueError(f"verdict {i} is inconsistent with escape value {self.x0}")
 
 
-def _tail_verdicts(spec: EnumerationSpec, x0: Fraction, distinct: dict) -> list[Verdict]:
-    """The tail's verdicts; ``distinct`` maps each prefix pair to its first verdict."""
-    start = len(spec.prefix)
-    if spec.block_pairs:
-        # the distinct block values, ascending; one the prefix takes reuses its relation and gap
-        verdicts = []
-        for pair in _ascending(set(spec.block_pairs)):
-            first = distinct.get(pair)
-            verdicts.append(_compare(x0, "tail", Fraction(*pair)) if first is None
-                            else Verdict("tail", first.value, first.relation, first.gap))
-        return verdicts
-    # closest approach of a*n + b to x0 = num/d over integer n >= start: the tail
-    # crosses x0 between the cut and the index before it.  Both gaps are over D*d,
-    # so their numerators |(A*n + B)*d - num*D| decide, and a tie goes to the value below
-    slope, intercept, scale = spec.tail.line
+def _verdicts(spec: EnumerationSpec, x0: Fraction) -> list[Verdict]:
+    """The verdict on each prefix index, then the tail's, as the module docstring lists them.
+
+    ``first`` maps each compared pair to its first verdict, so a value met
+    again, in the prefix or in a periodic tail's block, reuses its value,
+    relation and gap.  Every tail value that could equal x0 is compared: each
+    distinct block value, or the affine tail's closest approach, which is its
+    crossing index when a tail value equals x0.  So a zero diff anywhere
+    means x0 is enumerated, and raises ``TheoremViolationError`` naming the place.
+    """
     num, d = x0.numerator, x0.denominator
-    cut = _cut(spec, num, d)
-    diffs = {n: (slope * n + intercept) * d - num * scale for n in (max(start, cut - 1), cut)}
-    n = min(diffs, key=lambda n: (abs(diffs[n]), diffs[n] > 0))
-    return [_compare(x0, n, value_at(spec, n))]
-
-
-def _compare(x0: Fraction, where: Union[int, str], value: Fraction) -> Verdict:
-    """The verdict on one value, by one integer cross-multiplication with x0."""
-    q, den = value.denominator, x0.denominator
-    diff = value.numerator * den - x0.numerator * q
-    if diff == 0:
-        raise TheoremViolationError(f"escape value {x0} is the enumerated value at {where!r}")
-    return Verdict(where, value, "below" if diff < 0 else "above", Fraction(abs(diff), q * den))
+    start, block = len(spec.prefix), spec.block_pairs
+    tail = [("tail", pair, None) for pair in _ascending(set(block))]
+    if not block:
+        # closest approach of a*n + b to x0 over integer n >= start: the tail crosses
+        # x0 between the cut and the index before it.  Both gaps are over D*d, so their
+        # numerators |(A*n + B)*d - num*D| decide, and a tie goes to the value below
+        slope, intercept, scale = spec.tail.line
+        cut = _cut(spec, num, d)
+        diffs = {n: (slope * n + intercept) * d - num * scale for n in (max(start, cut - 1), cut)}
+        n = min(diffs, key=lambda n: (abs(diffs[n]), diffs[n] > 0))
+        tail.append((n, (slope * n + intercept, scale), None))
+    verdicts = []
+    first: dict[tuple[int, int], Verdict] = {}
+    for where, pair, value in chain(zip(range(start), spec.prefix_pairs, spec.prefix), tail):
+        seen = first.get(pair)
+        if seen is None:
+            p, q = pair
+            diff = p * d - num * q
+            if diff == 0:
+                raise TheoremViolationError(f"escape value {x0} is the enumerated value at {where!r}")
+            seen = first[pair] = Verdict(where, Fraction(p, q) if value is None else value,
+                                         "below" if diff < 0 else "above", Fraction(abs(diff), q * d))
+            verdicts.append(seen)
+        else:
+            verdicts.append(Verdict(where, seen.value, seen.relation, seen.gap))
+    return verdicts
 
 
 def compute_escape(spec: EnumerationSpec) -> EscapeCertificate:
@@ -183,22 +191,10 @@ def compute_escape(spec: EnumerationSpec) -> EscapeCertificate:
         raise TheoremViolationError(
             f"descent found {x0} but the supremum oracle found {oracle}"
         )
-    if tail_hits(spec, x0):
-        raise TheoremViolationError(f"escape value {x0} is produced by the tail rule")
-    verdicts = []
-    distinct: dict[tuple[int, int], Verdict] = {}  # each prefix pair's first verdict
-    for i, (value, pair) in enumerate(zip(spec.prefix, spec.prefix_pairs)):
-        first = distinct.get(pair)
-        if first is None:
-            distinct[pair] = first = _compare(x0, i, value)
-            verdicts.append(first)
-        else:
-            verdicts.append(Verdict(i, value, first.relation, first.gap))
-    verdicts.extend(_tail_verdicts(spec, x0, distinct))
     return EscapeCertificate(
         x0=x0,
         trace=trace,
-        verdicts=tuple(verdicts),
+        verdicts=_verdicts(spec, x0),
         oracle_agreement=True,
     )
 
@@ -246,20 +242,20 @@ def enclose_escape_traced(
     Runs the descent twice, once on the lower and once on the upper weight
     bound; both bound maps are monotone and bracket the true map, so the pair
     of settled values brackets the true escape value.  Each index
-    0, ..., n_known-1 is queried once, before either descent, and both
-    descents share one ``box_classifier`` over those boxes, which keeps one
-    row per distinct box (``intervalize`` returns one shared box per
-    repeated value): each step tests every distinct box once, in time
-    linear in n_known.
+    0, ..., n_known-1 is queried once, before either descent, and each
+    descent runs one of the two bound maps of one ``box_classifier`` over
+    those boxes, which keeps one row per distinct box: each step tests
+    every distinct box once, on the one end its side reads, in time linear
+    in n_known.
     The IntervalEnumeration contract makes answers deterministic per
     (n, eps), so sharing the boxes gives the bounds fresh queries would.
     Each bound map moves only past the n_known box ends on its side, so it
     takes at most n_known + 1 values and each descent settles within
     n_known + 2 steps.
     """
-    bounds = box_classifier(tuple(query_boxes(ienum, n_known, eps)))
-    lo, lo_trace = descend_from_top(lambda z: bounds(z).lo, n_known + 2)
-    hi, hi_trace = descend_from_top(lambda z: bounds(z).hi, n_known + 2)
+    lower, upper = box_classifier(tuple(query_boxes(ienum, n_known, eps)))
+    lo, lo_trace = descend_from_top(lower, n_known + 2)
+    hi, hi_trace = descend_from_top(upper, n_known + 2)
     return RatInterval(lo, hi), lo_trace, hi_trace
 
 

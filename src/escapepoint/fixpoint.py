@@ -144,13 +144,13 @@ def _step_bound(spec: EnumerationSpec) -> int:
 
     On [0, 2] the map moves only past the enumerated values in [0, 2): at
     most L prefix values, the block values there, and the affine tail's
-    values, at indices between the cuts at 0 and 2, ``spec.window`` (at
-    most hi - lo + 2).  With B such breaks the map takes at most B + 1
-    values there, so the descent settles within B + 2 applications.
+    values at indices lo, ..., hi - 1 between the cuts at 0 and 2,
+    ``spec.window`` = (lo, hi).  With B such breaks the map takes at most
+    B + 1 values there, so the descent settles within B + 2 applications.
     """
     breaks = len(spec.prefix) + sum(0 <= p < 2 * q for p, q in spec.block_pairs)
     if spec.window:
-        breaks += spec.window[1] - spec.window[0] + 2
+        breaks += spec.window[1] - spec.window[0]
     return breaks + 2
 
 

@@ -13,10 +13,10 @@ as points placed on it.  ``StepStructure.plateaus`` merges the two lazily,
 from the top down, for both fixpoint oracles, so a plateau is built only
 when the walk reaches it.  The semi-decidable variant is
 ``query_boxes`` followed by ``box_classifier``: with only n_known interval
-queries at precision eps it brackets the true value from both sides in a
-``RatInterval``, charging every unseen index to a tail allowance.  The
-classifier tests each distinct box once per x, and its time and memory are
-linear in n_known.
+queries at precision eps it brackets the true value by two maps, a lower
+and an upper bound, charging every unseen index to the upper one's tail
+allowance.  Each map tests each distinct box once per x, on the one end
+its side reads, and its time and memory are linear in n_known.
 """
 
 from __future__ import annotations
@@ -90,24 +90,21 @@ def query_boxes(
     return (ienum.at(n, eps) for n in range(n_known))
 
 
-# A row's side of x is one ASCII digit: 0 for x <= lo, 1 for lo < x <= hi, 2 for hi < x.
-_LOWER = bytes.maketrans(b"012", b"001")  # the digits as 1 where the box lies below x, else 0
-_UPPER = bytes.maketrans(b"012", b"011")  # and as 1 where it may
-
-
-def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], RatInterval]:
-    """The bound map x -> RatInterval of the boxes of indices 0, ..., len(boxes)-1.
+def box_classifier(
+    boxes: Sequence[RatInterval],
+) -> tuple[Callable[[RationalLike], Fraction], Callable[[RationalLike], Fraction]]:
+    """The bound maps (lower, upper), x -> Fraction, of the boxes of indices 0, ..., len(boxes)-1.
 
     Equal boxes share one row, numbered in order of first index.  At each x
-    every row is placed against x once, by cross-multiplication on its
-    ``pairs``, as one digit; picking each index's row digit, then a closing
-    0, spells a string whose base-2 value sums 2^(top - n), top =
-    len(boxes), over the indices n marked.  The lower end marks the boxes
-    with hi < x, the upper end those with lo < x, plus 2^(1 - top) for every
-    index not queried.  Time and memory are linear in top, and no weight is
-    kept per row.  When every box holds its index's value, as the
-    IntervalEnumeration contract guarantees, the exact map value lies in the
-    returned interval.
+    a map places every row against x once, by one cross-multiplication of
+    its own end from the row's ``pairs``, as one ASCII digit: 1 where the
+    lower map's hi < x or the upper map's lo < x, else 0.  Picking each
+    index's row digit, then a closing 0, spells a string whose base-2 value
+    sums 2^(top - n), top = len(boxes), over the indices n marked; the upper
+    map adds 2^(1 - top) for every index not queried.  Time and memory are
+    linear in top, and no weight is kept per row.  When every box holds its
+    index's value, as the IntervalEnumeration contract guarantees, the
+    exact map value lies between the two.
     """
     top = len(boxes)
     rows: dict[tuple[int, int, int, int], int] = {}  # box.pairs -> its row
@@ -117,21 +114,21 @@ def box_classifier(boxes: Sequence[RatInterval]) -> Callable[[RationalLike], Rat
     # since an itemgetter of one item returns it bare
     spell = itemgetter(*owner, len(ends)) if owner else list
 
-    def bounds(x: RationalLike) -> RatInterval:
+    def weight(digits: list[int], allowance: int) -> Fraction:
+        digits.append(48)  # the closing 0
+        return Fraction(int(bytes(spell(digits)), 2) + allowance, 1 << top)
+
+    def lower(x: RationalLike) -> Fraction:
         x = as_fraction(x, "x")
         p, q = x.numerator, x.denominator
-        # each row's digit as its ASCII code, 48 + side; hi is tested only where lo < x
-        sides = [
-            (50 if hi_p * q < p * hi_q else 49) if lo_p * q < p * lo_q else 48
-            for lo_p, lo_q, hi_p, hi_q in ends
-        ]
-        sides.append(48)  # the closing 0
-        digits = bytes(spell(sides))
-        lower = int(digits.translate(_LOWER), 2)
-        upper = int(digits.translate(_UPPER), 2)
-        return RatInterval.of_pairs(lower, 1 << top, upper + 2, 1 << top)
+        return weight([49 if hi_p * q < p * hi_q else 48 for _, _, hi_p, hi_q in ends], 0)
 
-    return bounds
+    def upper(x: RationalLike) -> Fraction:
+        x = as_fraction(x, "x")
+        p, q = x.numerator, x.denominator
+        return weight([49 if lo_p * q < p * lo_q else 48 for lo_p, lo_q, _, _ in ends], 2)
+
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -203,10 +200,11 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     and a periodic tail's block position j, summed over its laps, weighs
     2^(P-j+top-L); an affine tail has P = 0 and den = 2^top.  ``peak`` is
     den times the map's value at 2, from ``weight_below``.  An affine tail
-    contributes one break per index whose value lands in [0, 2), found
-    between the cuts at 0 and 2, ``spec.window``: at most 2/|a| + 1
-    indices, kept as one ``range``, with no jump built.  Their values are
-    distinct and monotone in n.  The at most L + P prefix and block values
+    contributes one break per index whose value lands in [0, 2): exactly
+    the indices lo, ..., hi - 1 between the cuts at 0 and 2, ``spec.window``
+    = (lo, hi), since both cuts are strict.  They are at most 2/|a| + 1,
+    kept as one ``range``, with no jump built.  Their values are distinct
+    and monotone in n.  The at most L + P prefix and block values
     in [0, 2) are keyed by their (numerator, denominator) pairs, ordered by
     one integer key each, and placed on the run by their cut.
     """
@@ -215,16 +213,10 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     block = spec.block_pairs
     line, run, top = (0, 0, 1), range(0), start  # a periodic tail has no run
     if not block:
-        line = slope, intercept, scale = spec.tail.line
+        line = spec.tail.line
         lo, hi = spec.window
         top = max(start, hi + 1)
-        # the cuts are strict, so each end may hold one index outside [0, 2): 2 is first if a < 0
-        first, last = max(start, lo - 1), hi
-        if not 0 <= slope * first + intercept < 2 * scale:
-            first += 1
-        if not 0 <= slope * last + intercept < 2 * scale:
-            last -= 1
-        run = range(first, last + 1) if slope > 0 else range(last, first - 1, -1)
+        run = range(lo, hi) if line[0] > 0 else range(lo, hi)[::-1]
     period = len(block)
     lap = max(1, (1 << period) - 1)
     den = lap << top

@@ -411,17 +411,6 @@ class TestKeptBoxes:
                 for m in (n, n + 1):  # both parities, so both signs of the skew
                     assert oracle.at(m, eps) == fresh.at(m, eps)
 
-    @pytest.mark.parametrize("jitter", [F(0), F(1, 1000)], ids=["centered", "skewed"])
-    @pytest.mark.parametrize("tail", [Constant(F(1, 3)), Cycle()], ids=["constant", "cycle"])
-    def test_a_repeated_value_returns_the_same_box(self, tail, jitter):
-        # f(n) = 1/3 at n = 0, 2, 6, 8, 9, 12, 15 for both tails
-        oracle = intervalize(EnumerationSpec((F(1, 3), F(5, 2), F(1, 3)), tail), jitter)
-        eps = F(1, 128)
-        even, odd = oracle.at(0, eps), oracle.at(9, eps)
-        assert all(oracle.at(n, eps) is even for n in (2, 6, 8, 12))
-        assert oracle.at(15, eps) is odd
-        assert (odd == even) == (jitter == 0)
-
     @pytest.mark.parametrize("spec", [
         EnumerationSpec((F(1, 3), F(5, 2)), Constant(F(1, 3))),
         EnumerationSpec((F(1, 3), F(5, 2), F(-1, 7)), Cycle()),

@@ -141,7 +141,7 @@ class TestComputeEscape:
         cert = compute_escape(spec)
         x0, length = cert.x0, len(spec.prefix)
         assert cert.verdicts[length:] == tuple(
-            escape._compare(x0, "tail", v) for v in sorted(set(spec.prefix))
+            Verdict("tail", v, "below" if v < x0 else "above", abs(v - x0)) for v in sorted(set(spec.prefix))
         )
         # and every verdict agrees with Fraction arithmetic
         for v, where in zip(cert.verdicts, [*range(length), *["tail"] * len(set(spec.prefix))]):
@@ -158,6 +158,30 @@ class TestComputeEscape:
         falling = compute_escape(EnumerationSpec(prefix=(F(5),), tail=Affine(-1, -10)))
         assert falling.x0 == 1
         assert falling.verdicts[-1] == Verdict(where=1, value=F(-11), relation="below", gap=F(12))
+
+
+class TestPlantedTailHit:
+    """An enumerated value that the descent, the witness and the supremum oracle all accept.
+
+    With those three patched to agree on it, only the verdict pass can refuse it.
+    """
+
+    @pytest.mark.parametrize("spec, n, where", [
+        (EnumerationSpec((F(1, 3),), Constant(F(1, 2))), 1, "tail"),
+        (EnumerationSpec((F(1, 3), F(3, 2)), Cycle()), 3, 1),  # a cycle's values are its prefix's
+        (EnumerationSpec((F(5), F(-1)), Affine(F(1, 3), F(1, 7))), 2, 2),
+        (EnumerationSpec((F(5), F(-1)), Affine(F(1, 3), F(1, 7))), 9, 9),
+        (EnumerationSpec((F(5), F(-1)), Affine(F(-1, 3), F(13, 7))), 2, 2),
+        (EnumerationSpec((F(5), F(-1)), Affine(F(-1, 3), F(13, 7))), 9, 9),
+    ], ids=["constant", "cycle", "rising at L", "rising deeper", "falling at L", "falling deeper"])
+    def test_refused_by_the_verdict_pass(self, spec, n, where, monkeypatch):
+        v = value_at(spec, n)
+        monkeypatch.setattr(escape, "gfp_descend", lambda _: (v, None))
+        monkeypatch.setattr(escape, "weight_below", lambda _, x: x)
+        monkeypatch.setattr(escape, "sup_postfix_oracle", lambda _: v)
+        with pytest.raises(escape.TheoremViolationError) as refused:
+            compute_escape(spec)
+        assert str(refused.value) == f"escape value {v} is the enumerated value at {where!r}"
 
 
 class TestExponentBound:
@@ -385,11 +409,11 @@ class TestEnclosure:
         oracle = intervalize(corpus_spec(index), jitter)
         _, lo_trace, hi_trace = enclose_escape_traced(oracle, n_known, eps)
         # the reference queries the boxes afresh at every step
-        def requeried(z):
-            return box_classifier(tuple(query_boxes(oracle, n_known, eps)))(z)
+        def requeried(side):
+            return lambda z: box_classifier(tuple(query_boxes(oracle, n_known, eps)))[side](z)
 
-        _, lo_ref = descend_from_top(lambda z: requeried(z).lo, n_known + 2)
-        _, hi_ref = descend_from_top(lambda z: requeried(z).hi, n_known + 2)
+        _, lo_ref = descend_from_top(requeried(0), n_known + 2)
+        _, hi_ref = descend_from_top(requeried(1), n_known + 2)
         assert (lo_trace, hi_trace) == (lo_ref, hi_ref)
 
     @given(

@@ -148,6 +148,13 @@ class TestStepBound:
         spec = staircase(length)
         assert gfp_descend(spec)[1].steps == length + 2 == fixpoint._step_bound(spec)
 
+    def test_counts_each_break_once(self):
+        # L prefix values, the block values in [0, 2), and the affine indices lo, ..., hi - 1
+        for spec in chain(build_corpus(300), affine_grid()):
+            block = sum(0 <= F(*pair) < 2 for pair in spec.block_pairs)
+            run = spec.window[1] - spec.window[0] if spec.window else 0
+            assert fixpoint._step_bound(spec) == len(spec.prefix) + block + run + 2, spec
+
 
 @contextmanager
 def memory_cap(spare: int = 1 << 30):

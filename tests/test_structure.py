@@ -1,12 +1,14 @@
-"""Three decisions stay where they belong.
+"""Four decisions stay where they belong.
 
 Past the prefix, the library reads a tail as a periodic block
 (``EnumerationSpec.block_pairs``) or an affine line.  Only the spec's
 construction, the tail's JSON form and the append demonstration may ask
 whether a tail is a ``Constant`` or a ``Cycle``.  The supremum sweep
-reads the map from its step structure alone.  And only the spec's
+reads the map from its step structure alone.  Only the spec's
 construction takes an affine tail's cuts at 0 and 2 (``EnumerationSpec.window``);
-everything else reads them from the spec.
+everything else reads them from the spec.  And in the escape module only
+the verdict pass reads enumerated values to compare them with x0, so a
+tail hit is refused there and nowhere else.
 """
 
 import ast
@@ -20,22 +22,29 @@ ALLOWED = {"EnumerationSpec.__post_init__", "tail_to_jsonable", "adjoin_escape_d
 PERIODIC_RULES = {"Constant", "Cycle"}
 CLOSED_FORM = {"weight_below", "_plus_tail", "_below", "tail_weight_sum"}  # the map's evaluators
 CUTS = {"affine_cut": 1, "_cut": 2}  # each cut's arguments that spell its x: x, or p and q
+# what reads an enumerated value: the spec's pairs, the tail's line, and the helpers that answer from them
+ENUMERATED = {"prefix_pairs", "block_pairs", "line", "value_at", "_pair_at", "tail_hits", "_line_index",
+              "_cut", "affine_cut"}
 
 
-def scoped_calls(tree: ast.AST) -> list[tuple[str, ast.Call]]:
-    """(enclosing definition, call) of each call in the tree, in source order."""
+def scoped_nodes(tree: ast.AST) -> list[tuple[str, ast.AST]]:
+    """(enclosing definition, node) of each node in the tree, in source order."""
     found = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope += (node.name,)
-        if isinstance(node, ast.Call):
-            found.append((".".join(scope), node))
+        found.append((".".join(scope), node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, ())
     return found
+
+
+def scoped_calls(tree: ast.AST) -> list[tuple[str, ast.Call]]:
+    """(enclosing definition, call) of each call in the tree, in source order."""
+    return [(scope, node) for scope, node in scoped_nodes(tree) if isinstance(node, ast.Call)]
 
 
 def periodic_rule_tests(tree: ast.AST) -> list[tuple[str, int]]:
@@ -154,3 +163,38 @@ def test_only_the_spec_takes_the_window_cuts():
         found += window_cuts(ast.parse(path.read_text(), str(path)))
     # both cuts, in the one place that takes them, so the walk reads the source
     assert [scope for scope, _ in found] == ["EnumerationSpec.__post_init__"] * 2
+
+
+def enumerated_reads(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(enclosing definition, name, line) of each name or attribute in ``ENUMERATED``."""
+    found = []
+    for scope, node in scoped_nodes(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in ENUMERATED:
+            found.append((scope, name, node.lineno))
+    return found
+
+
+def test_the_read_walker_sees_names_attributes_and_calls():
+    tree = ast.parse(
+        "def compute_escape(spec, x0):\n"
+        "    return tail_hits(spec, x0) or enumeration.value_at(spec, 0)\n"
+        "class C:\n"
+        "    def m(self, spec):\n"
+        "        return spec.block_pairs, spec.tail.line, spec.prefix, spec.window\n"
+    )
+    assert enumerated_reads(tree) == [
+        ("compute_escape", "tail_hits", 2),
+        ("compute_escape", "value_at", 2),
+        ("C.m", "block_pairs", 5),
+        ("C.m", "line", 5),
+    ]
+
+
+def test_only_the_verdict_pass_reads_enumerated_values_in_escape():
+    path = SOURCE / "escape.py"
+    found = enumerated_reads(ast.parse(path.read_text(), str(path)))
+    assert {scope for scope, _, _ in found} == {"_verdicts"}
+    # the pass reads the prefix, the block and the line, so the walk reads the source
+    assert {"prefix_pairs", "block_pairs", "line"} <= {name for _, name, _ in found}
+    assert "tail_hits" not in {name for _, name, _ in found}

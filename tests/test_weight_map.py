@@ -299,6 +299,28 @@ class TestPlateaus:
         walk_plateaus(spec)
 
 
+def check_exact_window(spec: EnumerationSpec) -> None:
+    """The run is exactly the indices lo, ..., hi - 1 of ``spec.window``, by ascending value."""
+    lo, hi = spec.window
+    ascending = range(lo, hi) if spec.tail.a > 0 else range(hi - 1, lo - 1, -1)
+    assert step_structure(spec).run == ascending, spec
+    assert all(0 <= value_at(spec, n) < 2 for n in ascending), spec
+    # the strict cuts leave the index before lo, if a tail index, and hi outside [0, 2)
+    for n in [lo - 1] * (lo - 1 >= len(spec.prefix)) + [hi]:
+        assert not 0 <= value_at(spec, n) < 2, (spec, n)
+
+
+class TestExactWindow:
+    def test_affine_grid(self):
+        for spec in affine_grid():
+            check_exact_window(spec)
+
+    @given(affine_specs())
+    @settings(deadline=None)
+    def test_affine_specs(self, spec):
+        check_exact_window(spec)
+
+
 # both slope signs, down to 1/8192; a flat line starts near one end of [0, 2], so its run holds about 1024 values
 MERGE_LINES = {
     "up": Affine(F(1, 3), F(1, 7)),
@@ -415,9 +437,15 @@ class TestPlateauPairs:
         check_plateau_pairs(spec)
 
 
+def both_bounds(bound_maps, x) -> RatInterval:
+    """The lower and upper bound maps of ``box_classifier`` at x, as one interval."""
+    lower, upper = bound_maps
+    return RatInterval(lower(x), upper(x))
+
+
 def queried_bounds(ienum, n_known, eps, x) -> RatInterval:
-    """The bound map at x over freshly queried boxes of indices 0, ..., n_known-1."""
-    return box_classifier(tuple(query_boxes(ienum, n_known, eps)))(x)
+    """Both bound maps at x over freshly queried boxes of indices 0, ..., n_known-1."""
+    return both_bounds(box_classifier(tuple(query_boxes(ienum, n_known, eps))), x)
 
 
 class TestQueriedBounds:
@@ -518,35 +546,36 @@ class TestBoxClassifier:
         (F(-1), (F(0), F(1))),
     ])
     def test_hand_cases(self, x, expected):
-        assert box_classifier([RatInterval(F(1, 4), F(1))])(x) == RatInterval(*expected)
+        assert both_bounds(box_classifier([RatInterval(F(1, 4), F(1))]), x) == RatInterval(*expected)
 
     @given(boxes_and_x())
     def test_matches_a_three_way_fraction_classification(self, case):
         boxes, x = case
-        assert box_classifier(boxes)(x) == reference_bounds(boxes, x)
+        assert both_bounds(box_classifier(boxes), x) == reference_bounds(boxes, x)
 
     @given(boxes_and_x(), st.lists(box_ends, max_size=6))
     def test_one_classifier_serves_every_x(self, case, more):
         boxes, x = case
         bounds = box_classifier(boxes)
         for z in [x, *more, x]:
-            assert bounds(z) == reference_bounds(boxes, z)
+            assert both_bounds(bounds, z) == reference_bounds(boxes, z)
 
     @given(repeated_boxes_and_x(), st.lists(box_ends, max_size=4))
     def test_repeated_boxes_match_the_per_index_reference(self, case, more):
         boxes, x = case
         bounds = box_classifier(boxes)
         for z in [x, *more]:
-            assert bounds(z) == reference_bounds(boxes, z)
+            assert both_bounds(bounds, z) == reference_bounds(boxes, z)
 
     @pytest.mark.parametrize("x", [F(-1), F(0), F(1), F(3)])
     def test_no_boxes_bound_the_map_by_0_and_2(self, x):
         # with top = 0 every index is unqueried, 2^(1 - 0) in all
-        assert box_classifier(())(x) == RatInterval(F(0), F(2))
+        assert both_bounds(box_classifier(()), x) == RatInterval(F(0), F(2))
 
     def test_rejects_float_x(self):
-        with pytest.raises(TypeError):
-            box_classifier([RatInterval(0, 1)])(0.5)
+        for bound in box_classifier([RatInterval(0, 1)]):
+            with pytest.raises(TypeError):
+                bound(0.5)
 
     def test_rows_take_memory_linear_in_the_box_count(self):
         # a weight 2^(top - n) kept per row would hold about top^2 / 16 bytes: 16 MB here
@@ -554,7 +583,7 @@ class TestBoxClassifier:
         boxes = tuple(query_boxes(intervalize(EnumerationSpec((), Constant(F(1, 3)))), top, F(1, 128)))
         tracemalloc.start()
         try:
-            assert box_classifier(boxes)(F(1)) == RatInterval(2 - F(2, 1 << top), 2)
+            assert both_bounds(box_classifier(boxes), F(1)) == RatInterval(2 - F(2, 1 << top), 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -567,7 +596,7 @@ class TestBoxClassifier:
         assert len({box.pairs for box in boxes}) == top
         tracemalloc.start()
         try:
-            assert box_classifier(boxes)(F(1)) == RatInterval(2 - F(2, 1 << top), 2)
+            assert both_bounds(box_classifier(boxes), F(1)) == RatInterval(2 - F(2, 1 << top), 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -581,7 +610,7 @@ class TestBoxClassifier:
         expected = reference_bounds(boxes, F(1, 2))
         tracemalloc.start()
         try:
-            assert box_classifier(boxes)(F(1, 2)) == expected
+            assert both_bounds(box_classifier(boxes), F(1, 2)) == expected
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
