@@ -46,7 +46,6 @@ __all__ = [
     "MAX_TAIL_CUT",
     "value_at",
     "eligible_prefix_indices",
-    "affine_cut",
     "check_exponent_bound",
     "tail_weight_sum",
     "tail_hits",
@@ -178,23 +177,15 @@ def eligible_prefix_indices(spec: EnumerationSpec, x: RationalLike) -> set[int]:
     return {n for n, (p, q) in enumerate(spec.prefix_pairs) if p * den < num * q}
 
 
-def affine_cut(spec: EnumerationSpec, x: RationalLike) -> int:
-    """Index where the affine tail crosses x, never below the prefix length L.
+def _cut(spec: EnumerationSpec, p: int, q: int) -> int:
+    """Index where the affine tail crosses x = p/q, q > 0, never below the prefix length L.
 
     The tail indices n >= L with a*n + b < x are [L, cut) when a > 0 and
     [cut, infinity) when a < 0.  The boundary (x - b) / a is strict and
-    computed as one integer quotient: for x = p/q and the tail's line
-    (A, B, D) it is (p*D - B*q) / (q*A), whose denominator has the sign of a.
-    A periodic tail has no line, and is refused with ``ValueError``.
+    computed as one integer quotient: for the tail's line (A, B, D) it is
+    (p*D - B*q) / (q*A), whose denominator has the sign of a.  p/q need
+    not be reduced.
     """
-    if spec.block_pairs:
-        raise ValueError(f"affine_cut needs an affine tail, got {spec.tail!r}")
-    x = as_fraction(x, "x")
-    return _cut(spec, x.numerator, x.denominator)
-
-
-def _cut(spec: EnumerationSpec, p: int, q: int) -> int:
-    """``affine_cut`` at x = p/q, q > 0; p/q need not be reduced."""
     slope, intercept, scale = spec.tail.line
     num = p * scale - intercept * q
     den = q * slope
@@ -307,63 +298,51 @@ class IntervalEnumeration:
         return box
 
 
-def intervalize(spec: EnumerationSpec, jitter: RationalLike = 0) -> IntervalEnumeration:
-    """Blur an exact enumeration into an interval oracle.
+def intervalize(spec: EnumerationSpec) -> IntervalEnumeration:
+    """Blur an exact enumeration into an interval oracle of centred boxes.
 
-    Returns width-eps intervals centered within ``jitter`` of the true value
-    (skewed alternately up and down so jitter is actually exercised).  The
-    true value is always inside, and intervals for the same n are nested as
-    eps shrinks.  jitter = 0 gives exactly centered intervals.
+    A query (n, eps) returns the width-eps interval centred on f(n): for
+    f(n) = p/q and eps = e/d its endpoints are (2dp -/+ eq) / (2dq), each
+    reduced once.  The true value is always inside, and the boxes for one n
+    are nested as eps shrinks.  An affine tail's pair (A*n + B, D) need not
+    be reduced; the endpoints are.
 
-    Each endpoint value + skew -/+ half is built as one Fraction over
-    q*g*f, for value p/q, jitter j/g and half = eps/2 = e/f: the skew
-    min(jitter, half) is k/(g*f), k = min(j*f, e*g), and half is e*g/(g*f).
-    An affine tail's pair (A*n + B, D) need not be reduced; the endpoints are.
-
-    e, f and k are worked out once per eps.  A box depends only on
-    (p, q, k), and past the prefix a periodic tail's index n repeats both
-    its value and the sign of its skew with period W = lcm(P, 2), the sign
-    following n's parity.  So the prefix and the tail answer from L + W
-    slots, slot n for n < L and L + (n - L) mod W after that.  A slot is
-    filled on its first query with the box of its (p, q, k), and the slots
-    are kept for the last eps asked only.  An affine tail's boxes are built
-    on each query and never kept.
+    A box depends only on (p, q) and eps, and past the prefix a periodic
+    tail's index n repeats its value with period P.  So the prefix and the
+    tail answer from L + P slots, slot n for n < L and L + (n - L) mod P
+    after that.  A slot is filled on its first query, and the slots are
+    kept for the last eps asked only.  An affine tail's boxes are built on
+    each query and never kept.
     """
-    jitter = as_fraction(jitter, "jitter")
-    if jitter < 0:
-        raise ValueError(f"jitter must be nonnegative, got {jitter}")
-    j, g = jitter.numerator, jitter.denominator
     start, period = len(spec.prefix), len(spec.block_pairs)
-    wrap = math.lcm(period, 2) if period else 0  # no slot past the prefix for an affine tail
-    at_eps = e = f = k = None  # the eps last asked, and its e, f and even-index skew k
+    at_eps = e = f = None  # the eps last asked, and its e and 2d
     slots: list = []
 
     def oracle(n: int, eps: Fraction) -> RatInterval:
-        nonlocal at_eps, e, f, k, slots
+        nonlocal at_eps, e, f, slots
         if eps is not at_eps:
             if eps != at_eps:
                 e, f = eps.numerator, 2 * eps.denominator
-                k = j * f if j * f < e * g else e * g
-                slots = [None] * (start + wrap)
+                slots = [None] * (start + period)
             at_eps = eps
         slot = n
         if n >= start:
-            if not wrap:
+            if not period:
                 p, q = _pair_at(spec, n)
-                return _box(p, q, -k if n % 2 else k, e, f, g)
-            slot = start + (n - start) % wrap
+                return _box(p, q, e, f)
+            slot = start + (n - start) % period
         box = slots[slot]
         if box is None:
             p, q = _pair_at(spec, n)
-            box = slots[slot] = _box(p, q, -k if n % 2 else k, e, f, g)
+            box = slots[slot] = _box(p, q, e, f)
         return box
 
     return IntervalEnumeration(oracle)
 
 
-def _box(p: int, q: int, k: int, e: int, f: int, g: int) -> RatInterval:
-    """The box of value p/q skewed by k/(g*f), of half width e/f: see ``intervalize``."""
-    center, half, den = p * g * f + k * q, e * g * q, q * g * f
+def _box(p: int, q: int, e: int, f: int) -> RatInterval:
+    """The box centred on p/q of half width e/f: see ``intervalize``."""
+    center, half, den = p * f, e * q, q * f
     return RatInterval.of_pairs(center - half, den, center + half, den)
 
 
@@ -395,21 +374,20 @@ def tail_to_jsonable(tail: TailRule) -> dict:
     return {"kind": "affine", "a": format_rational(tail.a), "b": format_rational(tail.b)}
 
 
-def tail_from_jsonable(obj: object, where: str = "tail") -> TailRule:
+def tail_from_jsonable(obj: object) -> TailRule:
     if not isinstance(obj, dict):
-        raise SpecError(f"{where}: expected an object, got {obj!r}")
+        raise SpecError(f"tail: expected an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "constant":
-        _expect_keys(obj, {"kind", "value"}, where)
-        return Constant(_rational_at(obj.get("value"), f"{where}.value"))
+        _expect_keys(obj, {"kind", "value"}, "tail")
+        return Constant(_rational_at(obj.get("value"), "tail.value"))
     if kind == "cycle":
-        _expect_keys(obj, {"kind"}, where)
+        _expect_keys(obj, {"kind"}, "tail")
         return Cycle()
     if kind == "affine":
-        _expect_keys(obj, {"kind", "a", "b"}, where)
-        return Affine(_rational_at(obj.get("a"), f"{where}.a"),
-                      _rational_at(obj.get("b"), f"{where}.b"))
-    raise SpecError(f"{where}.kind: unknown tail kind {kind!r}")
+        _expect_keys(obj, {"kind", "a", "b"}, "tail")
+        return Affine(_rational_at(obj.get("a"), "tail.a"), _rational_at(obj.get("b"), "tail.b"))
+    raise SpecError(f"tail.kind: unknown tail kind {kind!r}")
 
 
 def _expect_keys(obj: dict, allowed: set, where: str) -> None:

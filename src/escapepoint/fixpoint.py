@@ -16,8 +16,8 @@ top down as it is iterated, so neither oracle holds a list of breaks:
   top down, by one comparison with a break each, and stops at the first
   postfixpoint, the largest (the supremum construction);
 * ``subset_fixpoint_oracle`` reads the map literally as a supremum over
-  finite index sets: every candidate is weight_sum(S) + tail-state for a
-  prefix subset S, and the largest candidate fixed by the map wins.  The map
+  finite index sets: every candidate is the weight of a prefix subset S
+  plus a tail state, and the largest candidate fixed by the map wins.  The map
   is constant on each plateau, so its tail part is too, and one tail state
   per plateau covers them all.
 
@@ -183,8 +183,8 @@ def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
 def subset_fixpoint_oracle(spec: EnumerationSpec) -> Fraction:
     """The escape value by literal enumeration of finite-subset candidates.
 
-    Every candidate has the form weight_sum(S) + t for a prefix subset S and
-    a realizable tail state t.  Since prefix weights are the full dyadic
+    Every candidate has the form w + t for w the weight of a prefix subset
+    S and a realizable tail state t.  Since prefix weights are the full dyadic
     ladder, subset sums are exactly {k * 2^-(L-1) : 0 <= k < 2^L}, so each
     (tail state, map plateau) pair admits a single divisibility test instead
     of a 2^L loop; the candidate set and the returned maximum fixpoint are

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Union
 
 __all__ = [
     "RatInterval",
@@ -25,7 +26,6 @@ __all__ = [
     "dyadic_tail_weight",
     "MAX_EXACT_EXPONENT",
     "ExponentBoundError",
-    "weight_sum",
 ]
 
 RationalLike = Union[Fraction, int]
@@ -56,11 +56,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: RationalLike) -> str:
-    """Canonical "p/q" form, or "p" for integers."""
+    """Canonical "p/q" form, or "p" for integers, at any size."""
     value = as_fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past the interpreter's int digit limit, which Decimal does not apply
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def dyadic_weight(index: int) -> Fraction:
@@ -92,20 +96,6 @@ def dyadic_tail_weight(start: int) -> Fraction:
             f"a tail weight from index {start} is past the bound {MAX_EXACT_EXPONENT} on dyadic exponents"
         )
     return Fraction(2, 1 << start)
-
-
-def weight_sum(indices: Iterable[int]) -> Fraction:
-    """Exact sum of 2^-n over a finite set of naturals (duplicates ignored).
-
-    The sum is one integer over 2^top, top the largest index: one Fraction.
-    """
-    indices = list(indices)  # checked before duplicates go: {1, True} is {1}
-    for n in indices:
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError(f"weight index must be a natural number, got {n!r}")
-    distinct = set(indices)
-    top = max(distinct, default=0)
-    return Fraction(sum(1 << (top - n) for n in distinct), 1 << top)
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -181,15 +181,11 @@ class StepStructure:
             yield total, pair
             total -= jump
 
-    def pair(self, num: int) -> tuple[int, int]:
-        """num / den as a pair with the twos they share stripped by a shift, with no gcd."""
+    def fraction(self, num: int) -> Fraction:
+        """num / den; stripping the twos they share by a shift first keeps Fraction's gcd cheap."""
         both = num | self.den
         twos = (both & -both).bit_length() - 1
-        return num >> twos, self.den >> twos
-
-    def fraction(self, num: int) -> Fraction:
-        """num / den; stripping the shared twos first keeps Fraction's gcd cheap."""
-        return Fraction(*self.pair(num))
+        return Fraction(num >> twos, self.den >> twos)
 
 
 def step_structure(spec: EnumerationSpec) -> StepStructure:

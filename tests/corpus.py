@@ -4,13 +4,14 @@ Prefix lengths stay within the subset oracle's comfort zone (<= 12) so the
 same corpus can feed the three-route equivalence checks; values mix small
 fractions (which collide and build interesting plateaus) with full-range
 numerators and denominators up to 1000.  Affine slopes keep |a| >= 1/16 so
-the number of tail breakpoints stays small.
+the number of tail breakpoints stays small.  ``formula_box`` is the
+reference box of an index, centred or off-centre.
 """
 
 import random
 from fractions import Fraction
 
-from escapepoint import Affine, Constant, Cycle, EnumerationSpec
+from escapepoint import Affine, Constant, Cycle, EnumerationSpec, RatInterval, value_at
 
 CORPUS_SEED = 20260816
 
@@ -46,3 +47,14 @@ def random_spec(rng: random.Random, index: int) -> EnumerationSpec:
 def build_corpus(count: int, seed: int = CORPUS_SEED) -> list[EnumerationSpec]:
     rng = random.Random(seed)
     return [random_spec(rng, i) for i in range(count)]
+
+
+def formula_box(spec: EnumerationSpec, n: int, eps: Fraction, jitter: Fraction) -> RatInterval:
+    """The width-eps box of index n by Fraction arithmetic: f(n), skewed alternately by min(jitter, eps/2).
+
+    jitter = 0 gives ``intervalize``'s centred box; any other jitter an
+    off-centre box that still holds f(n), for an oracle built in a test.
+    """
+    skew = min(jitter, eps / 2) * (-1 if n % 2 else 1)
+    center = value_at(spec, n) + skew
+    return RatInterval(center - eps / 2, center + eps / 2)

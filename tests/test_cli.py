@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from escapepoint import selftest
+from escapepoint import Affine, EnumerationSpec, certificate_to_jsonable, compute_escape, selftest
 from escapepoint.cli import main
 
 SPEC2_TEXT = '{"prefix": ["3/2", "1/8"], "tail": {"kind": "constant", "value": "2"}}'
@@ -176,6 +176,17 @@ class TestDigitLimit:
             x0 = out.splitlines()[0].removeprefix("escape value: ")
         assert len(x0.partition("/")[2]) > sys.int_info.default_max_str_digits
         assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+    @pytest.mark.parametrize("a, b", [("1/8191", "0"), ("-1/8191", "2")])
+    def test_the_library_renders_what_the_cli_prints(self, tmp_path, capsys, a, b):
+        path = tmp_path / "flat.json"
+        spec = {"prefix": [], "tail": {"kind": "affine", "a": a, "b": b}}
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        cert = compute_escape(EnumerationSpec((), Affine(Fraction(a), Fraction(b))))
+        rendered = json.dumps(certificate_to_jsonable(cert), indent=2, sort_keys=True) + "\n"
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+        assert main(["escape", str(path), "--output", "structured"]) == 0
+        assert capsys.readouterr().out == rendered
 
 
 class TestCheckCommand:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import build_corpus, random_spec
+from corpus import build_corpus, formula_box, random_spec
 from escapepoint import enumeration
 from escapepoint.numerics import MAX_EXACT_EXPONENT, ExponentBoundError
 from escapepoint import (
@@ -170,13 +170,7 @@ class TestAffineCut:
         spec = EnumerationSpec((F(0),) * length, Affine(a, b))
         boundary = (x - b) / a
         cut = math.ceil(boundary) if a > 0 else math.floor(boundary) + 1
-        assert enumeration.affine_cut(spec, x) == max(length, cut)
-
-    @pytest.mark.parametrize("tail", [Constant(F(1, 2)), Cycle()])
-    def test_a_periodic_tail_is_refused(self, tail):
-        spec = EnumerationSpec((F(1, 3),), tail)
-        with pytest.raises(ValueError, match=rf"affine_cut needs an affine tail, got {type(tail).__name__}\("):
-            enumeration.affine_cut(spec, 0)
+        assert enumeration._cut(spec, x.numerator, x.denominator) == max(length, cut)
 
     def test_line_holds_the_rule_and_is_not_compared(self):
         tail = Affine(F(3, 4), F(-5, 6))
@@ -194,7 +188,9 @@ class TestTailWeightSum:
     @example(2000, F(-11060971072))
     def test_matches_truncated_series(self, index, x):
         spec = corpus_spec(index)
-        if isinstance(spec.tail, Affine) and enumeration.affine_cut(spec, x) > MAX_EXACT_EXPONENT:
+        if isinstance(spec.tail, Affine) and (
+            enumeration._cut(spec, x.numerator, x.denominator) > MAX_EXACT_EXPONENT
+        ):
             with memory_cap(), pytest.raises(ExponentBoundError, match="past the bound"):
                 tail_weight_sum(spec, x)
             return
@@ -275,12 +271,11 @@ class TestIntervalize:
         spec_indices,
         st.integers(min_value=0, max_value=30),
         st.fractions(min_value="1/10000", max_value=2, max_denominator=10**6),
-        st.fractions(min_value=0, max_value=1, max_denominator=1000),
     )
     @settings(deadline=None)
-    def test_contains_truth_and_meets_width(self, index, n, eps, jitter):
+    def test_contains_truth_and_meets_width(self, index, n, eps):
         spec = corpus_spec(index)
-        box = intervalize(spec, jitter).at(n, eps)
+        box = intervalize(spec).at(n, eps)
         assert value_at(spec, n) in box
         assert box.width <= eps
 
@@ -288,27 +283,15 @@ class TestIntervalize:
         spec_indices,
         st.integers(min_value=0, max_value=30),
         st.fractions(min_value="1/1000", max_value=2, max_denominator=10**6),
-        st.fractions(min_value=0, max_value=1, max_denominator=1000),
     )
     @settings(deadline=None)
-    def test_nested_as_eps_shrinks(self, index, n, eps, jitter):
-        oracle = intervalize(corpus_spec(index), jitter)
+    def test_nested_as_eps_shrinks(self, index, n, eps):
+        oracle = intervalize(corpus_spec(index))
         assert oracle.at(n, eps).encloses(oracle.at(n, eps / 3))
 
     def test_deterministic(self):
-        oracle = intervalize(corpus_spec(5), F(1, 64))
+        oracle = intervalize(corpus_spec(5))
         assert oracle.at(3, F(1, 10)) == oracle.at(3, F(1, 10))
-
-    def test_jitter_skews_alternately(self):
-        spec = EnumerationSpec(prefix=(F(0), F(0)), tail=Constant(0))
-        oracle = intervalize(spec, F(1, 100))
-        even, odd = oracle.at(0, F(1, 4)), oracle.at(1, F(1, 4))
-        assert even.lo + even.hi == 2 * F(1, 100)  # center skewed up
-        assert odd.lo + odd.hi == -2 * F(1, 100)  # center skewed down
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            intervalize(corpus_spec(0), F(-1, 2))
 
     def test_oracle_contract_enforced(self):
         wide = IntervalEnumeration(lambda n, eps: RatInterval(0, 1))
@@ -360,75 +343,47 @@ def blurred_specs(draw):
     return EnumerationSpec(prefix, tail)
 
 
-@st.composite
-def eps_and_jitter(draw, kind):
-    """eps, and a jitter of the given kind: 0, below eps/2, equal to it or above it."""
-    eps = draw(st.fractions(min_value=F(1, 10**6), max_value=4, max_denominator=10**6))
-
-    def ratios(low, high):
-        return st.fractions(min_value=low, max_value=high, max_denominator=1000)
-
-    ratio = {
-        "zero": st.just(F(0)),
-        "below half": ratios(0, 1).filter(lambda r: 0 < r < 1),
-        "half": st.just(F(1)),
-        "above half": ratios(1, 10).filter(lambda r: r > 1),
-    }[kind]
-    return eps, eps / 2 * draw(ratio)
-
-
-def formula_box(spec: EnumerationSpec, n: int, eps: F, jitter: F) -> RatInterval:
-    """The box of index n by Fraction arithmetic: f(n), skewed alternately by min(jitter, eps/2)."""
-    skew = min(jitter, eps / 2) * (-1 if n % 2 else 1)
-    center = value_at(spec, n) + skew
-    return RatInterval(center - eps / 2, center + eps / 2)
-
-
 class TestIntervalizeEndpoints:
     @pytest.mark.parametrize("parity", [0, 1])
-    @pytest.mark.parametrize("kind", ["zero", "below half", "half", "above half"])
     @given(data=st.data())
     @settings(deadline=None, max_examples=50)
-    def test_matches_the_fraction_formula(self, kind, parity, data):
+    def test_matches_the_centred_formula(self, parity, data):
         spec = data.draw(blurred_specs())
         n = 2 * data.draw(st.integers(min_value=0, max_value=20)) + parity
-        eps, jitter = data.draw(eps_and_jitter(kind))
-        assert intervalize(spec, jitter).at(n, eps) == formula_box(spec, n, eps, jitter)
+        eps = data.draw(st.fractions(min_value=F(1, 10**6), max_value=4, max_denominator=10**6))
+        assert intervalize(spec).at(n, eps) == formula_box(spec, n, eps, F(0))
 
 
 class TestKeptBoxes:
     @given(
         st.one_of(spec_indices.map(corpus_spec), blurred_specs()),
-        st.sampled_from([F(0), F(1, 1000), F(1, 7)]),
         st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=20),
     )
     @settings(deadline=None)
-    def test_one_oracle_answers_as_fresh_ones(self, spec, jitter, indices):
-        oracle = intervalize(spec, jitter)
-        fresh = IntervalEnumeration(lambda n, eps: formula_box(spec, n, eps, jitter))
+    def test_one_oracle_answers_as_fresh_ones(self, spec, indices):
+        oracle = intervalize(spec)
+        fresh = IntervalEnumeration(lambda n, eps: formula_box(spec, n, eps, F(0)))
         for eps in (F(1, 128), F(1, 10**6), F(1, 128)):
             for n in indices:
-                for m in (n, n + 1):  # both parities, so both signs of the skew
-                    assert oracle.at(m, eps) == fresh.at(m, eps)
+                assert oracle.at(n, eps) == fresh.at(n, eps)
 
     @pytest.mark.parametrize("spec", [
         EnumerationSpec((F(1, 3), F(5, 2)), Constant(F(1, 3))),
         EnumerationSpec((F(1, 3), F(5, 2), F(-1, 7)), Cycle()),
         EnumerationSpec((F(2),) * 5, Cycle()),
     ], ids=["constant P=1", "cycle P=3", "cycle P=5 of one value"])
-    def test_an_odd_period_repeats_its_skew_every_two_laps(self, spec):
-        # the skew's sign follows n's parity, so with P odd, index n and n + P differ
-        oracle = intervalize(spec, F(1, 1000))
+    def test_a_period_repeats_its_boxes_every_lap(self, spec):
+        oracle = intervalize(spec)
         start, period, eps = len(spec.prefix), len(spec.block_pairs), F(1, 128)
         for i in range(2 * period):
             first = oracle.at(start + i, eps)
-            assert oracle.at(start + i + period, eps) != first
-            assert oracle.at(start + i + 2 * period, eps) is first
-            assert oracle.at(start + i + 6 * period, eps) is first
+            assert first == formula_box(spec, start + i, eps, F(0))
+            assert oracle.at(start + i + period, eps) == first
+            assert oracle.at(start + i + 6 * period, eps) == first
 
     def test_affine_tail_boxes_are_not_kept(self):
         spec = EnumerationSpec((F(1, 2),), Affine(F(1, 3), F(-7, 5)))
-        oracle = intervalize(spec, F(1, 1000))
+        oracle = intervalize(spec)
         eps = F(1, 128)
         oracle.at(0, eps)  # a prefix box, kept
         tracemalloc.start()

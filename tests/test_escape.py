@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import build_corpus, random_spec
+from corpus import build_corpus, formula_box, random_spec
 from test_golden import canonical_text
 from escapepoint import escape
 from escapepoint import (
@@ -406,7 +406,8 @@ class TestEnclosure:
     )
     @settings(deadline=None, max_examples=60)
     def test_descents_match_the_public_bound_maps(self, index, n_known, eps, jitter):
-        oracle = intervalize(corpus_spec(index), jitter)
+        spec = corpus_spec(index)
+        oracle = IntervalEnumeration(lambda n, at_eps: formula_box(spec, n, at_eps, jitter))
         _, lo_trace, hi_trace = enclose_escape_traced(oracle, n_known, eps)
         # the reference queries the boxes afresh at every step
         def requeried(side):

@@ -33,7 +33,6 @@ from escapepoint import (
     value_at,
     weight_below,
 )
-from escapepoint.enumeration import affine_cut
 from escapepoint.selftest import (
     FiniteLattice,
     LatticeError,
@@ -60,7 +59,7 @@ def plateau_values(spec: EnumerationSpec) -> set[F]:
     last = len(spec.prefix)
     if isinstance(spec.tail, Affine):
         # past the larger cut every tail value lies outside [0, 2]
-        last = max(last, affine_cut(spec, F(0)), affine_cut(spec, F(2)))
+        last = spec.window[1]
     breaks = {v for v in (value_at(spec, n) for n in range(last + 1)) if 0 <= v <= 2}
     return {weight_below(spec, x) for x in breaks | {F(0), F(2)}}
 

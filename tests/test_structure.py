@@ -21,10 +21,8 @@ SOURCE = Path(escapepoint.__file__).parent
 ALLOWED = {"EnumerationSpec.__post_init__", "tail_to_jsonable", "adjoin_escape_demo"}
 PERIODIC_RULES = {"Constant", "Cycle"}
 CLOSED_FORM = {"weight_below", "_plus_tail", "_below", "tail_weight_sum"}  # the map's evaluators
-CUTS = {"affine_cut": 1, "_cut": 2}  # each cut's arguments that spell its x: x, or p and q
 # what reads an enumerated value: the spec's pairs, the tail's line, and the helpers that answer from them
-ENUMERATED = {"prefix_pairs", "block_pairs", "line", "value_at", "_pair_at", "tail_hits", "_line_index",
-              "_cut", "affine_cut"}
+ENUMERATED = {"prefix_pairs", "block_pairs", "line", "value_at", "_pair_at", "tail_hits", "_line_index", "_cut"}
 
 
 def scoped_nodes(tree: ast.AST) -> list[tuple[str, ast.AST]]:
@@ -131,15 +129,14 @@ def constant(node: ast.AST):
 
 
 def window_cuts(tree: ast.AST) -> list[tuple[str, int]]:
-    """(enclosing definition, line) of each affine_cut or _cut call at a constant 0 or 2."""
+    """(enclosing definition, line) of each _cut call whose p and q spell a constant 0 or 2."""
     found = []
     for scope, node in scoped_calls(tree):
         func = node.func
-        spelled = CUTS.get(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
-        if spelled is None:
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "_cut":
             continue
-        x = [constant(arg) for arg in node.args[1:1 + spelled]]
-        if len(x) == spelled and None not in x and x[1:] != [0] and Fraction(*x) in (0, 2):
+        x = [constant(arg) for arg in node.args[1:3]]
+        if len(x) == 2 and None not in x and x[1] != 0 and Fraction(*x) in (0, 2):
             found.append((scope, node.lineno))
     return found
 
@@ -147,12 +144,12 @@ def window_cuts(tree: ast.AST) -> list[tuple[str, int]]:
 def test_the_cut_walker_sees_constants_bare_and_wrapped():
     tree = ast.parse(
         "def f(spec, x):\n"
-        "    return affine_cut(spec, 0), enumeration.affine_cut(spec, F(2)), affine_cut(spec, x)\n"
+        "    return _cut(spec, 0, 1), enumeration._cut(spec, F(2), F(1)), _cut(spec, x, 1)\n"
         "class S:\n"
         "    def g(self):\n"
         "        return _cut(self, 4, 2) + _cut(self, 2, q) + _cut(self, 1, 1) + max(self, 0, 2)\n"
         "def h(spec):\n"
-        "    return _cut(spec, 0, 1)\n"
+        "    return _cut(spec, 0, 1) + _cut(spec, 2, 0)\n"
     )
     assert window_cuts(tree) == [("f", 2), ("f", 2), ("S.g", 5), ("h", 7)]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import build_corpus, random_spec
+from corpus import build_corpus, formula_box, random_spec
 from escapepoint import (
     Affine,
     Constant,
@@ -30,10 +30,9 @@ from escapepoint import (
     tail_weight_sum,
     value_at,
     weight_below,
-    weight_sum,
 )
 from escapepoint import enumeration, weight_map
-from escapepoint.enumeration import MAX_TAIL_CUT, affine_cut
+from escapepoint.enumeration import MAX_TAIL_CUT
 from escapepoint.numerics import MAX_EXACT_EXPONENT
 from escapepoint.weight_map import step_structure
 from test_fixpoint import memory_cap
@@ -66,6 +65,16 @@ def affine_specs(draw):
 
 def corpus_spec(index: int) -> EnumerationSpec:
     return random_spec(random.Random(index), index)
+
+
+def set_route(spec: EnumerationSpec, x: F) -> F:
+    """The map at x by the set route: the weights of the eligible prefix indices, plus the tail's."""
+    return sum(map(dyadic_weight, eligible_prefix_indices(spec, x)), F(0)) + tail_weight_sum(spec, x)
+
+
+def cut(spec: EnumerationSpec, x: F) -> int:
+    """The affine tail's cut at x."""
+    return enumeration._cut(spec, x.numerator, x.denominator)
 
 
 def profile(spec: EnumerationSpec) -> tuple[F, tuple[tuple[F, F], ...]]:
@@ -150,7 +159,7 @@ class TestWeightBelow:
             assert sizes == walked
             sizes.clear()
             # the tail alone still walks a periodic block
-            assert got == weight_sum(eligible_prefix_indices(spec, x)) + tail_weight_sum(spec, x)
+            assert got == set_route(spec, x)
             assert sizes == ([len(spec.block_pairs)] if spec.block_pairs else [])
 
 
@@ -167,13 +176,13 @@ def check_against_references(spec: EnumerationSpec, x: F, offset) -> None:
     start = len(spec.prefix)
     if offset is not None:
         x = value_at(spec, start + offset)
-    if isinstance(spec.tail, Affine) and affine_cut(spec, x) > MAX_EXACT_EXPONENT:
+    if isinstance(spec.tail, Affine) and cut(spec, x) > MAX_EXACT_EXPONENT:
         for route in (weight_below, tail_weight_sum):
             with memory_cap(), pytest.raises(ExponentBoundError, match="past the bound"):
                 route(spec, x)
         return
     got = weight_below(spec, x)
-    reference = weight_sum(eligible_prefix_indices(spec, x)) + tail_weight_sum(spec, x)
+    reference = set_route(spec, x)
     assert type(got) is F and got == reference
     window = range(start + 70)
     brute = sum((dyadic_weight(n) for n in window if value_at(spec, n) < x), F(0))
@@ -199,16 +208,16 @@ class TestWeightBelowReferences:
     def test_refused_past_the_exponent_bound(self, slope):
         spec = EnumerationSpec((F(1, 2), F(5)), Affine(slope, 0))
         x = F(10**7) if slope > 0 else F(-10**7)
-        assert affine_cut(spec, x) > MAX_EXACT_EXPONENT
+        assert cut(spec, x) > MAX_EXACT_EXPONENT
         check_against_references(spec, x, None)
 
     @pytest.mark.parametrize("slope, x", [(1, MAX_EXACT_EXPONENT), (-1, 1 - MAX_EXACT_EXPONENT)])
     def test_exact_up_to_the_exponent_bound(self, slope, x):
         # f(n) = n or -n from index 0, cut at x on the bound's index: exact there, refused one further
         spec = EnumerationSpec((), Affine(slope, 0))
-        for step, cut in ((-slope, MAX_EXACT_EXPONENT - 1), (0, MAX_EXACT_EXPONENT)):
-            assert affine_cut(spec, x + step) == cut
-            tail = F(2, 2**cut)
+        for step, index in ((-slope, MAX_EXACT_EXPONENT - 1), (0, MAX_EXACT_EXPONENT)):
+            assert cut(spec, x + step) == index
+            tail = F(2, 2**index)
             assert weight_below(spec, x + step) == (2 - tail if slope > 0 else tail)
         with memory_cap(), pytest.raises(ExponentBoundError, match=f"index {MAX_EXACT_EXPONENT + 1},"):
             weight_below(spec, x + slope)
@@ -260,7 +269,7 @@ class TestStepStructure:
     @settings(deadline=None)
     def test_affine_matches_brute_force(self, spec):
         # past the larger cut every value lies outside [0, 2]
-        hi = max(affine_cut(spec, F(0)), affine_cut(spec, F(2)))
+        hi = spec.window[1]
         jumps = {}
         for n in range(hi + 1):
             v = value_at(spec, n)
@@ -414,11 +423,11 @@ specs_of_every_kind = st.one_of(
 
 
 def check_plateau_pairs(spec: EnumerationSpec) -> None:
-    """Each plateau value as ``StepStructure.pair`` gives it: its value, with no two left in common."""
+    """Each plateau value as ``StepStructure.fraction`` gives it: its value, with no two left in common."""
     steps = step_structure(spec)
     for t, _ in steps.plateaus():
-        p, q = steps.pair(t)
-        assert F(p, q) == F(t, steps.den) and (p | q) & 1, (spec, t)
+        value = steps.fraction(t)
+        assert value * steps.den == t and (value.numerator | value.denominator) & 1, (spec, t)
 
 
 class TestPlateauPairs:
@@ -472,7 +481,7 @@ class TestQueriedBounds:
     @settings(deadline=None, max_examples=60)
     def test_sound_and_accounted(self, index, n_known, eps, x, jitter):
         spec = corpus_spec(index)
-        oracle = intervalize(spec, jitter)
+        oracle = IntervalEnumeration(lambda n, at_eps: formula_box(spec, n, at_eps, jitter))
         bounds = queried_bounds(oracle, n_known, eps, x)
         assert bounds.lo <= weight_below(spec, x) <= bounds.hi
         boxes = [oracle.at(n, eps) for n in range(n_known)]
@@ -482,6 +491,24 @@ class TestQueriedBounds:
         )
         assert bounds.lo == certain
         assert bounds.hi - bounds.lo == undecided + F(2, 2**n_known)
+
+    @pytest.mark.parametrize("ratio", [F(1, 3), F(1), F(3)], ids=["below half", "half", "above half"])
+    @given(
+        spec_indices,
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([F(1, 10), F(1, 128), F(1, 10**4)]),
+        # x anywhere, or on an index's value, where a box skewed by eps/2 has an end
+        st.one_of(unit_range, st.integers(min_value=0, max_value=11)),
+    )
+    @settings(deadline=None, max_examples=30)
+    def test_sound_off_centre(self, ratio, index, n_known, eps, x):
+        # every box skewed by jitter = ratio * eps/2, so that the one at eps/2 ends on its value
+        spec = corpus_spec(index)
+        x = value_at(spec, x) if type(x) is int else x
+        oracle = IntervalEnumeration(lambda n, at_eps: formula_box(spec, n, at_eps, at_eps / 2 * ratio))
+        bounds = queried_bounds(oracle, n_known, eps, x)
+        assert bounds.lo <= weight_below(spec, x) <= bounds.hi
+        assert gfp_descend(spec)[0] in enclose_escape_traced(oracle, n_known, eps)[0]
 
     @given(spec_indices, st.integers(min_value=1, max_value=10), unit_range)
     @settings(deadline=None, max_examples=60)
