@@ -289,6 +289,15 @@ class TestIntervalize:
         oracle = intervalize(corpus_spec(index))
         assert oracle.at(n, eps).encloses(oracle.at(n, eps / 3))
 
+    @pytest.mark.parametrize("tail", [Constant(F(-3, 7)), Cycle(), Affine(F(2, 3), F(-1, 5))],
+                             ids=["constant", "cycle", "affine"])
+    def test_boxes_are_centred_at_both_parities(self, tail):
+        spec = EnumerationSpec((F(1, 3), F(5, 2)), tail)
+        oracle = intervalize(spec)
+        for n in range(8):
+            box = oracle.at(n, F(1, 100))
+            assert box.lo + box.hi == 2 * value_at(spec, n) and box.width == F(1, 100)
+
     def test_deterministic(self):
         oracle = intervalize(corpus_spec(5))
         assert oracle.at(3, F(1, 10)) == oracle.at(3, F(1, 10))

@@ -1,6 +1,7 @@
 """Every exported name resolves, has one home module, and the package re-exports those lists."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -52,6 +53,23 @@ def test_every_name_has_one_home():
 def test_top_level_names_are_their_home_objects():
     for home in HOMES:
         assert [n for n in home.__all__ if getattr(escapepoint, n) is not getattr(home, n)] == []
+
+
+@pytest.mark.parametrize("home, name", [("numerics", "weight_sum"), ("enumeration", "affine_cut")])
+def test_a_retired_name_stays_retired(home, name):
+    module = importlib.import_module(f"escapepoint.{home}")
+    assert name not in escapepoint.__all__
+    assert not hasattr(module, name) and not hasattr(escapepoint, name)
+
+
+def test_step_structure_gives_a_plateau_by_fraction_alone():
+    steps = escapepoint.weight_map.StepStructure
+    assert hasattr(steps, "fraction") and not hasattr(steps, "pair")
+
+
+@pytest.mark.parametrize("name, parameter", [("intervalize", "spec"), ("tail_from_jsonable", "obj")])
+def test_takes_only_its_input(name, parameter):
+    assert list(inspect.signature(getattr(escapepoint, name)).parameters) == [parameter]
 
 
 def test_modules_outside_the_package_list_name_nothing_it_names():

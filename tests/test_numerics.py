@@ -89,6 +89,12 @@ class TestWeights:
         with pytest.raises(ValueError, match="natural number"):
             weigh(index)
 
+    @pytest.mark.parametrize("index", [-1, 1.5], ids=["negative", "float"])
+    @pytest.mark.parametrize("weigh", [dyadic_weight, dyadic_tail_weight], ids=lambda f: f.__name__)
+    def test_rejects_a_non_natural_index(self, weigh, index):
+        with pytest.raises(ValueError, match="natural number"):
+            weigh(index)
+
 
 class TestTailWeightBound:
     def test_weight_at_the_bound_is_built(self):
