@@ -127,7 +127,8 @@ class EnumerationSpec:
     window: Optional[tuple[int, int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        values = tuple(as_fraction(v, f"prefix[{i}]") for i, v in enumerate(self.prefix))
+        values = tuple(v if isinstance(v, Fraction) else as_fraction(v, f"prefix[{i}]")
+                       for i, v in enumerate(self.prefix))  # a Fraction is kept, with no path built
         pairs = tuple((v.numerator, v.denominator) for v in values)
         tail = self.tail
         if isinstance(tail, Affine) and tail.a == 0:
@@ -278,7 +279,7 @@ class IntervalEnumeration:
 
     ``oracle(n, eps)`` must return a RatInterval of width <= eps containing
     the true value f(n), nested as eps shrinks, deterministic per (n, eps).
-    ``at`` enforces the width contract at the call boundary.
+    ``at`` and ``weight_map.query_boxes`` refuse a wider box (``_width_checked``).
     """
 
     oracle: Callable[[int, Fraction], RatInterval]
@@ -286,16 +287,24 @@ class IntervalEnumeration:
     def at(self, n: int, eps: RationalLike) -> RatInterval:
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"enumeration index must be a natural number, got {n!r}")
-        eps = as_fraction(eps, "eps")
-        e, d = eps.numerator, eps.denominator
-        if e <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        box = self.oracle(n, eps)
-        lo_p, lo_q, hi_p, hi_q = box.pairs
-        # hi - lo > eps, cross-multiplied over the three positive denominators
-        if (hi_p * lo_q - lo_p * hi_q) * d > e * hi_q * lo_q:
-            raise ValueError(f"interval oracle broke its width contract at n={n}: {box}")
-        return box
+        eps = _positive_eps(eps)
+        return _width_checked(n, self.oracle(n, eps), eps.numerator, eps.denominator)
+
+
+def _positive_eps(eps: RationalLike) -> Fraction:
+    """eps as a Fraction, refused unless it is positive."""
+    eps = as_fraction(eps, "eps")
+    if eps.numerator <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    return eps
+
+
+def _width_checked(n: int, box: RatInterval, e: int, d: int) -> RatInterval:
+    """Index n's box, refused if wider than eps = e/d, d > 0: hi - lo > eps, cross-multiplied."""
+    lo_p, lo_q, hi_p, hi_q = box.pairs
+    if (hi_p * lo_q - lo_p * hi_q) * d > e * hi_q * lo_q:
+        raise ValueError(f"interval oracle broke its width contract at n={n}: {box}")
+    return box
 
 
 def intervalize(spec: EnumerationSpec) -> IntervalEnumeration:
@@ -312,9 +321,10 @@ def intervalize(spec: EnumerationSpec) -> IntervalEnumeration:
     tail answer from L + P slots, slot n for n < L and L + (n - L) mod P
     after that.  A slot is filled on its first query, and the slots are
     kept for the last eps asked only.  An affine tail's boxes are built on
-    each query and never kept.
+    each query from its line, read once here, and never kept.
     """
     start, period = len(spec.prefix), len(spec.block_pairs)
+    slope, intercept, scale = spec.tail.line if not period else (0, 0, 1)  # unused for a periodic tail
     at_eps = e = f = None  # the eps last asked, and its e and 2d
     slots: list = []
 
@@ -328,8 +338,7 @@ def intervalize(spec: EnumerationSpec) -> IntervalEnumeration:
         slot = n
         if n >= start:
             if not period:
-                p, q = _pair_at(spec, n)
-                return _box(p, q, e, f)
+                return _box(slope * n + intercept, scale, e, f)
             slot = start + (n - start) % period
         box = slots[slot]
         if box is None:
@@ -357,13 +366,12 @@ def _box(p: int, q: int, e: int, f: int) -> RatInterval:
 # explicit.  Errors carry the offending position.
 
 
-def _rational_at(obj: object, where: str) -> Fraction:
-    if not isinstance(obj, str):
-        raise SpecError(f"{where}: expected a rational string 'p/q', got {obj!r}")
+def _rational_at(obj: object, where: str, index: Optional[int] = None) -> Fraction:
     try:
         return parse_rational(obj)
-    except ValueError as exc:
-        raise SpecError(f"{where}: {exc}") from None
+    except (TypeError, ValueError) as exc:  # a refusal names where, or where[index], built only now
+        problem = exc if isinstance(obj, str) else f"expected a rational string 'p/q', got {obj!r}"
+    raise SpecError(f"{where}: {problem}" if index is None else f"{where}[{index}]: {problem}")
 
 
 def tail_to_jsonable(tail: TailRule) -> dict:
@@ -413,7 +421,7 @@ def spec_from_jsonable(obj: object) -> EnumerationSpec:
     raw_prefix = obj["prefix"]
     if not isinstance(raw_prefix, list):
         raise SpecError(f"prefix: expected a list, got {raw_prefix!r}")
-    prefix = tuple(_rational_at(v, f"prefix[{i}]") for i, v in enumerate(raw_prefix))
+    prefix = tuple(_rational_at(v, "prefix", i) for i, v in enumerate(raw_prefix))
     tail = tail_from_jsonable(obj["tail"])
     try:
         return EnumerationSpec(prefix, tail)

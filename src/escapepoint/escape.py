@@ -183,14 +183,10 @@ def compute_escape(spec: EnumerationSpec) -> EscapeCertificate:
     x0, trace = gfp_descend(spec)
     witness = weight_below(spec, x0)
     if witness != x0:
-        raise TheoremViolationError(
-            f"descent settled at {x0} but the map sends it to {witness}"
-        )
+        raise TheoremViolationError(f"descent settled at {x0} but the map sends it to {witness}")
     oracle = sup_postfix_oracle(spec)
     if oracle != x0:
-        raise TheoremViolationError(
-            f"descent found {x0} but the supremum oracle found {oracle}"
-        )
+        raise TheoremViolationError(f"descent found {x0} but the supremum oracle found {oracle}")
     return EscapeCertificate(
         x0=x0,
         trace=trace,
@@ -241,12 +237,12 @@ def enclose_escape_traced(
 
     Runs the descent twice, once on the lower and once on the upper weight
     bound; both bound maps are monotone and bracket the true map, so the pair
-    of settled values brackets the true escape value.  Each index
-    0, ..., n_known-1 is queried once, before either descent, and each
+    of settled values brackets the true escape value.  ``query_boxes`` asks
+    the oracle once for each index 0, ..., n_known-1, in order, before either
+    descent, checking eps once and each box's width as it arrives.  Each
     descent runs one of the two bound maps of one ``box_classifier`` over
-    those boxes, which keeps one row per distinct box: each step tests
-    every distinct box once, on the one end its side reads, in time linear
-    in n_known.
+    those boxes, which keeps one row per distinct box: each step tests every
+    distinct box once, on the one end its side reads, in time linear in n_known.
     The IntervalEnumeration contract makes answers deterministic per
     (n, eps), so sharing the boxes gives the bounds fresh queries would.
     Each bound map moves only past the n_known box ends on its side, so it
@@ -300,7 +296,7 @@ def _certificate_from_dict(obj: object) -> EscapeCertificate:
     raw_trace = obj["trace"]
     if not isinstance(raw_trace, list) or not raw_trace:
         raise ValueError("trace: expected a non-empty array of rationals")
-    iterates = tuple(_rational_at(v, f"trace[{i}]") for i, v in enumerate(raw_trace))
+    iterates = tuple(_rational_at(v, "trace", i) for i, v in enumerate(raw_trace))
     try:
         trace = FixpointTrace(iterates)
     except ValueError as exc:

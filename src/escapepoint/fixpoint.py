@@ -68,8 +68,8 @@ class OracleScopeError(ValueError):
 class FixpointTrace:
     """Record of one descent: its iterates, from which the rest follows.
 
-    Iterates start at 2 and decrease strictly; a terminated trace ends with
-    the settled value repeated once (the confirming application).
+    Iterates start at 2 and decrease strictly, compared as integer pairs; a terminated
+    trace ends with the settled value repeated once (the confirming application).
     """
 
     iterates: tuple[Fraction, ...]
@@ -77,12 +77,14 @@ class FixpointTrace:
     def __post_init__(self) -> None:
         its = tuple(self.iterates)
         object.__setattr__(self, "iterates", its)
-        if not its or its[0] != _TWO:
+        pairs = [(v.numerator, v.denominator) for v in its]
+        if not pairs or pairs[0] != (2, 1):
             raise ValueError("a descent trace must start at the top element 2")
-        strict_part = its[:-1] if self.terminated else its
-        for a, b in zip(strict_part, strict_part[1:]):
-            if not a > b:
-                raise ValueError(f"iterates must decrease strictly before settling: {a} -> {b}")
+        if len(pairs) >= 2 and pairs[-1] == pairs[-2]:  # terminated: the repeat is no step down
+            pairs.pop()
+        for (a, b), (c, d), x, y in zip(pairs, pairs[1:], its, its[1:]):
+            if a * d <= c * b:
+                raise ValueError(f"iterates must decrease strictly before settling: {x} -> {y}")
 
     @property
     def terminated(self) -> bool:
@@ -132,11 +134,11 @@ def descend_from_top(
     """
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise ValueError(f"step bound must be a positive integer, got {bound!r}")
-    iterates = _settle(_TWO, step, lambda a, b: a <= b, bound)
-    trace = FixpointTrace(tuple(iterates))
+    its = _settle(_TWO, step, lambda a, b: a.numerator * b.denominator <= b.numerator * a.denominator, bound)
+    trace = FixpointTrace(tuple(its))
     if not trace.terminated:
         raise BudgetExceededError(f"descent did not settle within {bound} steps", trace)
-    return iterates[-1], trace
+    return its[-1], trace
 
 
 def _step_bound(spec: EnumerationSpec) -> int:

@@ -34,6 +34,8 @@ from .enumeration import (
     _below,
     _line_index,
     _plus_tail,
+    _positive_eps,
+    _width_checked,
     check_exponent_bound,
 )
 from .numerics import RatInterval, RationalLike, as_fraction
@@ -78,16 +80,17 @@ def query_boxes(
 ) -> Iterator[RatInterval]:
     """The boxes of indices 0, ..., n_known-1 at width eps, in index order.
 
-    n_known (at most ``MAX_N_KNOWN``) is checked at the call; each index is
-    queried once, through ``IntervalEnumeration.at``, as the returned
-    iterator reaches it.
+    n_known (at most ``MAX_N_KNOWN``) and eps are checked once, at the call.
+    Each index is asked of ``ienum.oracle`` once, as the returned iterator
+    reaches it, and its box is refused if wider than eps, as ``at`` would.
     """
     if isinstance(n_known, bool) or not isinstance(n_known, int) or n_known < 1:
         raise ValueError(f"n_known must be a positive integer, got {n_known!r}")
     if n_known > MAX_N_KNOWN:
         raise ValueError(f"n_known {n_known} exceeds the bound {MAX_N_KNOWN} on interval queries")
-    eps = as_fraction(eps, "eps")
-    return (ienum.at(n, eps) for n in range(n_known))
+    eps = _positive_eps(eps)
+    e, d, oracle = eps.numerator, eps.denominator, ienum.oracle
+    return (_width_checked(n, oracle(n, eps), e, d) for n in range(n_known))
 
 
 def box_classifier(

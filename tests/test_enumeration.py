@@ -438,6 +438,26 @@ class TestJsonFormat:
             spec_from_jsonable(obj)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("prefix, tail, message", [
+        (["1", "2", 3], {"kind": "cycle"}, "prefix[2]: expected a rational string 'p/q', got 3"),
+        (["1", "0.5"], {"kind": "cycle"}, "prefix[1]: not an exact rational (expected 'p/q' or 'p'): '0.5'"),
+        (["1", "-1/0"], {"kind": "cycle"}, "prefix[1]: zero denominator in '-1/0'"),
+        ([], {"kind": "constant", "value": None}, "tail.value: expected a rational string 'p/q', got None"),
+        ([], {"kind": "affine", "a": "1", "b": "1.5"}, "tail.b: not an exact rational (expected 'p/q' or 'p'): '1.5'"),
+    ])
+    def test_a_refused_value_is_named_in_full(self, prefix, tail, message):
+        with pytest.raises(SpecError) as err:
+            spec_from_jsonable({"prefix": prefix, "tail": tail})
+        assert str(err.value) == message
+
+    def test_a_spec_keeps_fractions_and_coerces_ints_by_position(self):
+        half = F(1, 2)
+        spec = EnumerationSpec((half, 2), Cycle())
+        assert spec.prefix == (half, F(2)) and spec.prefix[0] is half and type(spec.prefix[1]) is F
+        with pytest.raises(TypeError) as err:
+            EnumerationSpec((half, 2, 0.5), Cycle())
+        assert str(err.value) == "prefix[2] must be an exact rational (Fraction or int), got 0.5"
+
     def test_zero_slope_survives_round_trip(self):
         # Affine(0, b) normalizes to Constant(b) and serializes as such
         spec = EnumerationSpec(prefix=(), tail=Affine(0, 3))

@@ -450,6 +450,19 @@ class TestCertificateJson:
         cert = compute_escape(corpus_spec(index))
         assert certificate_from_jsonable(certificate_to_jsonable(cert)) == cert
 
+    @pytest.mark.parametrize("trace, message", [
+        (["2", 1], "trace[1]: expected a rational string 'p/q', got 1"),
+        (["2", "1/2", "1.5"], "trace[2]: not an exact rational (expected 'p/q' or 'p'): '1.5'"),
+        (["2", "1/2", "1", "1"], "trace: iterates must decrease strictly before settling: 1/2 -> 1"),
+        (["3/2", "1/2", "1/2"], "trace: a descent trace must start at the top element 2"),
+    ])
+    def test_a_refused_trace_is_named_in_full(self, trace, message):
+        obj = certificate_to_jsonable(compute_escape(SPEC2))
+        obj["trace"] = trace
+        with pytest.raises(ValueError) as err:
+            certificate_from_jsonable(obj)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("mutate, fragment", [
         (lambda o: o.pop("x0"), "missing"),
         (lambda o: o.update(extra=1), "unexpected"),

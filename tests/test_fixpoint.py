@@ -7,7 +7,7 @@ from itertools import chain
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus, random_spec
@@ -64,7 +64,51 @@ def plateau_values(spec: EnumerationSpec) -> set[F]:
     return {weight_below(spec, x) for x in breaks | {F(0), F(2)}}
 
 
+def reference_trace_refusal(iterates: tuple) -> Optional[str]:
+    """FixpointTrace's checks in plain Fraction comparisons: the message a refused trace raises, or None."""
+    if not iterates or iterates[0] != 2:
+        return "a descent trace must start at the top element 2"
+    settled = len(iterates) >= 2 and iterates[-1] == iterates[-2]
+    strict = iterates[:-1] if settled else iterates
+    for a, b in zip(strict, strict[1:]):
+        if not a > b:
+            return f"iterates must decrease strictly before settling: {a} -> {b}"
+    return None
+
+
+trace_values = st.one_of(
+    st.integers(-1, 3), st.fractions(min_value=-1, max_value=F(5, 2), max_denominator=8), st.just(F(2))
+)
+
+
+@st.composite
+def candidate_traces(draw) -> tuple:
+    """Iterate tuples near valid traces: ints and Fractions, descending runs with repeats, settled or not."""
+    body = draw(st.lists(trace_values, max_size=6))
+    if draw(st.booleans()):
+        body.sort(reverse=True)  # descending, but a repeated value is not a strict step
+    if draw(st.integers(0, 9)):  # one draw in ten keeps no head: empty, or any value first
+        body.insert(0, draw(st.sampled_from([2, F(2), 2, F(2), F(7, 4), 3, True])))
+    if body and draw(st.booleans()):
+        body.append(body[-1])  # the confirming application of a settled descent
+    return tuple(body)
+
+
 class TestFixpointTrace:
+    @given(candidate_traces())
+    @example(())
+    @example((2, 2))
+    @example((F(2), 1, F(1)))
+    @example((F(2), F(3, 2), F(3, 2), F(3, 2)))
+    def test_the_integer_check_matches_fraction_comparisons(self, iterates):
+        refusal = reference_trace_refusal(iterates)
+        if refusal is None:
+            assert FixpointTrace(iterates).iterates == iterates
+        else:
+            with pytest.raises(ValueError) as err:
+                FixpointTrace(iterates)
+            assert str(err.value) == refusal
+
     def test_accepts_settled_descent(self):
         trace = FixpointTrace((F(2), F(3, 2), F(3, 2)))
         assert trace.steps == 2

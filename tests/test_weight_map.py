@@ -669,8 +669,25 @@ class TestWidthContract:
             list(query_boxes(oracle, 4, eps))
         assert asked == []
 
-    def test_every_index_is_asked_through_at(self, monkeypatch):
-        asked, at = [], IntervalEnumeration.at
-        monkeypatch.setattr(IntervalEnumeration, "at", lambda self, n, eps: asked.append(n) or at(self, n, eps))
-        enclose_escape_traced(intervalize(EnumerationSpec((F(1, 2),), Cycle())), 16, F(1, 128))
+    def test_the_enclosure_asks_the_oracle_for_each_index_once_in_order(self):
+        asked, blurred = [], intervalize(EnumerationSpec((F(1, 2),), Cycle()))
+        oracle = IntervalEnumeration(lambda n, eps: asked.append(n) or blurred.oracle(n, eps))
+        enclose_escape_traced(oracle, 16, F(1, 128))
         assert asked == list(range(16))
+
+    @pytest.mark.parametrize("n", [0, 5])
+    @pytest.mark.parametrize("excess", [F(1, 10**30), F(9, 10)])
+    def test_at_and_query_boxes_refuse_a_too_wide_box_alike(self, n, excess):
+        eps, wide = F(1, 10), RatInterval(0, F(1, 10) + excess)
+        with pytest.raises(ValueError) as by_at:
+            IntervalEnumeration(lambda m, at_eps: wide).at(n, eps)
+        oracle = IntervalEnumeration(lambda m, at_eps: RatInterval(0, eps) if m < n else wide)
+        with pytest.raises(ValueError) as by_query:
+            list(query_boxes(oracle, n + 1, eps))
+        assert str(by_at.value) == str(by_query.value) == f"interval oracle broke its width contract at n={n}: {wide}"
+
+    def test_at_and_query_boxes_accept_a_box_exactly_eps_wide(self):
+        eps, box = F(1, 10), RatInterval(F(-1, 30), F(2, 30))
+        oracle = IntervalEnumeration(lambda n, at_eps: box)
+        assert oracle.at(3, eps) == box
+        assert list(query_boxes(oracle, 4, eps)) == [box] * 4
