@@ -42,7 +42,6 @@ __all__ = [
     "Affine",
     "TailRule",
     "EnumerationSpec",
-    "IntervalEnumeration",
     "MAX_TAIL_CUT",
     "value_at",
     "eligible_prefix_indices",
@@ -273,41 +272,7 @@ def tail_hits(spec: EnumerationSpec, v: RationalLike) -> bool:
     return on_line and n >= len(spec.prefix)
 
 
-@dataclass(frozen=True)
-class IntervalEnumeration:
-    """Semi-decidable access to an enumeration: per-index interval oracle.
-
-    ``oracle(n, eps)`` must return a RatInterval of width <= eps containing
-    the true value f(n), nested as eps shrinks, deterministic per (n, eps).
-    ``at`` and ``weight_map.query_boxes`` refuse a wider box (``_width_checked``).
-    """
-
-    oracle: Callable[[int, Fraction], RatInterval]
-
-    def at(self, n: int, eps: RationalLike) -> RatInterval:
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError(f"enumeration index must be a natural number, got {n!r}")
-        eps = _positive_eps(eps)
-        return _width_checked(n, self.oracle(n, eps), eps.numerator, eps.denominator)
-
-
-def _positive_eps(eps: RationalLike) -> Fraction:
-    """eps as a Fraction, refused unless it is positive."""
-    eps = as_fraction(eps, "eps")
-    if eps.numerator <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return eps
-
-
-def _width_checked(n: int, box: RatInterval, e: int, d: int) -> RatInterval:
-    """Index n's box, refused if wider than eps = e/d, d > 0: hi - lo > eps, cross-multiplied."""
-    lo_p, lo_q, hi_p, hi_q = box.pairs
-    if (hi_p * lo_q - lo_p * hi_q) * d > e * hi_q * lo_q:
-        raise ValueError(f"interval oracle broke its width contract at n={n}: {box}")
-    return box
-
-
-def intervalize(spec: EnumerationSpec) -> IntervalEnumeration:
+def intervalize(spec: EnumerationSpec) -> Callable[[int, Fraction], RatInterval]:
     """Blur an exact enumeration into an interval oracle of centred boxes.
 
     A query (n, eps) returns the width-eps interval centred on f(n): for
@@ -346,7 +311,7 @@ def intervalize(spec: EnumerationSpec) -> IntervalEnumeration:
             box = slots[slot] = _box(p, q, e, f)
         return box
 
-    return IntervalEnumeration(oracle)
+    return oracle
 
 
 def _box(p: int, q: int, e: int, f: int) -> RatInterval:

@@ -1,8 +1,8 @@
 """Escape certificates: the computed value, why it is fixed, why it is missed.
 
-``compute_escape`` runs the descent, confirms the result is a fixpoint of the
-weight map, cross-checks it against the supremum oracle, and then builds one
-verdict per place the enumeration could have produced it:
+``compute_escape`` runs the descent, whose settling step shows the result is
+a fixpoint of the weight map, cross-checks it against the supremum oracle,
+and then builds one verdict per place the enumeration could have produced it:
 
 * each prefix index gets a verdict with the exact gap to the escape value;
 * a periodic tail (a constant, or a cycle of the prefix) gets one ``"tail"``
@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Union
+from typing import Callable, Union
 
 from .enumeration import (
     Constant,
     EnumerationSpec,
-    IntervalEnumeration,
     SpecError,
     _ascending,
     _cut,
@@ -42,7 +41,7 @@ from .enumeration import (
 )
 from .fixpoint import FixpointTrace, descend_from_top, gfp_descend, sup_postfix_oracle
 from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational
-from .weight_map import box_classifier, query_boxes, weight_below
+from .weight_map import box_classifier, query_boxes
 
 __all__ = [
     "TheoremViolationError",
@@ -173,17 +172,14 @@ def compute_escape(spec: EnumerationSpec) -> EscapeCertificate:
     """Compute the escape value of an enumeration and certify it.
 
     The returned value is the greatest postfixpoint of the spec's weight map;
-    the certificate shows it is a genuine fixpoint, matches the independent
-    supremum oracle, and differs from every enumerated value by an explicit
-    positive gap.  An affine tail whose cut at 0 or at 2 lies past
-    ``MAX_TAIL_CUT`` is refused with ``ExponentBoundError`` before the map
-    is evaluated.
+    the certificate's settled trace shows it is a fixpoint, it matches the
+    independent supremum oracle, and it differs from every enumerated value
+    by an explicit positive gap.  An affine tail whose cut at 0 or at 2
+    lies past ``MAX_TAIL_CUT`` is refused with ``ExponentBoundError``
+    before the map is evaluated.
     """
     check_exponent_bound(spec)
     x0, trace = gfp_descend(spec)
-    witness = weight_below(spec, x0)
-    if witness != x0:
-        raise TheoremViolationError(f"descent settled at {x0} but the map sends it to {witness}")
     oracle = sup_postfix_oracle(spec)
     if oracle != x0:
         raise TheoremViolationError(f"descent found {x0} but the supremum oracle found {oracle}")
@@ -229,7 +225,7 @@ def adjoin_escape_demo(spec: EnumerationSpec) -> tuple[EscapeCertificate, Enumer
 
 
 def enclose_escape_traced(
-    ienum: IntervalEnumeration,
+    oracle: Callable[[int, Fraction], RatInterval],
     n_known: int,
     eps: Fraction,
 ) -> tuple[RatInterval, FixpointTrace, FixpointTrace]:
@@ -243,13 +239,13 @@ def enclose_escape_traced(
     descent runs one of the two bound maps of one ``box_classifier`` over
     those boxes, which keeps one row per distinct box: each step tests every
     distinct box once, on the one end its side reads, in time linear in n_known.
-    The IntervalEnumeration contract makes answers deterministic per
+    The oracle contract (``query_boxes``) makes answers deterministic per
     (n, eps), so sharing the boxes gives the bounds fresh queries would.
     Each bound map moves only past the n_known box ends on its side, so it
     takes at most n_known + 1 values and each descent settles within
     n_known + 2 steps.
     """
-    lower, upper = box_classifier(tuple(query_boxes(ienum, n_known, eps)))
+    lower, upper = box_classifier(tuple(query_boxes(oracle, n_known, eps)))
     lo, lo_trace = descend_from_top(lower, n_known + 2)
     hi, hi_trace = descend_from_top(upper, n_known + 2)
     return RatInterval(lo, hi), lo_trace, hi_trace

@@ -3,7 +3,8 @@
 ``gfp_descend`` iterates the map downward from the top element 2; because the
 map restricted to [0, 2] takes only finitely many values, the descent settles
 exactly, and the settled value is the greatest postfixpoint (any x <= map(x)
-stays below every iterate by induction).
+stays below every iterate by induction).  The application that settles it
+returns it unchanged, so the trace is its own fixpoint witness.
 
 Two oracles recompute the same value through different routes and exist only
 to cross-check the descent.  Both walk ``StepStructure.plateaus``, which the
@@ -98,12 +99,11 @@ class FixpointTrace:
         return len(self.iterates) - 1
 
 
-def _settle(start, step: Callable, below: Callable[[object, object], bool], bound: int) -> list:
+def _settle(start, step: Callable, bound: int) -> list:
     """Apply ``step`` from ``start`` until an iterate repeats, or ``bound`` applications run out.
 
     Returns every iterate, start included; the walk settled exactly when the
-    last two are equal.  Each move must go down in the order ``below``
-    (a <= b); a move that does not proves the step map is not monotone.
+    last two are equal.  Their order is the caller's to check.
     """
     z = start
     iterates = [z]
@@ -112,10 +112,6 @@ def _settle(start, step: Callable, below: Callable[[object, object], bool], boun
         iterates.append(nz)
         if nz == z:
             break
-        if not below(nz, z):
-            raise RuntimeError(
-                f"iteration moved from {z} to {nz} against the order; step map is not monotone"
-            )
         z = nz
     return iterates
 
@@ -127,15 +123,20 @@ def descend_from_top(
     """Iterate a monotone step map downward from 2 until it settles.
 
     Sound for any monotone map bounded by [0, 2] that takes finitely many
-    values there; the result is its greatest postfixpoint.  ``bound`` is the
-    most map applications the caller allows: one more than the number of
-    values the map takes on [0, 2] always suffices.  Running out of it
-    raises ``BudgetExceededError`` carrying the partial trace.
+    values there; the result is its greatest postfixpoint, and the last
+    application, which returns it unchanged, shows it is a fixpoint.
+    ``bound`` is the most map applications the caller allows: one more than
+    the number of values the map takes on [0, 2] always suffices.  Running
+    out of it raises ``BudgetExceededError`` carrying the partial trace; a
+    move up, which ``FixpointTrace`` refuses, raises ``RuntimeError``.
     """
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise ValueError(f"step bound must be a positive integer, got {bound!r}")
-    its = _settle(_TWO, step, lambda a, b: a.numerator * b.denominator <= b.numerator * a.denominator, bound)
-    trace = FixpointTrace(tuple(its))
+    its = _settle(_TWO, step, bound)
+    try:
+        trace = FixpointTrace(tuple(its))
+    except ValueError as exc:
+        raise RuntimeError(f"step map is not monotone: {exc}") from None
     if not trace.terminated:
         raise BudgetExceededError(f"descent did not settle within {bound} steps", trace)
     return its[-1], trace

@@ -174,12 +174,12 @@ def run_invariant_battery(spec: EnumerationSpec, seed: int = 0) -> list[tuple[st
 
     def check_enclosure() -> None:
         x0 = settled()
-        ienum = intervalize(spec)
+        oracle = intervalize(spec)
         eps_wide, eps_narrow = Fraction(1, 10), Fraction(1, 100)
-        coarse = enclose_escape_traced(ienum, 2, eps_wide)[0]
-        sharper_eps = enclose_escape_traced(ienum, 2, eps_narrow)[0]
-        sharper_n = enclose_escape_traced(ienum, 4, eps_narrow)[0]
-        sharpest = enclose_escape_traced(ienum, 8, eps_narrow)[0]
+        coarse = enclose_escape_traced(oracle, 2, eps_wide)[0]
+        sharper_eps = enclose_escape_traced(oracle, 2, eps_narrow)[0]
+        sharper_n = enclose_escape_traced(oracle, 4, eps_narrow)[0]
+        sharpest = enclose_escape_traced(oracle, 8, eps_narrow)[0]
         for enclosure in (coarse, sharper_eps, sharper_n, sharpest):
             _require(x0 in enclosure, f"escape value {x0} is outside enclosure {enclosure}")
         _require(coarse.encloses(sharper_eps), "shrinking eps must narrow the enclosure")
@@ -395,13 +395,13 @@ class MonotoneTable:
 def kt_finite(lattice: FiniteLattice, table: MonotoneTable) -> tuple:
     """(least, greatest) fixpoint of a monotone table by chain iteration.
 
-    Ascends from bottom (a descent in the dual order) and descends from top,
-    with the escape value's settle loop; on a finite lattice both chains
-    settle within len(lattice) applications.
+    Ascends from bottom and descends from top with the escape value's settle
+    loop; the table is monotone, so on a finite lattice both chains settle
+    within len(lattice) applications.
     """
     bound = len(lattice) + 1
-    ascent = _settle(lattice.bottom, table, lambda a, b: lattice.leq(b, a), bound)
-    descent = _settle(lattice.top, table, lattice.leq, bound)
+    ascent = _settle(lattice.bottom, table, bound)
+    descent = _settle(lattice.top, table, bound)
     for chain in (ascent, descent):
         if chain[-1] != chain[-2]:
             raise RuntimeError("iteration failed to settle on a finite lattice")

@@ -29,13 +29,10 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .enumeration import (
     EnumerationSpec,
-    IntervalEnumeration,
     _ascending,
     _below,
     _line_index,
     _plus_tail,
-    _positive_eps,
-    _width_checked,
     check_exponent_bound,
 )
 from .numerics import RatInterval, RationalLike, as_fraction
@@ -74,23 +71,36 @@ def weight_below(spec: EnumerationSpec, x: RationalLike) -> Fraction:
 
 
 def query_boxes(
-    ienum: IntervalEnumeration,
+    oracle: Callable[[int, Fraction], RatInterval],
     n_known: int,
     eps: RationalLike,
 ) -> Iterator[RatInterval]:
     """The boxes of indices 0, ..., n_known-1 at width eps, in index order.
 
+    ``oracle(n, eps)`` must return a RatInterval of width <= eps containing
+    the true value f(n), nested as eps shrinks, deterministic per (n, eps).
     n_known (at most ``MAX_N_KNOWN``) and eps are checked once, at the call.
-    Each index is asked of ``ienum.oracle`` once, as the returned iterator
-    reaches it, and its box is refused if wider than eps, as ``at`` would.
+    Each index is asked of the oracle once, as the returned iterator
+    reaches it, and its box is refused if hi - lo > eps, cross-multiplied.
     """
     if isinstance(n_known, bool) or not isinstance(n_known, int) or n_known < 1:
         raise ValueError(f"n_known must be a positive integer, got {n_known!r}")
     if n_known > MAX_N_KNOWN:
         raise ValueError(f"n_known {n_known} exceeds the bound {MAX_N_KNOWN} on interval queries")
-    eps = _positive_eps(eps)
-    e, d, oracle = eps.numerator, eps.denominator, ienum.oracle
-    return (_width_checked(n, oracle(n, eps), e, d) for n in range(n_known))
+    eps = as_fraction(eps, "eps")
+    e, d = eps.numerator, eps.denominator
+    if e <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+
+    def boxes() -> Iterator[RatInterval]:
+        for n in range(n_known):
+            box = oracle(n, eps)
+            lo_p, lo_q, hi_p, hi_q = box.pairs
+            if (hi_p * lo_q - lo_p * hi_q) * d > e * hi_q * lo_q:
+                raise ValueError(f"interval oracle broke its width contract at n={n}: {box}")
+            yield box
+
+    return boxes()
 
 
 def box_classifier(
@@ -106,7 +116,7 @@ def box_classifier(
     sums 2^(top - n), top = len(boxes), over the indices n marked; the upper
     map adds 2^(1 - top) for every index not queried.  Time and memory are
     linear in top, and no weight is kept per row.  When every box holds its
-    index's value, as the IntervalEnumeration contract guarantees, the
+    index's value, as ``query_boxes``'s oracle contract guarantees, the
     exact map value lies between the two.
     """
     top = len(boxes)

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from escapepoint import Affine, EnumerationSpec, certificate_to_jsonable, compute_escape, selftest
+from escapepoint import (
+    Affine, Constant, EnumerationSpec, certificate_to_jsonable, compute_escape, selftest, tail_hits, value_at,
+)
 from escapepoint.cli import main
 
 SPEC2_TEXT = '{"prefix": ["3/2", "1/8"], "tail": {"kind": "constant", "value": "2"}}'
@@ -221,6 +223,39 @@ class TestCheckCommand:
         assert lines.count("check tail-closed-form: FAIL (RuntimeError: closed form unavailable)") == 1
         assert len([line for line in lines if line.startswith("check ") and ": PASS" in line]) == 11
         assert lines[-1] == "invariants: 11/12 passed"
+
+
+class TestInvariantBattery:
+    """The battery's notes and the tail-hits witness branch, read from ``run_invariant_battery``."""
+
+    @pytest.mark.parametrize("spec, name, note", [
+        (EnumerationSpec((), Constant(0)), "no-postfix-above",
+         "escape value is the top element; nothing above to probe"),  # every value is below 2
+        (EnumerationSpec(tuple(Fraction(k, 7) for k in range(13)), Constant(2)), "proof-equivalence",
+         "subset oracle skipped: prefix length 13 exceeds the oracle bound SUBSET_MAX_PREFIX=12"),
+    ], ids=["top element", "subset oracle out of scope"])
+    def test_a_passing_check_carries_its_note(self, spec, name, note):
+        results = selftest.run_invariant_battery(spec)
+        assert [r for r in results if not r[1]] == []
+        assert (name, True, note) in results
+
+    def test_a_tail_hit_past_the_window_is_checked_by_its_witness(self):
+        # 1 = f(100), past the window of indices 0..64 that the brute force reads
+        spec = EnumerationSpec((), Affine(Fraction(1, 100), 0))
+        assert tail_hits(spec, 1) and value_at(spec, 100) == 1
+        results = selftest.run_invariant_battery(spec)
+        assert ("tail-hits", True, "") in results
+        assert [r for r in results if not r[1]] == []
+
+    @pytest.mark.parametrize("tail, reason", [
+        (Constant(0), "tail_hits claims 1 without a witness"),
+        (Affine(Fraction(1, 100), Fraction(1, 1000)), "tail_hits claims 1 but index 999/10 is not a witness"),
+    ], ids=["constant", "affine"])
+    def test_a_tail_hit_claimed_without_a_witness_fails(self, tail, reason, monkeypatch):
+        honest = selftest.tail_hits
+        monkeypatch.setattr(selftest, "tail_hits", lambda spec, v: v == 1 or honest(spec, v))
+        results = selftest.run_invariant_battery(EnumerationSpec((), tail))
+        assert [r for r in results if not r[1]] == [("tail-hits", False, reason)]
 
 
 class TestDemoAdjoinCommand:

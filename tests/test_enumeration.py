@@ -17,8 +17,6 @@ from escapepoint import (
     Constant,
     Cycle,
     EnumerationSpec,
-    IntervalEnumeration,
-    RatInterval,
     SpecError,
     dyadic_weight,
     eligible_prefix_indices,
@@ -107,14 +105,10 @@ class TestValueAt:
             value_at(spec, F(1, 2))
 
     @pytest.mark.parametrize("index", [True, False])
-    @pytest.mark.parametrize("query", [
-        lambda spec, n: value_at(spec, n),
-        lambda spec, n: intervalize(spec).at(n, F(1, 128)),
-    ], ids=["value_at", "at"])
-    def test_rejects_a_bool_index(self, query, index):
+    def test_rejects_a_bool_index(self, index):
         spec = EnumerationSpec(prefix=(F(3, 2), F(1, 8)), tail=Constant(2))
         with pytest.raises(ValueError, match="natural number"):
-            query(spec, index)
+            value_at(spec, index)
 
 
 class TestEligibility:
@@ -275,7 +269,7 @@ class TestIntervalize:
     @settings(deadline=None)
     def test_contains_truth_and_meets_width(self, index, n, eps):
         spec = corpus_spec(index)
-        box = intervalize(spec).at(n, eps)
+        box = intervalize(spec)(n, eps)
         assert value_at(spec, n) in box
         assert box.width <= eps
 
@@ -287,7 +281,7 @@ class TestIntervalize:
     @settings(deadline=None)
     def test_nested_as_eps_shrinks(self, index, n, eps):
         oracle = intervalize(corpus_spec(index))
-        assert oracle.at(n, eps).encloses(oracle.at(n, eps / 3))
+        assert oracle(n, eps).encloses(oracle(n, eps / 3))
 
     @pytest.mark.parametrize("tail", [Constant(F(-3, 7)), Cycle(), Affine(F(2, 3), F(-1, 5))],
                              ids=["constant", "cycle", "affine"])
@@ -295,47 +289,19 @@ class TestIntervalize:
         spec = EnumerationSpec((F(1, 3), F(5, 2)), tail)
         oracle = intervalize(spec)
         for n in range(8):
-            box = oracle.at(n, F(1, 100))
+            box = oracle(n, F(1, 100))
             assert box.lo + box.hi == 2 * value_at(spec, n) and box.width == F(1, 100)
 
     def test_deterministic(self):
         oracle = intervalize(corpus_spec(5))
-        assert oracle.at(3, F(1, 10)) == oracle.at(3, F(1, 10))
-
-    def test_oracle_contract_enforced(self):
-        wide = IntervalEnumeration(lambda n, eps: RatInterval(0, 1))
-        with pytest.raises(ValueError):
-            wide.at(0, F(1, 2))
-        with pytest.raises(ValueError):
-            wide.at(0, F(0))
-        with pytest.raises(ValueError):
-            wide.at(-1, F(2))
-
-    @pytest.mark.parametrize("excess, accepted", [(F(0), True), (F(1, 10**30), False)])
-    def test_width_contract_at_its_edge(self, excess, accepted):
-        eps = F(1, 7)
-        lo = F(-1, 3)
-        oracle = IntervalEnumeration(lambda n, at_eps: RatInterval(lo, lo + at_eps + excess))
-        if accepted:
-            assert oracle.at(4, eps).width == eps
-        else:
-            with pytest.raises(ValueError, match="broke its width contract at n=4"):
-                oracle.at(4, eps)
-
-    @pytest.mark.parametrize("eps", [0, F(0), F(-1, 10**30), -1])
-    def test_nonpositive_eps_refused_before_the_oracle(self, eps):
-        asked = []
-        oracle = IntervalEnumeration(lambda n, at_eps: asked.append(n) or RatInterval(0, 0))
-        with pytest.raises(ValueError, match="eps must be positive"):
-            oracle.at(0, eps)
-        assert asked == []
+        assert oracle(3, F(1, 10)) == oracle(3, F(1, 10))
 
     def test_eps_at_the_exponent_bound_is_exact(self):
         # the finest eps a tail weight can be: a 2^MAX_EXACT_EXPONENT denominator
         eps = dyadic_weight(MAX_EXACT_EXPONENT)
         spec = corpus_spec(0)
         for n in (0, len(spec.prefix) + 1):
-            box = intervalize(spec).at(n, eps)
+            box = intervalize(spec)(n, eps)
             assert box.width == eps
             assert box.lo < value_at(spec, n) < box.hi
 
@@ -360,7 +326,7 @@ class TestIntervalizeEndpoints:
         spec = data.draw(blurred_specs())
         n = 2 * data.draw(st.integers(min_value=0, max_value=20)) + parity
         eps = data.draw(st.fractions(min_value=F(1, 10**6), max_value=4, max_denominator=10**6))
-        assert intervalize(spec).at(n, eps) == formula_box(spec, n, eps, F(0))
+        assert intervalize(spec)(n, eps) == formula_box(spec, n, eps, F(0))
 
 
 class TestKeptBoxes:
@@ -371,10 +337,9 @@ class TestKeptBoxes:
     @settings(deadline=None)
     def test_one_oracle_answers_as_fresh_ones(self, spec, indices):
         oracle = intervalize(spec)
-        fresh = IntervalEnumeration(lambda n, eps: formula_box(spec, n, eps, F(0)))
         for eps in (F(1, 128), F(1, 10**6), F(1, 128)):
             for n in indices:
-                assert oracle.at(n, eps) == fresh.at(n, eps)
+                assert oracle(n, eps) == formula_box(spec, n, eps, F(0))
 
     @pytest.mark.parametrize("spec", [
         EnumerationSpec((F(1, 3), F(5, 2)), Constant(F(1, 3))),
@@ -385,20 +350,20 @@ class TestKeptBoxes:
         oracle = intervalize(spec)
         start, period, eps = len(spec.prefix), len(spec.block_pairs), F(1, 128)
         for i in range(2 * period):
-            first = oracle.at(start + i, eps)
+            first = oracle(start + i, eps)
             assert first == formula_box(spec, start + i, eps, F(0))
-            assert oracle.at(start + i + period, eps) == first
-            assert oracle.at(start + i + 6 * period, eps) == first
+            assert oracle(start + i + period, eps) == first
+            assert oracle(start + i + 6 * period, eps) == first
 
     def test_affine_tail_boxes_are_not_kept(self):
         spec = EnumerationSpec((F(1, 2),), Affine(F(1, 3), F(-7, 5)))
         oracle = intervalize(spec)
         eps = F(1, 128)
-        oracle.at(0, eps)  # a prefix box, kept
+        oracle(0, eps)  # a prefix box, kept
         tracemalloc.start()
         try:
             for n in range(1, 10**4 + 1):
-                oracle.at(n, eps)
+                oracle(n, eps)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

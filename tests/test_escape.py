@@ -21,7 +21,6 @@ from escapepoint import (
     EscapeCertificate,
     ExponentBoundError,
     FixpointTrace,
-    IntervalEnumeration,
     Verdict,
     adjoin_escape_demo,
     box_classifier,
@@ -161,9 +160,9 @@ class TestComputeEscape:
 
 
 class TestPlantedTailHit:
-    """An enumerated value that the descent, the witness and the supremum oracle all accept.
+    """An enumerated value that the descent and the supremum oracle both accept.
 
-    With those three patched to agree on it, only the verdict pass can refuse it.
+    With those two patched to agree on it, only the verdict pass can refuse it.
     """
 
     @pytest.mark.parametrize("spec, n, where", [
@@ -177,7 +176,6 @@ class TestPlantedTailHit:
     def test_refused_by_the_verdict_pass(self, spec, n, where, monkeypatch):
         v = value_at(spec, n)
         monkeypatch.setattr(escape, "gfp_descend", lambda _: (v, None))
-        monkeypatch.setattr(escape, "weight_below", lambda _, x: x)
         monkeypatch.setattr(escape, "sup_postfix_oracle", lambda _: v)
         with pytest.raises(escape.TheoremViolationError) as refused:
             compute_escape(spec)
@@ -369,9 +367,9 @@ class TestEnclosure:
 
         def counting_oracle(n, at_eps):
             asked[n] += 1
-            return exact.at(n, at_eps)
+            return exact(n, at_eps)
 
-        enclose_escape_traced(IntervalEnumeration(counting_oracle), n_known, eps)
+        enclose_escape_traced(counting_oracle, n_known, eps)
         assert asked == Counter(range(n_known))
 
     def test_a_descent_reaches_its_step_bound(self):
@@ -391,7 +389,9 @@ class TestEnclosure:
     def test_n_known_past_the_bound_is_refused_before_any_query(self):
         asked = []
         exact = intervalize(SPEC2)
-        oracle = IntervalEnumeration(lambda n, eps: asked.append(n) or exact.at(n, eps))
+        def oracle(n, eps):
+            return asked.append(n) or exact(n, eps)
+
         with pytest.raises(ValueError, match=f"exceeds the bound {MAX_N_KNOWN}"):
             enclose_escape_traced(oracle, MAX_N_KNOWN + 1, F(1, 100))
         with pytest.raises(ValueError, match=f"exceeds the bound {MAX_N_KNOWN}"):
@@ -407,7 +407,9 @@ class TestEnclosure:
     @settings(deadline=None, max_examples=60)
     def test_descents_match_the_public_bound_maps(self, index, n_known, eps, jitter):
         spec = corpus_spec(index)
-        oracle = IntervalEnumeration(lambda n, at_eps: formula_box(spec, n, at_eps, jitter))
+        def oracle(n, at_eps):
+            return formula_box(spec, n, at_eps, jitter)
+
         _, lo_trace, hi_trace = enclose_escape_traced(oracle, n_known, eps)
         # the reference queries the boxes afresh at every step
         def requeried(side):
@@ -459,6 +461,17 @@ class TestCertificateJson:
     def test_a_refused_trace_is_named_in_full(self, trace, message):
         obj = certificate_to_jsonable(compute_escape(SPEC2))
         obj["trace"] = trace
+        with pytest.raises(ValueError) as err:
+            certificate_from_jsonable(obj)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda o: [], "certificate: expected an object, got list"),
+        (lambda o: o.update(verdicts={}) or o, "verdicts: expected an array"),
+        (lambda o: o["verdicts"].insert(0, "1/2") or o, "verdicts[0]: expected an object"),
+    ], ids=["certificate", "verdicts", "verdict"])
+    def test_a_document_of_the_wrong_shape_is_named_in_full(self, mutate, message):
+        obj = mutate(certificate_to_jsonable(compute_escape(SPEC2)))
         with pytest.raises(ValueError) as err:
             certificate_from_jsonable(obj)
         assert str(err.value) == message

@@ -55,7 +55,9 @@ def test_top_level_names_are_their_home_objects():
         assert [n for n in home.__all__ if getattr(escapepoint, n) is not getattr(home, n)] == []
 
 
-@pytest.mark.parametrize("home, name", [("numerics", "weight_sum"), ("enumeration", "affine_cut")])
+@pytest.mark.parametrize("home, name", [
+    ("numerics", "weight_sum"), ("enumeration", "affine_cut"), ("enumeration", "IntervalEnumeration"),
+])
 def test_a_retired_name_stays_retired(home, name):
     module = importlib.import_module(f"escapepoint.{home}")
     assert name not in escapepoint.__all__
@@ -70,6 +72,10 @@ def test_step_structure_gives_a_plateau_by_fraction_alone():
 @pytest.mark.parametrize("name, parameter", [("intervalize", "spec"), ("tail_from_jsonable", "obj")])
 def test_takes_only_its_input(name, parameter):
     assert list(inspect.signature(getattr(escapepoint, name)).parameters) == [parameter]
+
+
+def test_the_settle_loop_takes_no_order():
+    assert list(inspect.signature(escapepoint.fixpoint._settle).parameters) == ["start", "step", "bound"]
 
 
 def test_modules_outside_the_package_list_name_nothing_it_names():

@@ -147,9 +147,16 @@ class TestDescend:
         with pytest.raises(ValueError, match="step bound"):
             descend_from_top(lambda z: z, budget)
 
-    def test_non_monotone_step_detected(self):
-        with pytest.raises(RuntimeError):
-            descend_from_top(lambda z: z + 1, 10)
+    @pytest.mark.parametrize("moves, up", [
+        ({F(2): F(1), F(1): F(3, 2), F(3, 2): F(3, 2)}, "1 -> 3/2"),  # settles after one move up
+        ({F(2): F(1), F(1): F(2)}, "1 -> 2"),  # never settles, so the budget runs out too
+    ], ids=["up once", "cycle 2 -> 1 -> 2"])
+    def test_non_monotone_step_detected(self, moves, up):
+        with pytest.raises(RuntimeError) as refused:
+            descend_from_top(moves.__getitem__, 10)
+        assert str(refused.value) == (
+            f"step map is not monotone: iterates must decrease strictly before settling: {up}"
+        )
 
     def test_worked_examples(self):
         cases = [

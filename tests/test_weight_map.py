@@ -14,7 +14,6 @@ from escapepoint import (
     Cycle,
     EnumerationSpec,
     ExponentBoundError,
-    IntervalEnumeration,
     RatInterval,
     box_classifier,
     compute_escape,
@@ -452,9 +451,9 @@ def both_bounds(bound_maps, x) -> RatInterval:
     return RatInterval(lower(x), upper(x))
 
 
-def queried_bounds(ienum, n_known, eps, x) -> RatInterval:
+def queried_bounds(oracle, n_known, eps, x) -> RatInterval:
     """Both bound maps at x over freshly queried boxes of indices 0, ..., n_known-1."""
-    return both_bounds(box_classifier(tuple(query_boxes(ienum, n_known, eps))), x)
+    return both_bounds(box_classifier(tuple(query_boxes(oracle, n_known, eps))), x)
 
 
 class TestQueriedBounds:
@@ -481,10 +480,12 @@ class TestQueriedBounds:
     @settings(deadline=None, max_examples=60)
     def test_sound_and_accounted(self, index, n_known, eps, x, jitter):
         spec = corpus_spec(index)
-        oracle = IntervalEnumeration(lambda n, at_eps: formula_box(spec, n, at_eps, jitter))
+        def oracle(n, at_eps):
+            return formula_box(spec, n, at_eps, jitter)
+
         bounds = queried_bounds(oracle, n_known, eps, x)
         assert bounds.lo <= weight_below(spec, x) <= bounds.hi
-        boxes = [oracle.at(n, eps) for n in range(n_known)]
+        boxes = [oracle(n, eps) for n in range(n_known)]
         certain = sum((dyadic_weight(n) for n, box in enumerate(boxes) if box.hi < x), F(0))
         undecided = sum(
             (dyadic_weight(n) for n, box in enumerate(boxes) if box.lo < x <= box.hi), F(0)
@@ -505,7 +506,9 @@ class TestQueriedBounds:
         # every box skewed by jitter = ratio * eps/2, so that the one at eps/2 ends on its value
         spec = corpus_spec(index)
         x = value_at(spec, x) if type(x) is int else x
-        oracle = IntervalEnumeration(lambda n, at_eps: formula_box(spec, n, at_eps, at_eps / 2 * ratio))
+        def oracle(n, at_eps):
+            return formula_box(spec, n, at_eps, at_eps / 2 * ratio)
+
         bounds = queried_bounds(oracle, n_known, eps, x)
         assert bounds.lo <= weight_below(spec, x) <= bounds.hi
         assert gfp_descend(spec)[0] in enclose_escape_traced(oracle, n_known, eps)[0]
@@ -648,46 +651,42 @@ class TestWidthContract:
     NARROW, WIDE = RatInterval(0, F(1, 100)), RatInterval(0, 1)
 
     def test_a_shared_box_too_wide_is_refused_at_its_first_index(self):
-        oracle = IntervalEnumeration(lambda n, eps: self.NARROW if n < 3 else self.WIDE)
-        boxes = query_boxes(oracle, 8, F(1, 10))
+        boxes = query_boxes(lambda n, eps: self.NARROW if n < 3 else self.WIDE, 8, F(1, 10))
         assert [next(boxes) for _ in range(3)] == [self.NARROW] * 3
-        with pytest.raises(ValueError, match="broke its width contract at n=3"):
+        with pytest.raises(ValueError) as refused:
             next(boxes)
+        assert str(refused.value) == f"interval oracle broke its width contract at n=3: {self.WIDE}"
 
     def test_a_fresh_box_too_wide_at_a_late_index_is_refused(self):
-        oracle = IntervalEnumeration(lambda n, eps: RatInterval(0, 1 if n == 200 else F(1, 100)))
+        def oracle(n, eps):
+            return RatInterval(0, 1 if n == 200 else F(1, 100))
+
         with pytest.raises(ValueError, match="broke its width contract at n=200"):
             list(query_boxes(oracle, 256, F(1, 10)))
         with pytest.raises(ValueError, match="broke its width contract at n=200"):
             enclose_escape_traced(oracle, 256, F(1, 10))
 
-    @pytest.mark.parametrize("eps", [0, F(-1, 10**30)])
+    @pytest.mark.parametrize("excess, accepted", [(F(0), True), (F(1, 10**30), False)])
+    def test_width_contract_at_its_edge(self, excess, accepted):
+        eps, lo = F(1, 7), F(-1, 3)
+
+        def oracle(n, at_eps):
+            return RatInterval(lo, lo + at_eps + (excess if n == 4 else 0))
+
+        if accepted:
+            assert [box.width for box in query_boxes(oracle, 5, eps)] == [eps] * 5
+        else:
+            with pytest.raises(ValueError, match="broke its width contract at n=4"):
+                list(query_boxes(oracle, 5, eps))
+
+    @pytest.mark.parametrize("eps", [0, F(0), F(-1, 10**30), -1])
     def test_nonpositive_eps_is_refused_before_any_query(self, eps):
         asked = []
-        oracle = IntervalEnumeration(lambda n, at_eps: asked.append(n) or self.NARROW)
         with pytest.raises(ValueError, match="eps must be positive"):
-            list(query_boxes(oracle, 4, eps))
+            query_boxes(lambda n, at_eps: asked.append(n) or self.NARROW, 4, eps)
         assert asked == []
 
     def test_the_enclosure_asks_the_oracle_for_each_index_once_in_order(self):
         asked, blurred = [], intervalize(EnumerationSpec((F(1, 2),), Cycle()))
-        oracle = IntervalEnumeration(lambda n, eps: asked.append(n) or blurred.oracle(n, eps))
-        enclose_escape_traced(oracle, 16, F(1, 128))
+        enclose_escape_traced(lambda n, eps: asked.append(n) or blurred(n, eps), 16, F(1, 128))
         assert asked == list(range(16))
-
-    @pytest.mark.parametrize("n", [0, 5])
-    @pytest.mark.parametrize("excess", [F(1, 10**30), F(9, 10)])
-    def test_at_and_query_boxes_refuse_a_too_wide_box_alike(self, n, excess):
-        eps, wide = F(1, 10), RatInterval(0, F(1, 10) + excess)
-        with pytest.raises(ValueError) as by_at:
-            IntervalEnumeration(lambda m, at_eps: wide).at(n, eps)
-        oracle = IntervalEnumeration(lambda m, at_eps: RatInterval(0, eps) if m < n else wide)
-        with pytest.raises(ValueError) as by_query:
-            list(query_boxes(oracle, n + 1, eps))
-        assert str(by_at.value) == str(by_query.value) == f"interval oracle broke its width contract at n={n}: {wide}"
-
-    def test_at_and_query_boxes_accept_a_box_exactly_eps_wide(self):
-        eps, box = F(1, 10), RatInterval(F(-1, 30), F(2, 30))
-        oracle = IntervalEnumeration(lambda n, at_eps: box)
-        assert oracle.at(3, eps) == box
-        assert list(query_boxes(oracle, 4, eps)) == [box] * 4
