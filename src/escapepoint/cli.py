@@ -166,19 +166,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         args = _build_parser().parse_args(argv)
-        # parse the input under the interpreter's int digit limit, so that an
-        # oversized number is refused instead of costing quadratic time; then
-        # lift the limit for this call only, since results and the messages
-        # quoting them can need more digits (2^-16384 has 4933)
+        # parse and run under the caller's int digit limit, so that an oversized input
+        # number is refused instead of costing quadratic time; results and messages
+        # quote numbers through format_rational, which renders past the limit
         if "spec" in args:
             args.spec = parse_spec(_read_text(args.spec))
         if getattr(args, "mode", None) == "interval":
             args.eps = parse_rational(args.eps)
-        if limit is not None:
-            sys.set_int_max_str_digits(0)
         return args.handler(args)
     # TheoremViolationError and BudgetExceededError are deliberately not
     # handled: each means the library itself is inconsistent (a descent that
@@ -187,9 +183,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -208,7 +208,7 @@ def check_exponent_bound(spec: EnumerationSpec) -> None:
     """Raise ``ExponentBoundError`` if an affine tail's cut at 0 or 2 lies past ``MAX_TAIL_CUT``."""
     if spec.window and spec.window[1] > MAX_TAIL_CUT:
         raise ExponentBoundError(
-            f"the affine tail crosses [0, 2] at index {spec.window[1]}, past the bound "
+            f"the affine tail crosses [0, 2] at index {format_rational(spec.window[1])}, past the bound "
             f"{MAX_TAIL_CUT} on dyadic exponents"
         )
 
@@ -256,8 +256,8 @@ def _plus_tail(spec: EnumerationSpec, p: int, q: int, num: int) -> tuple[int, in
     cut = _cut(spec, p, q)
     if cut > MAX_EXACT_EXPONENT:
         raise ExponentBoundError(
-            f"the affine tail crosses {p}/{q} at index {cut}, past the bound "
-            f"{MAX_EXACT_EXPONENT} on dyadic exponents"
+            f"the affine tail crosses {format_rational(p)}/{format_rational(q)} at index "
+            f"{format_rational(cut)}, past the bound {MAX_EXACT_EXPONENT} on dyadic exponents"
         )
     num, sign = (num + 2, -1) if spec.tail.line[0] > 0 else (num, 1)
     return (num << (cut - start)) + 2 * sign, 1 << cut

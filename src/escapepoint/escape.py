@@ -95,7 +95,7 @@ class Verdict:
         if not isinstance(self.gap, Fraction):
             object.__setattr__(self, "gap", as_fraction(self.gap, "verdict gap"))
         if self.gap.numerator <= 0:
-            raise ValueError(f"verdict gap must be positive, got {self.gap}")
+            raise ValueError(f"verdict gap must be positive, got {format_rational(self.gap)}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class EscapeCertificate:
             expected = "below" if diff < 0 else "above"
             gap = v.gap
             if diff == 0 or v.relation != expected or gap.numerator * q * den != abs(diff) * gap.denominator:
-                raise ValueError(f"verdict {i} is inconsistent with escape value {self.x0}")
+                raise ValueError(f"verdict {i} is inconsistent with escape value {format_rational(self.x0)}")
 
 
 def _verdicts(spec: EnumerationSpec, x0: Fraction) -> list[Verdict]:
@@ -159,7 +159,8 @@ def _verdicts(spec: EnumerationSpec, x0: Fraction) -> list[Verdict]:
             p, q = pair
             diff = p * d - num * q
             if diff == 0:
-                raise TheoremViolationError(f"escape value {x0} is the enumerated value at {where!r}")
+                raise TheoremViolationError(
+                    f"escape value {format_rational(x0)} is the enumerated value at {where!r}")
             seen = first[pair] = Verdict(where, Fraction(p, q) if value is None else value,
                                          "below" if diff < 0 else "above", Fraction(abs(diff), q * d))
             verdicts.append(seen)
@@ -182,7 +183,8 @@ def compute_escape(spec: EnumerationSpec) -> EscapeCertificate:
     x0, trace = gfp_descend(spec)
     oracle = sup_postfix_oracle(spec)
     if oracle != x0:
-        raise TheoremViolationError(f"descent found {x0} but the supremum oracle found {oracle}")
+        raise TheoremViolationError(
+            f"descent found {format_rational(x0)} but the supremum oracle found {format_rational(oracle)}")
     return EscapeCertificate(
         x0=x0,
         trace=trace,
@@ -212,14 +214,15 @@ def adjoin_escape_demo(spec: EnumerationSpec) -> tuple[EscapeCertificate, Enumer
     threshold = x0 + dyadic_weight(len(spec.prefix))
     if spec.tail.value < threshold:
         raise DemoNotApplicableError(
-            f"constant tail value {spec.tail.value} is below {threshold}; the appended "
-            "value would displace tail weight instead of adding to it"
+            f"constant tail value {format_rational(spec.tail.value)} is below {format_rational(threshold)}; "
+            "the appended value would displace tail weight instead of adding to it"
         )
     extended = EnumerationSpec(prefix=spec.prefix + (x0,), tail=spec.tail)
     after = compute_escape(extended)
     if after.x0 < threshold:
         raise TheoremViolationError(
-            f"appending the escape value should raise it to at least {threshold}, got {after.x0}"
+            f"appending the escape value should raise it to at least {format_rational(threshold)}, "
+            f"got {format_rational(after.x0)}"
         )
     return before, extended, after
 

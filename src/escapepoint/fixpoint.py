@@ -28,12 +28,13 @@ random finite lattices, so the engine itself is fuzzed against brute force.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .enumeration import EnumerationSpec, tail_weight_sum
-from .numerics import dyadic_weight
+from .numerics import dyadic_weight, format_rational
 from .weight_map import step_structure, weight_below
 
 __all__ = [
@@ -85,7 +86,8 @@ class FixpointTrace:
             pairs.pop()
         for (a, b), (c, d), x, y in zip(pairs, pairs[1:], its, its[1:]):
             if a * d <= c * b:
-                raise ValueError(f"iterates must decrease strictly before settling: {x} -> {y}")
+                raise ValueError("iterates must decrease strictly before settling: "
+                                 f"{format_rational(x)} -> {format_rational(y)}")
 
     @property
     def terminated(self) -> bool:
@@ -208,14 +210,15 @@ def subset_fixpoint_oracle(spec: EnumerationSpec) -> Fraction:
     # the breaks from the top down; a plateau ends at the break below the one above it, the top one at 2
     lows = [Fraction(*below) for _, below in plateaus[:-1]]
     highs = [_TWO, *lows]
-    states = {tail_weight_sum(spec, hi) for hi in highs}
+    # ascending, as the tail weight is monotone in x; a state above a value needs a negative multiple
+    states = [tail_weight_sum(spec, hi) for hi in reversed(highs)]
     # with no prefix the only subset sum is 0, which any unit divides
     unit = dyadic_weight(length - 1) if length else Fraction(1)
     # the bottom plateau starts at 0 and is closed there, and its value is at least 0
     for (t, _), lo, hi in zip(plateaus, [*lows, None], highs):
         value = steps.fraction(t)
         if (lo is None or lo < value) and value <= hi:
-            for state in states:
+            for state in reversed(states[:bisect_right(states, value)]):
                 multiple = (value - state) / unit
                 if multiple.denominator == 1 and 0 <= multiple < 1 << length:
                     return value

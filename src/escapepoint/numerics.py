@@ -93,7 +93,8 @@ def dyadic_tail_weight(start: int) -> Fraction:
         raise ValueError(f"tail start must be a natural number, got {start!r}")
     if start > MAX_EXACT_EXPONENT:
         raise ExponentBoundError(
-            f"a tail weight from index {start} is past the bound {MAX_EXACT_EXPONENT} on dyadic exponents"
+            f"a tail weight from index {format_rational(start)} is past the bound {MAX_EXACT_EXPONENT}"
+            " on dyadic exponents"
         )
     return Fraction(2, 1 << start)
 
@@ -158,4 +159,5 @@ class RatInterval:
 def _refuse_empty(lo_p: int, lo_q: int, hi_p: int, hi_q: int) -> None:
     """Raise ``ValueError`` if lo_p/lo_q > hi_p/hi_q, both denominators positive."""
     if lo_p * hi_q > hi_p * lo_q:
-        raise ValueError(f"empty interval: lo {Fraction(lo_p, lo_q)} > hi {Fraction(hi_p, hi_q)}")
+        lo, hi = format_rational(Fraction(lo_p, lo_q)), format_rational(Fraction(hi_p, hi_q))
+        raise ValueError(f"empty interval: lo {lo} > hi {hi}")

@@ -31,7 +31,7 @@ from .fixpoint import (
     subset_fixpoint_oracle,
     sup_postfix_oracle,
 )
-from .numerics import dyadic_tail_weight, dyadic_weight
+from .numerics import dyadic_tail_weight, dyadic_weight, format_rational
 from .weight_map import weight_below
 
 __all__ = [
@@ -54,11 +54,6 @@ class _CheckFailure(Exception):
     """An invariant check failed with a human-readable reason."""
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise _CheckFailure(message)
-
-
 def run_invariant_battery(spec: EnumerationSpec, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Run every structural invariant against one spec.
 
@@ -74,6 +69,7 @@ def run_invariant_battery(spec: EnumerationSpec, seed: int = 0) -> list[tuple[st
     points = _sample_points(spec, rng)
     window = range(length, length + 65)
     x0_box: list[Optional[Fraction]] = [None]
+    fmt = format_rational  # a failure message quotes values past the int digit limit too
 
     def settled() -> Fraction:
         if x0_box[0] is None:
@@ -83,67 +79,64 @@ def run_invariant_battery(spec: EnumerationSpec, seed: int = 0) -> list[tuple[st
     def check_totality() -> None:
         for n in range(length + 17):
             v = value_at(spec, n)
-            _require(isinstance(v, Fraction), f"value at index {n} is {type(v).__name__}")
+            if not isinstance(v, Fraction):
+                raise _CheckFailure(f"value at index {n} is {type(v).__name__}")
 
     def check_eligibility_monotone() -> None:
         for x, y in zip(points, points[1:]):
-            _require(
-                eligible_prefix_indices(spec, x) <= eligible_prefix_indices(spec, y),
-                f"eligible prefix set shrank between {x} and {y}",
-            )
+            if not eligible_prefix_indices(spec, x) <= eligible_prefix_indices(spec, y):
+                raise _CheckFailure(f"eligible prefix set shrank between {fmt(x)} and {fmt(y)}")
 
     def check_tail_closed_form() -> None:
         for x in points:
             closed = tail_weight_sum(spec, x)
             brute = sum((dyadic_weight(n) for n in window if value_at(spec, n) < x), _ZERO)
-            residue = dyadic_tail_weight(window.stop)
-            _require(
-                brute <= closed <= brute + residue,
-                f"closed-form tail weight {closed} at {x} is outside [{brute}, {brute + residue}]",
-            )
+            high = brute + dyadic_tail_weight(window.stop)
+            if not brute <= closed <= high:
+                span = f"[{fmt(brute)}, {fmt(high)}]"
+                raise _CheckFailure(f"closed-form tail weight {fmt(closed)} at {fmt(x)} is outside {span}")
 
     def check_tail_hits() -> None:
         for x in points:
             hit = tail_hits(spec, x)
             brute = any(value_at(spec, n) == x for n in window)
             if brute:
-                _require(hit, f"{x} is enumerated in the tail window but tail_hits says no")
+                if not hit:
+                    raise _CheckFailure(f"{fmt(x)} is enumerated in the tail window but tail_hits says no")
             elif hit:
                 # only an affine tail can hit beyond the window; verify its witness
-                _require(isinstance(spec.tail, Affine), f"tail_hits claims {x} without a witness")
+                if not isinstance(spec.tail, Affine):
+                    raise _CheckFailure(f"tail_hits claims {fmt(x)} without a witness")
                 n0 = (x - spec.tail.b) / spec.tail.a
-                _require(
-                    n0.denominator == 1 and n0 >= length and value_at(spec, int(n0)) == x,
-                    f"tail_hits claims {x} but index {n0} is not a witness",
-                )
+                if not (n0.denominator == 1 and n0 >= length and value_at(spec, int(n0)) == x):
+                    raise _CheckFailure(f"tail_hits claims {fmt(x)} but index {fmt(n0)} is not a witness")
 
     def check_map_monotone() -> None:
         for x, y in zip(points, points[1:]):
-            _require(
-                weight_below(spec, x) <= weight_below(spec, y),
-                f"weight map decreased between {x} and {y}",
-            )
+            if weight_below(spec, x) > weight_below(spec, y):
+                raise _CheckFailure(f"weight map decreased between {fmt(x)} and {fmt(y)}")
 
     def check_map_range() -> None:
         for x in points:
             w = weight_below(spec, x)
-            _require(_ZERO <= w <= _TWO, f"weight {w} at {x} is outside [0, 2]")
+            if not _ZERO <= w <= _TWO:
+                raise _CheckFailure(f"weight {fmt(w)} at {fmt(x)} is outside [0, 2]")
 
     def check_jump_lemma() -> None:
         # x <= f(n) < y forces the map to rise by at least the index weight
         for n in range(min(length + 9, 40)):
             v = value_at(spec, n)
             if _ZERO <= v < _TWO:
-                y = min(_TWO, v + Fraction(1, 997))
-                _require(
-                    weight_below(spec, y) >= weight_below(spec, v) + dyadic_weight(n),
-                    f"jump at index {n} (value {v}) is smaller than {dyadic_weight(n)}",
-                )
+                y, jump = min(_TWO, v + Fraction(1, 997)), dyadic_weight(n)
+                if weight_below(spec, y) < weight_below(spec, v) + jump:
+                    raise _CheckFailure(f"jump at index {n} (value {fmt(v)}) is smaller than {fmt(jump)}")
 
     def check_descent_fixpoint() -> None:
         x0, trace = gfp_descend(spec)
-        _require(weight_below(spec, x0) == x0, f"descent settled at {x0}, not a fixpoint")
-        _require(trace.terminated and trace.iterates[-1] == x0, "trace does not settle at the result")
+        if weight_below(spec, x0) != x0:
+            raise _CheckFailure(f"descent settled at {fmt(x0)}, not a fixpoint")
+        if not (trace.terminated and trace.iterates[-1] == x0):
+            raise _CheckFailure("trace does not settle at the result")
         x0_box[0] = x0
 
     def check_no_postfix_above() -> str:
@@ -152,25 +145,30 @@ def run_invariant_battery(spec: EnumerationSpec, seed: int = 0) -> list[tuple[st
             return "escape value is the top element; nothing above to probe"
         for _ in range(64):
             y = x0 + (_TWO - x0) * Fraction(rng.randint(1, 1000), 1000)
-            _require(weight_below(spec, y) < y, f"{y} above the escape value is a postfixpoint")
+            if weight_below(spec, y) >= y:
+                raise _CheckFailure(f"{fmt(y)} above the escape value is a postfixpoint")
         return ""
 
     def check_proof_equivalence() -> str:
         x0 = settled()
         other = sup_postfix_oracle(spec)
-        _require(other == x0, f"supremum oracle found {other}, descent found {x0}")
+        if other != x0:
+            raise _CheckFailure(f"supremum oracle found {fmt(other)}, descent found {fmt(x0)}")
         try:
             literal = subset_fixpoint_oracle(spec)
         except OracleScopeError as exc:
             return f"subset oracle skipped: {exc}"
-        _require(literal == x0, f"subset oracle found {literal}, descent found {x0}")
+        if literal != x0:
+            raise _CheckFailure(f"subset oracle found {fmt(literal)}, descent found {fmt(x0)}")
         return ""
 
     def check_certificate() -> None:
         x0 = settled()
         cert = compute_escape(spec)
-        _require(cert.x0 == x0, f"certificate value {cert.x0} differs from descent value {x0}")
-        _require(len(cert.verdicts) >= length, "certificate is missing prefix verdicts")
+        if cert.x0 != x0:
+            raise _CheckFailure(f"certificate value {fmt(cert.x0)} differs from descent value {fmt(x0)}")
+        if len(cert.verdicts) < length:
+            raise _CheckFailure("certificate is missing prefix verdicts")
 
     def check_enclosure() -> None:
         x0 = settled()
@@ -181,10 +179,13 @@ def run_invariant_battery(spec: EnumerationSpec, seed: int = 0) -> list[tuple[st
         sharper_n = enclose_escape_traced(oracle, 4, eps_narrow)[0]
         sharpest = enclose_escape_traced(oracle, 8, eps_narrow)[0]
         for enclosure in (coarse, sharper_eps, sharper_n, sharpest):
-            _require(x0 in enclosure, f"escape value {x0} is outside enclosure {enclosure}")
-        _require(coarse.encloses(sharper_eps), "shrinking eps must narrow the enclosure")
-        _require(sharper_eps.encloses(sharper_n), "more known indices must narrow the enclosure")
-        _require(sharper_n.encloses(sharpest), "more known indices must narrow the enclosure")
+            if x0 not in enclosure:
+                lo, hi = fmt(enclosure.lo), fmt(enclosure.hi)
+                raise _CheckFailure(f"escape value {fmt(x0)} is outside enclosure [{lo}, {hi}]")
+        if not coarse.encloses(sharper_eps):
+            raise _CheckFailure("shrinking eps must narrow the enclosure")
+        if not (sharper_eps.encloses(sharper_n) and sharper_n.encloses(sharpest)):
+            raise _CheckFailure("more known indices must narrow the enclosure")
 
     checks: list[tuple[str, Callable[[], Optional[str]]]] = [
         ("totality", check_totality),
@@ -244,9 +245,9 @@ class FiniteLattice:
 
     Construction is exhaustive validation: reflexivity, antisymmetry,
     transitivity, a global top and bottom, and existence of every pairwise
-    meet and join.  Elements are re-indexed topologically (by down-set size),
-    which makes least upper bounds findable as the lowest set bit of an
-    upper-set intersection.
+    join, which with the bottom gives every meet.  Elements are re-indexed
+    topologically (by down-set size), which makes least upper bounds
+    findable as the lowest set bit of an upper-set intersection.
     """
 
     def __init__(self, elements: Iterable[Hashable], leq: Callable[[object, object], bool]):
@@ -309,12 +310,11 @@ class FiniteLattice:
         self._bottom_idx = bottoms[0]
         self._top_idx = tops[0]
 
-        # every pair has the top as an upper bound and the bottom as a lower
-        # bound, so only a least or greatest one can be missing
+        # every pair has the top as an upper bound, so only a least one can be missing;
+        # then every meet exists too, as the join of the common lower bounds (bottom included)
         for i in range(n):
             for j in range(i + 1, n):
                 self._join_idx(i, j)
-                self._meet_idx(i, j)
 
     def _join_idx(self, i: int, j: int) -> int:
         uppers = self._up[i] & self._up[j]
@@ -327,12 +327,7 @@ class FiniteLattice:
 
     def _meet_idx(self, i: int, j: int) -> int:
         lowers = self._down[i] & self._down[j]
-        k = lowers.bit_length() - 1
-        if lowers & ~self._down[k]:
-            raise LatticeError(
-                f"{self._elements[i]!r} and {self._elements[j]!r} have no greatest lower bound"
-            )
-        return k
+        return lowers.bit_length() - 1
 
     def _idx(self, e: object) -> int:
         try:

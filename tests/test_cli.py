@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from escapepoint import (
-    Affine, Constant, EnumerationSpec, certificate_to_jsonable, compute_escape, selftest, tail_hits, value_at,
+    MAX_EXACT_EXPONENT, Affine, Constant, DemoNotApplicableError, EnumerationSpec, ExponentBoundError,
+    FixpointTrace, RatInterval, TheoremViolationError, adjoin_escape_demo, certificate_to_jsonable, cli,
+    compute_escape, dyadic_tail_weight, escape, format_rational, selftest, tail_hits, value_at, weight_below,
 )
 from escapepoint.cli import main
 
@@ -15,6 +17,15 @@ SPEC2_TEXT = '{"prefix": ["3/2", "1/8"], "tail": {"kind": "constant", "value": "
 AFFINE_TEXT = '{"prefix": [], "tail": {"kind": "affine", "a": "1", "b": "0"}}'
 CYCLE_TEXT = '{"prefix": ["0", "1"], "tail": {"kind": "cycle"}}'
 TINY_SLOPE_TEXT = '{"prefix": [], "tail": {"kind": "affine", "a": "1/10000000000", "b": "0"}}'
+# the flattest affine tails inside MAX_TAIL_CUT: x0 and the weights have about 4 900 digits
+FLAT_TAILS = [Affine(Fraction(1, 8191), 0), Affine(Fraction(-1, 8191), 2)]
+
+
+def flat_file(tmp_path, tail: Affine) -> str:
+    path = tmp_path / "flat.json"
+    spec = {"prefix": [], "tail": {"kind": "affine", "a": str(tail.a), "b": str(tail.b)}}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture
@@ -190,6 +201,49 @@ class TestDigitLimit:
         assert main(["escape", str(path), "--output", "structured"]) == 0
         assert capsys.readouterr().out == rendered
 
+    @pytest.mark.parametrize("tail", FLAT_TAILS, ids=["rising", "falling"])
+    def test_the_battery_passes_past_the_limit(self, tmp_path, capsys, tail):
+        assert main(["check", flat_file(tmp_path, tail)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "invariants: 12/12 passed"
+        assert all(line.endswith("PASS") for line in lines[:-1])
+
+    @pytest.mark.parametrize("call, error, fragment", [
+        # the cut is near 10^8000, and x0 is never computed
+        (lambda: compute_escape(EnumerationSpec((), Affine(Fraction(1, 10**4000), -10**4000))),
+         ExponentBoundError, "past the bound 16384"),
+        # x = (10^4400 + 1) / 3 has its cut at 10^4400 + 1, past MAX_EXACT_EXPONENT
+        (lambda: weight_below(EnumerationSpec((), Affine(Fraction(1, 3), 0)), Fraction(10**4400 + 1, 3)),
+         ExponentBoundError, f"past the bound {MAX_EXACT_EXPONENT}"),
+        (lambda: dyadic_tail_weight(10**4400), ExponentBoundError, f"past the bound {MAX_EXACT_EXPONENT}"),
+        # 14 400 prefix values: the threshold x0 + 2^-14400 has a denominator of 4 335 digits
+        (lambda: adjoin_escape_demo(EnumerationSpec(tuple(Fraction(i % 7, 5) for i in range(14400)),
+                                                    Constant(Fraction(1, 3)))),
+         DemoNotApplicableError, "constant tail value 1/3 is below"),
+        (lambda: FixpointTrace((Fraction(2), Fraction(1, 2**16000), Fraction(1, 2**15000))),
+         ValueError, "iterates must decrease strictly before settling: 1/"),
+        (lambda: RatInterval(Fraction(1, 3**9500), Fraction(1, 3**9501)), ValueError, "empty interval: lo 1/"),
+    ], ids=["exponent-bound", "weight-below", "tail-weight", "demo", "trace-order", "empty-interval"])
+    def test_each_refusal_quotes_its_numbers(self, call, error, fragment):
+        with pytest.raises(error) as refused:
+            call()
+        assert type(refused.value) is error
+        assert fragment in str(refused.value)
+
+    def test_an_oracle_disagreement_is_reported_past_the_limit(self, tmp_path, monkeypatch):
+        honest = escape.sup_postfix_oracle
+        monkeypatch.setattr(escape, "sup_postfix_oracle", lambda spec: honest(spec) / 2)
+        flat = EnumerationSpec((), FLAT_TAILS[0])
+        x0 = honest(flat)
+        with pytest.raises(TheoremViolationError) as refused:
+            compute_escape(flat)
+        assert str(refused.value) == (
+            f"descent found {format_rational(x0)} but the supremum oracle found {format_rational(x0 / 2)}"
+        )
+        # an internal inconsistency crashes the CLI instead of exiting 1
+        with pytest.raises(TheoremViolationError):
+            main(["escape", flat_file(tmp_path, FLAT_TAILS[0])])
+
 
 class TestCheckCommand:
     def test_all_invariants_pass(self, spec2_file, capsys):
@@ -247,6 +301,18 @@ class TestInvariantBattery:
         assert ("tail-hits", True, "") in results
         assert [r for r in results if not r[1]] == []
 
+    def test_a_descent_that_does_not_settle_leaves_x0_unchecked(self, monkeypatch):
+        def unsettled(spec):
+            raise RuntimeError("no settle")
+
+        monkeypatch.setattr(selftest, "gfp_descend", unsettled)
+        failed = [r for r in selftest.run_invariant_battery(EnumerationSpec((), Constant(1))) if not r[1]]
+        assert failed == [
+            ("descent-fixpoint", False, "RuntimeError: no settle"),
+            *((name, False, "descent did not settle, cannot check")
+              for name in ("no-postfix-above", "proof-equivalence", "certificate", "enclosure")),
+        ]
+
     @pytest.mark.parametrize("tail, reason", [
         (Constant(0), "tail_hits claims 1 without a witness"),
         (Affine(Fraction(1, 100), Fraction(1, 1000)), "tail_hits claims 1 but index 999/10 is not a witness"),
@@ -278,6 +344,13 @@ class TestSelfTestCommand:
         assert main(["kt-selftest", "--count", "5", "--seed", "2"]) == 0
         assert "5 lattices checked, 0 failures" in capsys.readouterr().out
 
+    def test_failures_are_listed_under_the_summary(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_kt_battery", lambda count, seed: ["first failure", "second failure"])
+        assert main(["kt-selftest", "--count", "3"]) == 1
+        assert capsys.readouterr().out == (
+            "self-test: 3 lattices checked, 2 failures\n  first failure\n  second failure\n"
+        )
+
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_count_must_be_positive(self, capsys, count):
         assert main(["kt-selftest", "--count", count]) == 1
@@ -287,15 +360,14 @@ class TestSelfTestCommand:
 
 
 class TestProcessState:
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
-    def test_int_digit_limit_is_restored(self, capsys):
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(5000)
-        try:
-            assert main(["kt-selftest", "--count", "1"]) == 0
-            assert sys.get_int_max_str_digits() == 5000
-        finally:
-            sys.set_int_max_str_digits(previous)
+    def test_main_never_sets_the_int_digit_limit(self, spec2_file, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"main set the int digit limit to {limit}")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        for argv in (["escape", spec2_file], ["escape", spec2_file, "--mode", "interval"],
+                     ["check", spec2_file], ["demo-adjoin", spec2_file], ["kt-selftest", "--count", "1"]):
+            assert main(argv) == 0, argv
 
 
 class TestModuleEntryPoint:

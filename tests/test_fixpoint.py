@@ -259,11 +259,15 @@ class TestOracles:
         with memory_cap(), pytest.raises(ExponentBoundError, match="past the bound"):
             oracle(EnumerationSpec((), tail))
 
-    @pytest.mark.parametrize("slope", [F(1, 256), F(-1, 256)])
-    @pytest.mark.parametrize("intercept", [0, 1, 2])
-    def test_subset_oracle_on_flat_affine_tails(self, slope, intercept):
-        # 513 plateaus, of which only a handful hold their own value
-        spec = EnumerationSpec((), Affine(slope, intercept))
+    @pytest.mark.parametrize("slope, intercept", [
+        *((slope, intercept) for slope in (F(1, 256), F(-1, 256)) for intercept in (0, 1, 2)),
+        # 16 383 plateaus and tail states, inside MAX_TAIL_CUT
+        (F(1, 8191), 0), (F(-1, 8191), 2),
+    ])
+    @pytest.mark.parametrize("prefix", [(), (F(1, 3), F(5, 4))])
+    def test_subset_oracle_on_flat_affine_tails(self, slope, intercept, prefix):
+        # 513 plateaus or more, of which only a handful hold their own value
+        spec = EnumerationSpec(prefix, Affine(slope, intercept))
         assert subset_fixpoint_oracle(spec) == gfp_descend(spec)[0]
 
 
@@ -387,6 +391,17 @@ class TestFiniteLattice:
         pairs = {(0, 1), (1, 2)}
         with pytest.raises(LatticeError, match="transitive"):
             FiniteLattice([0, 1, 2], lambda a, b: a == b or (a, b) in pairs)
+
+    def test_unhashable_elements(self):
+        with pytest.raises(LatticeError) as refused:
+            FiniteLattice([[1], [2]], lambda a, b: a <= b)
+        assert str(refused.value) == "elements must be hashable: unhashable type: 'list'"
+
+    def test_two_minimal_elements(self):
+        pairs = {(0, 2), (1, 2)}
+        with pytest.raises(LatticeError) as refused:
+            FiniteLattice([0, 1, 2], lambda a, b: a == b or (a, b) in pairs)
+        assert str(refused.value) == "no least element"
 
     def test_two_maximal_elements(self):
         pairs = {(0, 1), (0, 2)}
