@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .enumeration import EnumerationSpec, SpecError, intervalize, spec_from_jsonable, spec_to_jsonable
 from .escape import (
     EscapeCertificate,
+    _rendered_rows,
     adjoin_escape_demo,
     certificate_to_jsonable,
     compute_escape,
@@ -66,9 +67,9 @@ def _print_certificate(cert: EscapeCertificate) -> None:
     print(f"descent: {_render_trace(cert.trace)}")
     print(f"oracle agreement: {'yes' if cert.oracle_agreement else 'no'}")
     print("verdicts:")
-    for v in cert.verdicts:
-        where = "all tail indices" if v.where == "tail" else f"index {v.where}"
-        print(f"  {where}: {format_rational(v.value)}, {v.relation} by {format_rational(v.gap)}")
+    for where, value, relation, gap in _rendered_rows(cert):
+        where = "all tail indices" if where == "tail" else f"index {where}"
+        print(f"  {where}: {value}, {relation} by {gap}")
 
 
 def _cmd_escape(args: argparse.Namespace) -> int:

@@ -59,8 +59,9 @@ __all__ = [
 # Deepest affine tail cut at 0 or at 2 that the map's closed forms accept.
 # They build 2^n for n up to the cuts, and a flat slope has about 2/|a|
 # plateaus.  Affine(1/8192, 0) (cut 16384) is inside; near the bound,
-# Affine(-1/8191, 2) takes 0.026-0.027 s in compute_escape on a 2-core x86_64
-# VM, as its sweep decides all 16383 plateaus, and peaks at 0.02 MB traced.
+# Affine(-1/8191, 2) takes 25-31 ms in compute_escape (42-54 ms on a busy host;
+# best of 5 on one CPU of a shared 2-core x86_64 Xeon VM, Python 3.11.7), as its
+# sweep decides all 16383 plateaus, and peaks at 0.019 MB traced.
 MAX_TAIL_CUT = 1 << 14
 
 

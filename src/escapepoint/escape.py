@@ -16,18 +16,20 @@ p/q and x0 = n/d, diff = p*d - n*q gives the relation by its sign and the
 gap |diff| / (q*d), computed once per distinct value.  These comparisons
 reach every tail value that could equal x0, so a zero diff is the one
 refusal of an enumerated x0: it raises ``TheoremViolationError`` rather
-than producing a broken certificate.  The certificate audit checks every
-verdict again the same way.
+than producing a broken certificate.  The verdicts are integer rows
+(``VerdictRow``), and the certificate audit checks every row again the same way.
 
 ``enclose_escape_traced`` brackets the escape value from interval queries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
-from typing import Callable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .enumeration import (
     Constant,
@@ -40,7 +42,7 @@ from .enumeration import (
     check_exponent_bound,
 )
 from .fixpoint import FixpointTrace, descend_from_top, gfp_descend, sup_postfix_oracle
-from .numerics import RatInterval, as_fraction, dyadic_weight, format_rational
+from .numerics import RatInterval, as_fraction, dyadic_weight, format_pair, format_rational
 from .weight_map import box_classifier, query_boxes
 
 __all__ = [
@@ -98,41 +100,69 @@ class Verdict:
             raise ValueError(f"verdict gap must be positive, got {format_rational(self.gap)}")
 
 
-@dataclass(frozen=True)
+# (where, p, q, relation, gap_p, gap_q): one verdict, its value p/q and gap reduced, q and gap_q > 0
+VerdictRow = tuple[Union[int, str], int, int, str, int, int]
+
+
+def _verdicts_of_rows(cert: "EscapeCertificate") -> tuple[Verdict, ...]:
+    """The rows as ``Verdict`` objects, built on first read of ``verdicts``."""
+    return tuple(Verdict(where, Fraction(p, q), relation, Fraction(gap_p, gap_q))
+                 for where, p, q, relation, gap_p, gap_q in cert.rows)
+
+
+@dataclass(frozen=True, init=False)
 class EscapeCertificate:
     """Everything needed to audit one escape computation.
 
     The trace must be a settled descent ending at ``x0``; the verdicts
-    separate ``x0`` from every enumerated value.  Construction audits each
-    verdict by exact integer cross-multiplication: with value p/q, x0 = n/d
-    and diff = p*d - n*q, the diff is nonzero, its sign gives the relation,
-    and the gap is |diff| / (q*d).
+    separate ``x0`` from every enumerated value.  They are stored only as
+    ``rows``, which ``==`` and ``hash`` compare, and are built as ``Verdict``
+    objects on first read of ``verdicts``.  Construction audits each row by
+    exact integer cross-multiplication: with x0 = n/d and diff = p*d - n*q,
+    the diff is nonzero, its sign gives the relation, and gap_p/gap_q = |diff|/(q*d).
     """
 
     x0: Fraction
     trace: FixpointTrace
-    verdicts: tuple[Verdict, ...]
+    verdicts: tuple[Verdict, ...] = field(default=cached_property(_verdicts_of_rows), compare=False)
     oracle_agreement: bool
+    rows: tuple[VerdictRow, ...] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", as_fraction(self.x0, "escape value"))
-        object.__setattr__(self, "verdicts", tuple(self.verdicts))
-        if not self.trace.terminated or self.trace.iterates[-1] != self.x0:
+    def __init__(self, x0: Fraction, trace: FixpointTrace, verdicts: Iterable[Verdict],
+                 oracle_agreement: bool) -> None:
+        verdicts = tuple(verdicts)
+        self._set_audited(x0, trace, tuple(
+            (v.where, v.value.numerator, v.value.denominator, v.relation, v.gap.numerator, v.gap.denominator)
+            for v in verdicts), oracle_agreement)
+        self.__dict__["verdicts"] = verdicts  # already built: the first read finds them
+
+    @classmethod
+    def _of_rows(cls, x0: Fraction, trace: FixpointTrace, rows: tuple[VerdictRow, ...],
+                 oracle_agreement: bool) -> "EscapeCertificate":
+        """The certificate of rows already in stored form, audited as the constructor audits."""
+        cert = object.__new__(cls)
+        cert._set_audited(x0, trace, rows, oracle_agreement)
+        return cert
+
+    def _set_audited(self, x0: Fraction, trace: FixpointTrace, rows: tuple[VerdictRow, ...],
+                     oracle_agreement: bool) -> None:
+        x0 = as_fraction(x0, "escape value")
+        if not trace.terminated or trace.iterates[-1] != x0:
             raise ValueError("certificate trace must be a settled descent ending at the escape value")
-        num, den = self.x0.numerator, self.x0.denominator
-        for i, v in enumerate(self.verdicts):
-            p, q = v.value.numerator, v.value.denominator
+        num, den = x0.numerator, x0.denominator
+        for i, (_, p, q, relation, gap_p, gap_q) in enumerate(rows):
             diff = p * den - num * q
             expected = "below" if diff < 0 else "above"
-            gap = v.gap
-            if diff == 0 or v.relation != expected or gap.numerator * q * den != abs(diff) * gap.denominator:
-                raise ValueError(f"verdict {i} is inconsistent with escape value {format_rational(self.x0)}")
+            if diff == 0 or relation != expected or gap_p * q * den != abs(diff) * gap_q:
+                raise ValueError(f"verdict {i} is inconsistent with escape value {format_rational(x0)}")
+        for name, value in (("x0", x0), ("trace", trace), ("rows", rows), ("oracle_agreement", oracle_agreement)):
+            object.__setattr__(self, name, value)
 
 
-def _verdicts(spec: EnumerationSpec, x0: Fraction) -> list[Verdict]:
-    """The verdict on each prefix index, then the tail's, as the module docstring lists them.
+def _verdicts(spec: EnumerationSpec, x0: Fraction) -> tuple[VerdictRow, ...]:
+    """The row of each prefix index, then the tail's, as the module docstring lists them.
 
-    ``first`` maps each compared pair to its first verdict, so a value met
+    ``first`` maps each compared pair to its first row, so a value met
     again, in the prefix or in a periodic tail's block, reuses its value,
     relation and gap.  Every tail value that could equal x0 is compared: each
     distinct block value, or the affine tail's closest approach, which is its
@@ -141,7 +171,7 @@ def _verdicts(spec: EnumerationSpec, x0: Fraction) -> list[Verdict]:
     """
     num, d = x0.numerator, x0.denominator
     start, block = len(spec.prefix), spec.block_pairs
-    tail = [("tail", pair, None) for pair in _ascending(set(block))]
+    tail = [("tail", pair) for pair in _ascending(set(block))]
     if not block:
         # closest approach of a*n + b to x0 over integer n >= start: the tail crosses
         # x0 between the cut and the index before it.  Both gaps are over D*d, so their
@@ -150,10 +180,12 @@ def _verdicts(spec: EnumerationSpec, x0: Fraction) -> list[Verdict]:
         cut = _cut(spec, num, d)
         diffs = {n: (slope * n + intercept) * d - num * scale for n in (max(start, cut - 1), cut)}
         n = min(diffs, key=lambda n: (abs(diffs[n]), diffs[n] > 0))
-        tail.append((n, (slope * n + intercept, scale), None))
-    verdicts = []
-    first: dict[tuple[int, int], Verdict] = {}
-    for where, pair, value in chain(zip(range(start), spec.prefix_pairs, spec.prefix), tail):
+        p = slope * n + intercept
+        g = math.gcd(p, scale)
+        tail.append((n, (p // g, scale // g)))
+    rows = []
+    first: dict[tuple[int, int], VerdictRow] = {}
+    for where, pair in chain(zip(range(start), spec.prefix_pairs), tail):
         seen = first.get(pair)
         if seen is None:
             p, q = pair
@@ -161,12 +193,11 @@ def _verdicts(spec: EnumerationSpec, x0: Fraction) -> list[Verdict]:
             if diff == 0:
                 raise TheoremViolationError(
                     f"escape value {format_rational(x0)} is the enumerated value at {where!r}")
-            seen = first[pair] = Verdict(where, Fraction(p, q) if value is None else value,
-                                         "below" if diff < 0 else "above", Fraction(abs(diff), q * d))
-            verdicts.append(seen)
-        else:
-            verdicts.append(Verdict(where, seen.value, seen.relation, seen.gap))
-    return verdicts
+            gap_p, gap_q = abs(diff), q * d
+            g = math.gcd(gap_p, gap_q)
+            seen = first[pair] = (p, q, "below" if diff < 0 else "above", gap_p // g, gap_q // g)
+        rows.append((where,) + seen)
+    return tuple(rows)
 
 
 def compute_escape(spec: EnumerationSpec) -> EscapeCertificate:
@@ -185,12 +216,7 @@ def compute_escape(spec: EnumerationSpec) -> EscapeCertificate:
     if oracle != x0:
         raise TheoremViolationError(
             f"descent found {format_rational(x0)} but the supremum oracle found {format_rational(oracle)}")
-    return EscapeCertificate(
-        x0=x0,
-        trace=trace,
-        verdicts=_verdicts(spec, x0),
-        oracle_agreement=True,
-    )
+    return EscapeCertificate._of_rows(x0, trace, _verdicts(spec, x0), True)
 
 
 def adjoin_escape_demo(spec: EnumerationSpec) -> tuple[EscapeCertificate, EnumerationSpec, EscapeCertificate]:
@@ -254,19 +280,24 @@ def enclose_escape_traced(
     return RatInterval(lo, hi), lo_trace, hi_trace
 
 
+def _rendered_rows(cert: EscapeCertificate) -> Iterator[tuple[Union[int, str], str, str, str]]:
+    """(where, value text, relation, gap text) of each row, each distinct value formatted once."""
+    texts: dict[tuple[int, int], tuple[str, str]] = {}
+    for where, p, q, relation, gap_p, gap_q in cert.rows:
+        text = texts.get((p, q))
+        if text is None:
+            text = texts[p, q] = format_pair(p, q), format_pair(gap_p, gap_q)
+        yield where, text[0], relation, text[1]
+
+
 def certificate_to_jsonable(cert: EscapeCertificate) -> dict:
     """Certificate as JSON-ready primitives; inverse of certificate_from_jsonable."""
     return {
         "x0": format_rational(cert.x0),
         "trace": [format_rational(v) for v in cert.trace.iterates],
         "verdicts": [
-            {
-                "where": v.where,
-                "value": format_rational(v.value),
-                "relation": v.relation,
-                "gap": format_rational(v.gap),
-            }
-            for v in cert.verdicts
+            {"where": where, "value": value, "relation": relation, "gap": gap}
+            for where, value, relation, gap in _rendered_rows(cert)
         ],
         "oracle_agreement": cert.oracle_agreement,
     }

@@ -22,6 +22,7 @@ __all__ = [
     "as_fraction",
     "parse_rational",
     "format_rational",
+    "format_pair",
     "dyadic_weight",
     "dyadic_tail_weight",
     "MAX_EXACT_EXPONENT",
@@ -58,13 +59,16 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: RationalLike) -> str:
     """Canonical "p/q" form, or "p" for integers, at any size."""
     value = as_fraction(value)
+    return format_pair(value.numerator, value.denominator)
+
+
+def format_pair(p: int, q: int) -> str:
+    """``format_rational`` of p/q, given reduced with q > 0."""
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:  # past the interpreter's int digit limit, which Decimal does not apply
-        text = str(Decimal(value.numerator))
-        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+        text = str(Decimal(p))
+        return text if q == 1 else f"{text}/{Decimal(q)}"
 
 
 def dyadic_weight(index: int) -> Fraction:

@@ -167,7 +167,7 @@ def run_invariant_battery(spec: EnumerationSpec, seed: int = 0) -> list[tuple[st
         cert = compute_escape(spec)
         if cert.x0 != x0:
             raise _CheckFailure(f"certificate value {fmt(cert.x0)} differs from descent value {fmt(x0)}")
-        if len(cert.verdicts) < length:
+        if len(cert.rows) < length:
             raise _CheckFailure("certificate is missing prefix verdicts")
 
     def check_enclosure() -> None:

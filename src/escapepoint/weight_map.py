@@ -35,7 +35,7 @@ from .enumeration import (
     _plus_tail,
     check_exponent_bound,
 )
-from .numerics import RatInterval, RationalLike, as_fraction
+from .numerics import RatInterval, RationalLike, as_fraction, format_pair, format_rational
 
 __all__ = [
     "MAX_N_KNOWN",
@@ -90,14 +90,15 @@ def query_boxes(
     eps = as_fraction(eps, "eps")
     e, d = eps.numerator, eps.denominator
     if e <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+        raise ValueError(f"eps must be positive, got {format_rational(eps)}")
 
     def boxes() -> Iterator[RatInterval]:
         for n in range(n_known):
             box = oracle(n, eps)
             lo_p, lo_q, hi_p, hi_q = box.pairs
             if (hi_p * lo_q - lo_p * hi_q) * d > e * hi_q * lo_q:
-                raise ValueError(f"interval oracle broke its width contract at n={n}: {box}")
+                ends = f"[{format_pair(lo_p, lo_q)}, {format_pair(hi_p, hi_q)}]"
+                raise ValueError(f"interval oracle broke its width contract at n={n}: {ends}")
             yield box
 
     return boxes()

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -8,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus, formula_box, random_spec
-from test_golden import canonical_text
-from escapepoint import escape
+from test_golden import affine_grid, canonical_text
+from escapepoint import cli, escape
 from escapepoint import (
     MAX_N_KNOWN,
     MAX_TAIL_CUT,
@@ -245,6 +247,71 @@ class TestCertificateValidation:
         obj["verdicts"][0].update(value=obj["x0"], relation=relation)
         with pytest.raises(ValueError, match="certificate: verdict 0 is inconsistent"):
             certificate_from_jsonable(obj)
+
+
+AFFINE_GRID = tuple(affine_grid())
+
+
+def reference_verdicts(spec: EnumerationSpec, x0: F) -> list[Verdict]:
+    """The verdicts of the module docstring, from value_at and Fraction arithmetic."""
+    def verdict(where, value):
+        return Verdict(where, value, "below" if value < x0 else "above", abs(value - x0))
+
+    length = len(spec.prefix)
+    verdicts = [verdict(n, value_at(spec, n)) for n in range(length)]
+    if isinstance(spec.tail, Affine):
+        # the real index where a*n + b = x0, rounded both ways, clamped at the prefix length
+        cross = (x0 - spec.tail.b) / spec.tail.a
+        near = {max(length, math.floor(cross)), max(length, math.ceil(cross))}
+        n = min(near, key=lambda n: (abs(value_at(spec, n) - x0), value_at(spec, n) > x0))
+        return verdicts + [verdict(n, value_at(spec, n))]
+    period = 1 if isinstance(spec.tail, Constant) else length
+    block = {value_at(spec, n) for n in range(length, length + period)}
+    return verdicts + [verdict("tail", v) for v in sorted(block)]
+
+
+def rendered(cert: EscapeCertificate) -> bytes:
+    return json.dumps(certificate_to_jsonable(cert), indent=2, sort_keys=True).encode()
+
+
+class TestVerdictRows:
+    """The certificate keeps one integer row per verdict and builds ``Verdict``s only when read."""
+
+    @pytest.mark.parametrize("spec", [corpus_spec(i) for i in range(40)] + list(AFFINE_GRID[::7]))
+    def test_the_escape_path_builds_no_verdict(self, spec, monkeypatch, capsys):
+        built = []
+        checked = Verdict.__post_init__
+        monkeypatch.setattr(Verdict, "__post_init__", lambda v: built.append(v) or checked(v))
+        cert = compute_escape(spec)
+        certificate_to_jsonable(cert)
+        cli._print_certificate(cert)
+        assert built == []
+        # and the count sees a read of the verdicts
+        assert list(cert.verdicts) == built and len(built) == len(cert.rows)
+        assert capsys.readouterr().out.count("\n  ") == len(built)
+
+    @given(st.one_of(spec_indices.map(corpus_spec), st.sampled_from(AFFINE_GRID)))
+    @settings(deadline=None, max_examples=150)
+    def test_rows_are_the_per_index_verdicts(self, spec):
+        cert = compute_escape(spec)
+        assert list(cert.verdicts) == reference_verdicts(spec, cert.x0)
+        rebuilt = EscapeCertificate(cert.x0, cert.trace, cert.verdicts, True)
+        assert rebuilt == cert and hash(rebuilt) == hash(cert) and rebuilt.rows == cert.rows
+        assert rendered(rebuilt) == rendered(cert)
+        assert dataclasses.replace(cert, oracle_agreement=False).rows == cert.rows
+
+    @pytest.mark.parametrize("index", range(40))
+    def test_audit_rejects_each_tampered_row(self, index):
+        cert = compute_escape(corpus_spec(index))
+        flipped = {"below": "above", "above": "below"}
+        for i, (where, p, q, relation, gap_p, gap_q) in enumerate(cert.rows):
+            tampered = [(where, p, q, relation, gap, gap_q) for gap in (gap_p + 1, gap_p - 1) if gap > 0]
+            tampered.append((where, p, q, flipped[relation], gap_p, gap_q))
+            for bad in tampered:
+                rows = cert.rows[:i] + (bad,) + cert.rows[i + 1:]
+                with pytest.raises(ValueError, match=f"verdict {i} is inconsistent"):
+                    EscapeCertificate._of_rows(cert.x0, cert.trace, rows, True)
+        assert EscapeCertificate._of_rows(cert.x0, cert.trace, cert.rows, True) == cert
 
 
 class TestAdjoinDemo:

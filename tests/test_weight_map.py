@@ -21,6 +21,7 @@ from escapepoint import (
     dyadic_weight,
     eligible_prefix_indices,
     enclose_escape_traced,
+    format_rational,
     gfp_descend,
     intervalize,
     query_boxes,
@@ -655,7 +656,16 @@ class TestWidthContract:
         assert [next(boxes) for _ in range(3)] == [self.NARROW] * 3
         with pytest.raises(ValueError) as refused:
             next(boxes)
-        assert str(refused.value) == f"interval oracle broke its width contract at n=3: {self.WIDE}"
+        assert str(refused.value) == "interval oracle broke its width contract at n=3: [0, 1]"
+
+    def test_a_box_past_the_int_digit_limit_is_refused_for_its_width(self):
+        # under the interpreter's default limit, str() of a 5000-digit end raises
+        # before the refusal could quote it, so the ends go through format_rational
+        huge = F(10**5000 + 1, 10**5000)
+        boxes = query_boxes(lambda n, eps: RatInterval(0, huge), 1, F(1, 10))
+        with pytest.raises(ValueError, match="broke its width contract at n=0") as refused:
+            next(boxes)
+        assert str(refused.value).endswith(f": [0, {format_rational(huge)}]")
 
     def test_a_fresh_box_too_wide_at_a_late_index_is_refused(self):
         def oracle(n, eps):
