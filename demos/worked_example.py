@@ -34,6 +34,6 @@ print("map check: weight_below(spec, x0) =", weight_below(spec, cert.x0))
 print()
 
 print("why x0 is never enumerated:")
-for v in cert.verdicts:
-    where = "every tail index" if v.where == "tail" else f"index {v.where}"
-    print(f"  {where}: value {v.value} is {v.relation} x0 by {v.gap}")
+for where, p, q, relation, gap_p, gap_q in cert.rows:
+    where = "every tail index" if where == "tail" else f"index {where}"
+    print(f"  {where}: value {F(p, q)} is {relation} x0 by {F(gap_p, gap_q)}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Callable, Collection, Optional, Union
 
 from .numerics import (
@@ -148,6 +148,13 @@ class EnumerationSpec:
         window = None if block else tuple(sorted((_cut(self, 0, 1), _cut(self, 2, 1))))
         object.__setattr__(self, "window", window)
 
+    @cached_property
+    def _block_places(self) -> dict[tuple[int, int], tuple[str, int]]:
+        """A periodic tail's places for ``_tail_places``, sorted once, on first read."""
+        start, block = len(self.prefix), self.block_pairs
+        index = dict(zip(block, range(start, start + len(block))))
+        return {pair: ("tail", index[pair]) for pair in _ascending(index)}
+
 
 def value_at(spec: EnumerationSpec, n: int) -> Fraction:
     """f(n): prefix entry for n < L, tail rule otherwise.  Total for n >= 0."""
@@ -203,6 +210,28 @@ def _line_index(spec: EnumerationSpec, p: int, q: int) -> tuple[int, bool]:
     slope, intercept, scale = spec.tail.line
     n = _cut(spec, p, q) - (slope < 0)
     return n, p * scale == q * (slope * n + intercept)
+
+
+def _tail_places(spec: EnumerationSpec, p: int, q: int) -> dict[tuple[int, int], tuple[Union[int, str], int]]:
+    """The tail values that could equal p/q, q > 0: each reduced pair, mapped to (where, index n >= L).
+
+    A periodic tail gives each distinct block value, in ascending order, as
+    ``"tail"``.  An affine tail gives its closest approach to p/q over
+    n >= L, which is its crossing index when a tail value equals p/q: the
+    tail crosses p/q between the cut and the index before it.  Both values
+    are over D, so |(A*n + B)*q - p*D| decides, and a tie goes to the value below.
+    The caller must not change the mapping: a periodic tail's is kept on the spec.
+    """
+    if spec.block_pairs:
+        return spec._block_places
+    start = len(spec.prefix)
+    slope, intercept, scale = spec.tail.line
+    cut = _cut(spec, p, q)
+    diffs = {n: (slope * n + intercept) * q - p * scale for n in (max(start, cut - 1), cut)}
+    n = min(diffs, key=lambda n: (abs(diffs[n]), diffs[n] > 0))
+    value = slope * n + intercept
+    g = math.gcd(value, scale)
+    return {(value // g, scale // g): (n, n)}
 
 
 def check_exponent_bound(spec: EnumerationSpec) -> None:
@@ -265,12 +294,10 @@ def _plus_tail(spec: EnumerationSpec, p: int, q: int, num: int) -> tuple[int, in
 
 
 def tail_hits(spec: EnumerationSpec, v: RationalLike) -> bool:
-    """Does any tail index n >= L satisfy f(n) = v?  Solved exactly."""
+    """Does any tail index n >= L satisfy f(n) = v?  Exactly when v is one of the ``_tail_places``."""
     v = as_fraction(v, "v")
-    if spec.block_pairs:
-        return (v.numerator, v.denominator) in spec.block_pairs
-    n, on_line = _line_index(spec, v.numerator, v.denominator)
-    return on_line and n >= len(spec.prefix)
+    pair = (v.numerator, v.denominator)
+    return pair in _tail_places(spec, *pair)
 
 
 def intervalize(spec: EnumerationSpec) -> Callable[[int, Fraction], RatInterval]:

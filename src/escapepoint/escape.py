@@ -13,11 +13,13 @@ and then builds one verdict per place the enumeration could have produced it:
 
 Every verdict compares by exact integer cross-multiplication: for a value
 p/q and x0 = n/d, diff = p*d - n*q gives the relation by its sign and the
-gap |diff| / (q*d), computed once per distinct value.  These comparisons
-reach every tail value that could equal x0, so a zero diff is the one
-refusal of an enumerated x0: it raises ``TheoremViolationError`` rather
-than producing a broken certificate.  The verdicts are integer rows
-(``VerdictRow``), and the certificate audit checks every row again the same way.
+gap |diff| / (q*d), computed once per distinct value.  The tail's places
+come from ``enumeration._tail_places``, the one solver for which tail
+values could equal x0 (``tail_hits`` asks it too), so a zero diff is the
+one refusal of an enumerated x0: it raises ``TheoremViolationError``
+rather than producing a broken certificate.  The verdicts are integer rows
+(``VerdictRow``), the certificate's one stored form; ``_of_rows`` builds
+every certificate and audits each row again the same way.
 
 ``enclose_escape_traced`` brackets the escape value from interval queries.
 """
@@ -25,20 +27,18 @@ than producing a broken certificate.  The verdicts are integer rows
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .enumeration import (
     Constant,
     EnumerationSpec,
     SpecError,
-    _ascending,
-    _cut,
     _expect_keys,
     _rational_at,
+    _tail_places,
     check_exponent_bound,
 )
 from .fixpoint import FixpointTrace, descend_from_top, gfp_descend, sup_postfix_oracle
@@ -48,7 +48,6 @@ from .weight_map import box_classifier, query_boxes
 __all__ = [
     "TheoremViolationError",
     "DemoNotApplicableError",
-    "Verdict",
     "EscapeCertificate",
     "compute_escape",
     "adjoin_escape_demo",
@@ -56,8 +55,6 @@ __all__ = [
     "certificate_to_jsonable",
     "certificate_from_jsonable",
 ]
-
-_RELATIONS = ("below", "above")
 
 
 class TheoremViolationError(RuntimeError):
@@ -68,84 +65,31 @@ class DemoNotApplicableError(ValueError):
     """The requested demonstration has a precondition this input does not meet."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """One enumerated value compared against the escape value.
-
-    ``where`` is a prefix or tail index when the verdict pins a single
-    position, or the string ``"tail"`` when the same value occurs at every
-    (or infinitely many) tail positions.  ``gap`` is the exact distance
-    |value - escape value| and must be positive.
-    """
-
-    where: Union[int, str]
-    value: Fraction
-    relation: str
-    gap: Fraction
-
-    def __post_init__(self) -> None:
-        if isinstance(self.where, bool) or (
-            not isinstance(self.where, int) and self.where != "tail"
-        ):
-            raise ValueError(f"where must be an index or 'tail', got {self.where!r}")
-        if isinstance(self.where, int) and self.where < 0:
-            raise ValueError(f"where must be a non-negative index, got {self.where}")
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", as_fraction(self.value, "verdict value"))
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"relation must be 'below' or 'above', got {self.relation!r}")
-        if not isinstance(self.gap, Fraction):
-            object.__setattr__(self, "gap", as_fraction(self.gap, "verdict gap"))
-        if self.gap.numerator <= 0:
-            raise ValueError(f"verdict gap must be positive, got {format_rational(self.gap)}")
-
-
 # (where, p, q, relation, gap_p, gap_q): one verdict, its value p/q and gap reduced, q and gap_q > 0
 VerdictRow = tuple[Union[int, str], int, int, str, int, int]
-
-
-def _verdicts_of_rows(cert: "EscapeCertificate") -> tuple[Verdict, ...]:
-    """The rows as ``Verdict`` objects, built on first read of ``verdicts``."""
-    return tuple(Verdict(where, Fraction(p, q), relation, Fraction(gap_p, gap_q))
-                 for where, p, q, relation, gap_p, gap_q in cert.rows)
 
 
 @dataclass(frozen=True, init=False)
 class EscapeCertificate:
     """Everything needed to audit one escape computation.
 
-    The trace must be a settled descent ending at ``x0``; the verdicts
-    separate ``x0`` from every enumerated value.  They are stored only as
-    ``rows``, which ``==`` and ``hash`` compare, and are built as ``Verdict``
-    objects on first read of ``verdicts``.  Construction audits each row by
-    exact integer cross-multiplication: with x0 = n/d and diff = p*d - n*q,
-    the diff is nonzero, its sign gives the relation, and gap_p/gap_q = |diff|/(q*d).
+    The trace must be a settled descent ending at ``x0``; the verdict rows
+    separate ``x0`` from every enumerated value.  A certificate comes from
+    ``compute_escape`` or ``certificate_from_jsonable``, both through
+    ``_of_rows``, which audits each row by exact integer cross-multiplication:
+    with x0 = n/d and diff = p*d - n*q, the diff is nonzero, its sign gives
+    the relation, and gap_p/gap_q = |diff|/(q*d).
     """
 
     x0: Fraction
     trace: FixpointTrace
-    verdicts: tuple[Verdict, ...] = field(default=cached_property(_verdicts_of_rows), compare=False)
     oracle_agreement: bool
-    rows: tuple[VerdictRow, ...] = field(init=False, repr=False)
-
-    def __init__(self, x0: Fraction, trace: FixpointTrace, verdicts: Iterable[Verdict],
-                 oracle_agreement: bool) -> None:
-        verdicts = tuple(verdicts)
-        self._set_audited(x0, trace, tuple(
-            (v.where, v.value.numerator, v.value.denominator, v.relation, v.gap.numerator, v.gap.denominator)
-            for v in verdicts), oracle_agreement)
-        self.__dict__["verdicts"] = verdicts  # already built: the first read finds them
+    rows: tuple[VerdictRow, ...]
 
     @classmethod
     def _of_rows(cls, x0: Fraction, trace: FixpointTrace, rows: tuple[VerdictRow, ...],
                  oracle_agreement: bool) -> "EscapeCertificate":
-        """The certificate of rows already in stored form, audited as the constructor audits."""
-        cert = object.__new__(cls)
-        cert._set_audited(x0, trace, rows, oracle_agreement)
-        return cert
-
-    def _set_audited(self, x0: Fraction, trace: FixpointTrace, rows: tuple[VerdictRow, ...],
-                     oracle_agreement: bool) -> None:
+        """The certificate of these rows, each audited."""
         x0 = as_fraction(x0, "escape value")
         if not trace.terminated or trace.iterates[-1] != x0:
             raise ValueError("certificate trace must be a settled descent ending at the escape value")
@@ -155,37 +99,26 @@ class EscapeCertificate:
             expected = "below" if diff < 0 else "above"
             if diff == 0 or relation != expected or gap_p * q * den != abs(diff) * gap_q:
                 raise ValueError(f"verdict {i} is inconsistent with escape value {format_rational(x0)}")
-        for name, value in (("x0", x0), ("trace", trace), ("rows", rows), ("oracle_agreement", oracle_agreement)):
-            object.__setattr__(self, name, value)
+        cert = object.__new__(cls)
+        for name, value in (("x0", x0), ("trace", trace), ("oracle_agreement", oracle_agreement), ("rows", rows)):
+            object.__setattr__(cert, name, value)
+        return cert
 
 
 def _verdicts(spec: EnumerationSpec, x0: Fraction) -> tuple[VerdictRow, ...]:
-    """The row of each prefix index, then the tail's, as the module docstring lists them.
+    """The row of each prefix index, then of each tail place ``_tail_places`` gives.
 
     ``first`` maps each compared pair to its first row, so a value met
     again, in the prefix or in a periodic tail's block, reuses its value,
-    relation and gap.  Every tail value that could equal x0 is compared: each
-    distinct block value, or the affine tail's closest approach, which is its
-    crossing index when a tail value equals x0.  So a zero diff anywhere
-    means x0 is enumerated, and raises ``TheoremViolationError`` naming the place.
+    relation and gap.  The tail places are every tail value that could
+    equal x0, so a zero diff anywhere means x0 is enumerated, and raises
+    ``TheoremViolationError`` naming the place.
     """
     num, d = x0.numerator, x0.denominator
-    start, block = len(spec.prefix), spec.block_pairs
-    tail = [("tail", pair) for pair in _ascending(set(block))]
-    if not block:
-        # closest approach of a*n + b to x0 over integer n >= start: the tail crosses
-        # x0 between the cut and the index before it.  Both gaps are over D*d, so their
-        # numerators |(A*n + B)*d - num*D| decide, and a tie goes to the value below
-        slope, intercept, scale = spec.tail.line
-        cut = _cut(spec, num, d)
-        diffs = {n: (slope * n + intercept) * d - num * scale for n in (max(start, cut - 1), cut)}
-        n = min(diffs, key=lambda n: (abs(diffs[n]), diffs[n] > 0))
-        p = slope * n + intercept
-        g = math.gcd(p, scale)
-        tail.append((n, (p // g, scale // g)))
+    tail = ((where, pair) for pair, (where, _) in _tail_places(spec, num, d).items())
     rows = []
     first: dict[tuple[int, int], VerdictRow] = {}
-    for where, pair in chain(zip(range(start), spec.prefix_pairs), tail):
+    for where, pair in chain(enumerate(spec.prefix_pairs), tail):
         seen = first.get(pair)
         if seen is None:
             p, q = pair
@@ -334,27 +267,26 @@ def _certificate_from_dict(obj: object) -> EscapeCertificate:
     raw_verdicts = obj["verdicts"]
     if not isinstance(raw_verdicts, list):
         raise ValueError("verdicts: expected an array")
-    verdicts = []
+    rows = []
     for i, raw in enumerate(raw_verdicts):
         path = f"verdicts[{i}]"
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected an object")
         _expect_keys(raw, {"where", "value", "relation", "gap"}, path)
+        where, relation = raw["where"], raw["relation"]
+        if isinstance(where, bool) or not (where == "tail" or isinstance(where, int) and where >= 0):
+            raise ValueError(f"{path}: where must be a non-negative index or 'tail', got {where!r}")
+        if relation not in ("below", "above"):
+            raise ValueError(f"{path}: relation must be 'below' or 'above', got {relation!r}")
         value = _rational_at(raw["value"], f"{path}.value")
         gap = _rational_at(raw["gap"], f"{path}.gap")
-        try:
-            verdicts.append(Verdict(where=raw["where"], value=value, relation=raw["relation"], gap=gap))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        if gap <= 0:
+            raise ValueError(f"{path}: gap must be positive, got {format_rational(gap)}")
+        rows.append((where, value.numerator, value.denominator, relation, gap.numerator, gap.denominator))
     agreement = obj["oracle_agreement"]
     if not isinstance(agreement, bool):
         raise ValueError(f"oracle_agreement: expected true or false, got {agreement!r}")
     try:
-        return EscapeCertificate(
-            x0=x0,
-            trace=trace,
-            verdicts=tuple(verdicts),
-            oracle_agreement=agreement,
-        )
+        return EscapeCertificate._of_rows(x0, trace, tuple(rows), agreement)
     except ValueError as exc:
         raise ValueError(f"certificate: {exc}") from None

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from escapepoint import (
-    MAX_EXACT_EXPONENT, Affine, Constant, DemoNotApplicableError, EnumerationSpec, ExponentBoundError,
+    MAX_EXACT_EXPONENT, Affine, Constant, Cycle, DemoNotApplicableError, EnumerationSpec, ExponentBoundError,
     FixpointTrace, RatInterval, TheoremViolationError, adjoin_escape_demo, certificate_to_jsonable, cli,
     compute_escape, dyadic_tail_weight, escape, format_rational, selftest, tail_hits, value_at, weight_below,
 )
@@ -301,6 +301,15 @@ class TestInvariantBattery:
         assert ("tail-hits", True, "") in results
         assert [r for r in results if not r[1]] == []
 
+    def test_a_cycle_longer_than_the_window_passes_check(self, tmp_path, capsys):
+        # 66/37 = f(65) recurs first at tail index 66 + 65, past the window of indices 66..130
+        path = tmp_path / "long_cycle.json"
+        prefix = [f"{k}/37" for k in range(1, 67)]
+        path.write_text(json.dumps({"prefix": prefix, "tail": {"kind": "cycle"}}), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "check tail-hits: PASS" in lines and lines[-1] == "invariants: 12/12 passed"
+
     def test_a_descent_that_does_not_settle_leaves_x0_unchecked(self, monkeypatch):
         def unsettled(spec):
             raise RuntimeError("no settle")
@@ -313,15 +322,20 @@ class TestInvariantBattery:
               for name in ("no-postfix-above", "proof-equivalence", "certificate", "enclosure")),
         ]
 
-    @pytest.mark.parametrize("tail, reason", [
-        (Constant(0), "tail_hits claims 1 without a witness"),
-        (Affine(Fraction(1, 100), Fraction(1, 1000)), "tail_hits claims 1 but index 999/10 is not a witness"),
-    ], ids=["constant", "affine"])
-    def test_a_tail_hit_claimed_without_a_witness_fails(self, tail, reason, monkeypatch):
-        honest = selftest.tail_hits
+    @pytest.mark.parametrize("spec", [
+        EnumerationSpec((), Constant(0)),
+        EnumerationSpec((), Affine(Fraction(1, 100), Fraction(1, 1000))),
+        EnumerationSpec((Fraction(1, 3), Fraction(5, 4)), Cycle()),
+    ], ids=["constant", "affine", "cycle"])
+    def test_a_tail_hit_claimed_without_a_witness_fails(self, spec, monkeypatch):
+        honest, places = selftest.tail_hits, selftest._tail_places
         monkeypatch.setattr(selftest, "tail_hits", lambda spec, v: v == 1 or honest(spec, v))
-        results = selftest.run_invariant_battery(EnumerationSpec((), tail))
-        assert [r for r in results if not r[1]] == [("tail-hits", False, reason)]
+        failed = [("tail-hits", False, "tail_hits claims 1 without a witness")]
+        assert [r for r in selftest.run_invariant_battery(spec) if not r[1]] == failed
+        # a place that claims 1 at the first tail index, which holds another value, is no witness either
+        monkeypatch.setattr(selftest, "_tail_places",
+                            lambda spec, p, q: {**places(spec, p, q), (1, 1): ("tail", len(spec.prefix))})
+        assert [r for r in selftest.run_invariant_battery(spec) if not r[1]] == failed
 
 
 class TestDemoAdjoinCommand:

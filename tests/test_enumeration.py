@@ -28,11 +28,13 @@ from escapepoint import (
     value_at,
 )
 from test_fixpoint import memory_cap
+from test_golden import affine_grid
 
 spec_indices = st.integers(min_value=0, max_value=2999)
 rationals = st.fractions(max_denominator=1000)
 # negative values, and values exactly at the ends 0 and 2 of the map's domain
 edge_rationals = st.one_of(st.sampled_from([F(0), F(2), F(-2), F(1, 3)]), rationals)
+AFFINE_GRID = tuple(affine_grid())
 
 
 def corpus_spec(index: int) -> EnumerationSpec:
@@ -253,6 +255,30 @@ class TestTailHits:
         spec = EnumerationSpec((F(1000),) * length, Affine(a, b))
         n = (v - b) / a
         assert tail_hits(spec, v) == (n.denominator == 1 and n >= length)
+
+    @given(st.one_of(spec_indices.map(corpus_spec), st.sampled_from(AFFINE_GRID)), edge_rationals,
+           st.integers(min_value=0, max_value=80))
+    @settings(deadline=None)
+    def test_each_tail_place_holds_its_pair(self, spec, x, offset):
+        length, period = len(spec.prefix), len(spec.block_pairs)
+        here, after = value_at(spec, length + offset), value_at(spec, length + offset + 1)
+        for x in (x, here, (here + after) / 2):  # a tail value, and a tie between two neighbours
+            places = enumeration._tail_places(spec, x.numerator, x.denominator)
+            for (p, q), (_, n) in places.items():
+                assert n >= length and value_at(spec, n) == F(p, q) and q > 0 and math.gcd(p, q) == 1
+            values = [F(p, q) for p, q in places]
+            if not period:
+                [(where, n)] = places.values()
+                gap = abs(values[0] - x)
+                # the closest approach, a tie going to the value below
+                for m in (n - 1, n + 1):
+                    if m >= length:
+                        other = abs(value_at(spec, m) - x)
+                        assert other > gap or (other == gap and values[0] < x)
+                assert where == n
+            else:
+                assert values == sorted({value_at(spec, n) for n in range(length, length + period)})
+                assert {where for where, _ in places.values()} == {"tail"}
 
     def test_cycle_hits_only_prefix_values(self):
         spec = EnumerationSpec(prefix=(F(0), F(1)), tail=Cycle())

@@ -23,7 +23,6 @@ from escapepoint import (
     EscapeCertificate,
     ExponentBoundError,
     FixpointTrace,
-    Verdict,
     adjoin_escape_demo,
     box_classifier,
     certificate_from_jsonable,
@@ -49,27 +48,10 @@ def corpus_spec(index: int) -> EnumerationSpec:
     return random_spec(random.Random(index), index)
 
 
-class TestVerdict:
-    def test_validates_fields(self):
-        with pytest.raises(ValueError):
-            Verdict(where=-1, value=F(1), relation="below", gap=F(1))
-        with pytest.raises(ValueError):
-            Verdict(where=True, value=F(1), relation="below", gap=F(1))
-        with pytest.raises(ValueError):
-            Verdict(where="prefix", value=F(1), relation="below", gap=F(1))
-        with pytest.raises(ValueError):
-            Verdict(where=0, value=F(1), relation="between", gap=F(1))
-        with pytest.raises(ValueError):
-            Verdict(where=0, value=F(1), relation="below", gap=F(0))
-
-    def test_coerces_int_fields_and_refuses_floats(self):
-        v = Verdict(where=0, value=3, relation="above", gap=2)
-        assert type(v.value) is F and type(v.gap) is F
-        assert v == Verdict(where=0, value=F(3), relation="above", gap=F(2))
-        with pytest.raises(TypeError, match="verdict value"):
-            Verdict(where=0, value=0.5, relation="below", gap=F(1))
-        with pytest.raises(TypeError, match="verdict gap"):
-            Verdict(where=0, value=F(1), relation="below", gap=0.5)
+def row(where, value, x0) -> tuple:
+    """The verdict row on ``value`` at ``where`` against ``x0``, by Fraction arithmetic."""
+    gap, relation = abs(value - x0), "below" if value < x0 else "above"
+    return (where, value.numerator, value.denominator, relation, gap.numerator, gap.denominator)
 
 
 class TestComputeEscape:
@@ -79,36 +61,32 @@ class TestComputeEscape:
         assert cert.trace.iterates == (F(2), F(3, 2), F(3, 2))
         # nearest tail values are f(1) = 1 and f(2) = 2, both at gap 1/2;
         # ties resolve to the value below
-        assert cert.verdicts == (
-            Verdict(where=1, value=F(1), relation="below", gap=F(1, 2)),
-        )
+        assert cert.rows == ((1, 1, 1, "below", 1, 2),)
 
     def test_prefix_constant_worked_example(self):
         cert = compute_escape(SPEC2)
         assert cert.x0 == F(1, 2)
         assert weight_below(SPEC2, cert.x0) == F(1, 2)
         assert cert.oracle_agreement
-        assert cert.verdicts == (
-            Verdict(where=0, value=F(3, 2), relation="above", gap=F(1)),
-            Verdict(where=1, value=F(1, 8), relation="below", gap=F(3, 8)),
-            Verdict(where="tail", value=F(2), relation="above", gap=F(3, 2)),
+        assert cert.rows == (
+            (0, 3, 2, "above", 1, 1),
+            (1, 1, 8, "below", 3, 8),
+            ("tail", 2, 1, "above", 3, 2),
         )
 
     def test_constant_everywhere(self):
         cert = compute_escape(EnumerationSpec((), Constant(3)))
         assert cert.x0 == 0
-        assert cert.verdicts == (
-            Verdict(where="tail", value=F(3), relation="above", gap=F(3)),
-        )
+        assert cert.rows == (("tail", 3, 1, "above", 3, 1),)
 
     def test_cycle_worked_example(self):
         cert = compute_escape(EnumerationSpec((F(0), F(1)), Cycle()))
         assert cert.x0 == 2
-        assert cert.verdicts == (
-            Verdict(where=0, value=F(0), relation="below", gap=F(2)),
-            Verdict(where=1, value=F(1), relation="below", gap=F(1)),
-            Verdict(where="tail", value=F(0), relation="below", gap=F(2)),
-            Verdict(where="tail", value=F(1), relation="below", gap=F(1)),
+        assert cert.rows == (
+            (0, 0, 1, "below", 2, 1),
+            (1, 1, 1, "below", 1, 1),
+            ("tail", 0, 1, "below", 2, 1),
+            ("tail", 1, 1, "below", 1, 1),
         )
 
     @given(spec_indices)
@@ -117,7 +95,7 @@ class TestComputeEscape:
         spec = corpus_spec(index)
         cert = compute_escape(spec)
         assert cert.x0 == gfp_descend(spec)[0]
-        assert len(cert.verdicts) >= len(spec.prefix)
+        assert len(cert.rows) >= len(spec.prefix)
         for n in range(len(spec.prefix) + 50):
             assert value_at(spec, n) != cert.x0
 
@@ -128,10 +106,10 @@ class TestComputeEscape:
         if not isinstance(spec.tail, Affine):
             return
         cert = compute_escape(spec)
-        witness = cert.verdicts[-1]
-        assert isinstance(witness.where, int) and witness.where >= len(spec.prefix)
+        where, *_, gap_p, gap_q = cert.rows[-1]
+        assert isinstance(where, int) and where >= len(spec.prefix)
         for n in range(len(spec.prefix), len(spec.prefix) + 60):
-            assert abs(value_at(spec, n) - cert.x0) >= witness.gap
+            assert abs(value_at(spec, n) - cert.x0) >= F(gap_p, gap_q)
 
     @given(st.lists(st.fractions(min_value=-3, max_value=5, max_denominator=40), min_size=1, max_size=12))
     @example([F(0), F(2), F(0), F(1, 3), F(2), F(-1)])
@@ -141,24 +119,19 @@ class TestComputeEscape:
         spec = EnumerationSpec(prefix=tuple(values + values[::2]), tail=Cycle())
         cert = compute_escape(spec)
         x0, length = cert.x0, len(spec.prefix)
-        assert cert.verdicts[length:] == tuple(
-            Verdict("tail", v, "below" if v < x0 else "above", abs(v - x0)) for v in sorted(set(spec.prefix))
-        )
-        # and every verdict agrees with Fraction arithmetic
-        for v, where in zip(cert.verdicts, [*range(length), *["tail"] * len(set(spec.prefix))]):
-            assert (v.where, v.relation, v.gap) == (where, "below" if v.value < x0 else "above",
-                                                    abs(v.value - x0))
-        assert [v.value for v in cert.verdicts[:length]] == list(spec.prefix)
+        # every row agrees with Fraction arithmetic
+        assert cert.rows == (*(row(n, v, x0) for n, v in enumerate(spec.prefix)),
+                             *(row("tail", v, x0) for v in sorted(set(spec.prefix))))
 
     def test_affine_verdict_clamped_at_prefix_length(self):
         # the line comes closest to x0 at a negative index, so the witness is
         # the first tail index L = 1
         rising = compute_escape(EnumerationSpec(prefix=(F(5),), tail=Affine(1, 10)))
         assert rising.x0 == 0
-        assert rising.verdicts[-1] == Verdict(where=1, value=F(11), relation="above", gap=F(11))
+        assert rising.rows[-1] == (1, 11, 1, "above", 11, 1)
         falling = compute_escape(EnumerationSpec(prefix=(F(5),), tail=Affine(-1, -10)))
         assert falling.x0 == 1
-        assert falling.verdicts[-1] == Verdict(where=1, value=F(-11), relation="below", gap=F(12))
+        assert falling.rows[-1] == (1, -11, 1, "below", 12, 1)
 
 
 class TestPlantedTailHit:
@@ -213,36 +186,43 @@ class TestCertificateValidation:
     def test_trace_must_settle_at_x0(self):
         trace = FixpointTrace((F(2), F(1), F(1)))
         with pytest.raises(ValueError, match="settled"):
-            EscapeCertificate(F(1, 2), trace, (), True)
+            EscapeCertificate._of_rows(F(1, 2), trace, (), True)
 
     def test_verdicts_must_be_consistent(self):
         trace = FixpointTrace((F(2), F(1), F(1)))
-        bad_gap = Verdict(where=0, value=F(3), relation="above", gap=F(1))
+        bad_gap = (0, 3, 1, "above", 1, 1)
         with pytest.raises(ValueError, match="verdict"):
-            EscapeCertificate(F(1), trace, (bad_gap,), True)
+            EscapeCertificate._of_rows(F(1), trace, (bad_gap,), True)
+
+    def test_there_is_no_public_constructor(self):
+        cert = compute_escape(SPEC2)
+        with pytest.raises(TypeError):
+            EscapeCertificate(cert.x0, cert.trace, cert.rows, True)
+        with pytest.raises(TypeError):
+            dataclasses.replace(cert, oracle_agreement=False)
 
     @pytest.mark.parametrize("index", range(40))
     def test_audit_rejects_each_tampered_verdict(self, index):
-        cert = compute_escape(corpus_spec(index))
+        # each verdict of the document, its gap off by one or its relation flipped
+        obj = certificate_to_jsonable(compute_escape(corpus_spec(index)))
         flipped = {"below": "above", "above": "below"}
-        for i, v in enumerate(cert.verdicts):
-            off_by_one = (
-                F(v.gap.numerator + 1, v.gap.denominator),
-                F(v.gap.numerator - 1, v.gap.denominator),
-            )
-            tampered = [dataclasses.replace(v, gap=gap) for gap in off_by_one if gap > 0]
-            tampered.append(dataclasses.replace(v, relation=flipped[v.relation]))
-            for bad in tampered:
-                verdicts = cert.verdicts[:i] + (bad,) + cert.verdicts[i + 1:]
-                with pytest.raises(ValueError, match=f"verdict {i} is inconsistent"):
-                    dataclasses.replace(cert, verdicts=verdicts)
+        for i, verdict in enumerate(obj["verdicts"]):
+            gap = F(verdict["gap"])
+            tampered = [{"gap": str(F(gap.numerator + k, gap.denominator))}
+                        for k in (1, -1) if gap.numerator + k > 0]
+            tampered.append({"relation": flipped[verdict["relation"]]})
+            for change in tampered:
+                bad = json.loads(json.dumps(obj))
+                bad["verdicts"][i].update(change)
+                with pytest.raises(ValueError, match=f"certificate: verdict {i} is inconsistent"):
+                    certificate_from_jsonable(bad)
 
     @pytest.mark.parametrize("relation", ["below", "above"])
     def test_audit_rejects_a_verdict_at_the_escape_value(self, relation):
         cert = compute_escape(SPEC2)
-        at_x0 = Verdict(where=0, value=cert.x0, relation=relation, gap=F(1))
+        at_x0 = (0, cert.x0.numerator, cert.x0.denominator, relation, 1, 1)
         with pytest.raises(ValueError, match="verdict 0 is inconsistent"):
-            dataclasses.replace(cert, verdicts=(at_x0,) + cert.verdicts[1:])
+            EscapeCertificate._of_rows(cert.x0, cert.trace, (at_x0,) + cert.rows[1:], True)
         obj = certificate_to_jsonable(cert)
         obj["verdicts"][0].update(value=obj["x0"], relation=relation)
         with pytest.raises(ValueError, match="certificate: verdict 0 is inconsistent"):
@@ -252,22 +232,19 @@ class TestCertificateValidation:
 AFFINE_GRID = tuple(affine_grid())
 
 
-def reference_verdicts(spec: EnumerationSpec, x0: F) -> list[Verdict]:
-    """The verdicts of the module docstring, from value_at and Fraction arithmetic."""
-    def verdict(where, value):
-        return Verdict(where, value, "below" if value < x0 else "above", abs(value - x0))
-
+def reference_verdicts(spec: EnumerationSpec, x0: F) -> list[tuple]:
+    """The rows of the module docstring, from value_at and Fraction arithmetic."""
     length = len(spec.prefix)
-    verdicts = [verdict(n, value_at(spec, n)) for n in range(length)]
+    rows = [row(n, value_at(spec, n), x0) for n in range(length)]
     if isinstance(spec.tail, Affine):
         # the real index where a*n + b = x0, rounded both ways, clamped at the prefix length
         cross = (x0 - spec.tail.b) / spec.tail.a
         near = {max(length, math.floor(cross)), max(length, math.ceil(cross))}
         n = min(near, key=lambda n: (abs(value_at(spec, n) - x0), value_at(spec, n) > x0))
-        return verdicts + [verdict(n, value_at(spec, n))]
+        return rows + [row(n, value_at(spec, n), x0)]
     period = 1 if isinstance(spec.tail, Constant) else length
     block = {value_at(spec, n) for n in range(length, length + period)}
-    return verdicts + [verdict("tail", v) for v in sorted(block)]
+    return rows + [row("tail", v, x0) for v in sorted(block)]
 
 
 def rendered(cert: EscapeCertificate) -> bytes:
@@ -275,30 +252,22 @@ def rendered(cert: EscapeCertificate) -> bytes:
 
 
 class TestVerdictRows:
-    """The certificate keeps one integer row per verdict and builds ``Verdict``s only when read."""
+    """The certificate keeps one integer row per verdict, and every output reads the rows."""
 
     @pytest.mark.parametrize("spec", [corpus_spec(i) for i in range(40)] + list(AFFINE_GRID[::7]))
-    def test_the_escape_path_builds_no_verdict(self, spec, monkeypatch, capsys):
-        built = []
-        checked = Verdict.__post_init__
-        monkeypatch.setattr(Verdict, "__post_init__", lambda v: built.append(v) or checked(v))
+    def test_the_text_output_prints_one_line_per_row(self, spec, capsys):
         cert = compute_escape(spec)
-        certificate_to_jsonable(cert)
         cli._print_certificate(cert)
-        assert built == []
-        # and the count sees a read of the verdicts
-        assert list(cert.verdicts) == built and len(built) == len(cert.rows)
-        assert capsys.readouterr().out.count("\n  ") == len(built)
+        assert capsys.readouterr().out.count("\n  ") == len(cert.rows)
 
     @given(st.one_of(spec_indices.map(corpus_spec), st.sampled_from(AFFINE_GRID)))
     @settings(deadline=None, max_examples=150)
     def test_rows_are_the_per_index_verdicts(self, spec):
         cert = compute_escape(spec)
-        assert list(cert.verdicts) == reference_verdicts(spec, cert.x0)
-        rebuilt = EscapeCertificate(cert.x0, cert.trace, cert.verdicts, True)
+        assert list(cert.rows) == reference_verdicts(spec, cert.x0)
+        rebuilt = certificate_from_jsonable(certificate_to_jsonable(cert))
         assert rebuilt == cert and hash(rebuilt) == hash(cert) and rebuilt.rows == cert.rows
         assert rendered(rebuilt) == rendered(cert)
-        assert dataclasses.replace(cert, oracle_agreement=False).rows == cert.rows
 
     @pytest.mark.parametrize("index", range(40))
     def test_audit_rejects_each_tampered_row(self, index):
@@ -528,6 +497,23 @@ class TestCertificateJson:
     def test_a_refused_trace_is_named_in_full(self, trace, message):
         obj = certificate_to_jsonable(compute_escape(SPEC2))
         obj["trace"] = trace
+        with pytest.raises(ValueError) as err:
+            certificate_from_jsonable(obj)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("change, message", [
+        ({"where": -1}, "verdicts[1]: where must be a non-negative index or 'tail', got -1"),
+        ({"where": True}, "verdicts[1]: where must be a non-negative index or 'tail', got True"),
+        ({"where": "prefix"}, "verdicts[1]: where must be a non-negative index or 'tail', got 'prefix'"),
+        ({"relation": "between"}, "verdicts[1]: relation must be 'below' or 'above', got 'between'"),
+        ({"gap": "0"}, "verdicts[1]: gap must be positive, got 0"),
+        ({"value": 3}, "verdicts[1].value: expected a rational string 'p/q', got 3"),
+        ({"gap": 0.5}, "verdicts[1].gap: expected a rational string 'p/q', got 0.5"),
+    ], ids=["negative where", "boolean where", "unknown where", "unknown relation", "zero gap",
+            "number value", "number gap"])
+    def test_a_refused_verdict_is_named_in_full(self, change, message):
+        obj = certificate_to_jsonable(compute_escape(SPEC2))
+        obj["verdicts"][1].update(change)
         with pytest.raises(ValueError) as err:
             certificate_from_jsonable(obj)
         assert str(err.value) == message

@@ -7,7 +7,8 @@ whether a tail is a ``Constant`` or a ``Cycle``.  The supremum sweep
 reads the map from its step structure alone.  Only the spec's
 construction takes an affine tail's cuts at 0 and 2 (``EnumerationSpec.window``);
 everything else reads them from the spec.  And in the escape module only
-the verdict pass reads enumerated values to compare them with x0, so a
+the verdict pass reads enumerated values to compare them with x0: the
+prefix pairs, and the tail places of ``enumeration._tail_places``, so a
 tail hit is refused there and nowhere else.
 """
 
@@ -190,8 +191,10 @@ def test_the_read_walker_sees_names_attributes_and_calls():
 
 def test_only_the_verdict_pass_reads_enumerated_values_in_escape():
     path = SOURCE / "escape.py"
-    found = enumerated_reads(ast.parse(path.read_text(), str(path)))
-    assert {scope for scope, _, _ in found} == {"_verdicts"}
-    # the pass reads the prefix, the block and the line, so the walk reads the source
-    assert {"prefix_pairs", "block_pairs", "line"} <= {name for _, name, _ in found}
-    assert "tail_hits" not in {name for _, name, _ in found}
+    tree = ast.parse(path.read_text(), str(path))
+    # the pass reads the prefix pairs, so the walk reads the source
+    assert [(scope, name) for scope, name, _ in enumerated_reads(tree)] == [("_verdicts", "prefix_pairs")]
+    # and takes the tail's places from the one tail solver, with no block, line, window or cut of its own
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert names & {"block_pairs", "line", "window", "_cut"} == set() and "_tail_places" in names
