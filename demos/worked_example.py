@@ -10,6 +10,7 @@ from fractions import Fraction as F
 from escapepoint import (
     Constant,
     EnumerationSpec,
+    certificate_to_jsonable,
     compute_escape,
     value_at,
     weight_below,
@@ -34,6 +35,6 @@ print("map check: weight_below(spec, x0) =", weight_below(spec, cert.x0))
 print()
 
 print("why x0 is never enumerated:")
-for where, p, q, relation, gap_p, gap_q in cert.rows:
-    where = "every tail index" if where == "tail" else f"index {where}"
-    print(f"  {where}: value {F(p, q)} is {relation} x0 by {F(gap_p, gap_q)}")
+for verdict in certificate_to_jsonable(cert)["verdicts"]:
+    where = "every tail index" if verdict["where"] == "tail" else f"index {verdict['where']}"
+    print(f"  {where}: value {verdict['value']} is {verdict['relation']} x0 by {verdict['gap']}")

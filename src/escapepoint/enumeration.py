@@ -314,7 +314,8 @@ def intervalize(spec: EnumerationSpec) -> Callable[[int, Fraction], RatInterval]
     tail answer from L + P slots, slot n for n < L and L + (n - L) mod P
     after that.  A slot is filled on its first query, and the slots are
     kept for the last eps asked only.  An affine tail's boxes are built on
-    each query from its line, read once here, and never kept.
+    each query from its line, read once here, and never kept.  A negative
+    index raises ``ValueError``, and a new eps that is not exact ``TypeError``.
     """
     start, period = len(spec.prefix), len(spec.block_pairs)
     slope, intercept, scale = spec.tail.line if not period else (0, 0, 1)  # unused for a periodic tail
@@ -324,6 +325,7 @@ def intervalize(spec: EnumerationSpec) -> Callable[[int, Fraction], RatInterval]
     def oracle(n: int, eps: Fraction) -> RatInterval:
         nonlocal at_eps, e, f, slots
         if eps is not at_eps:
+            eps = as_fraction(eps, "eps")
             if eps != at_eps:
                 e, f = eps.numerator, 2 * eps.denominator
                 slots = [None] * (start + period)
@@ -333,6 +335,8 @@ def intervalize(spec: EnumerationSpec) -> Callable[[int, Fraction], RatInterval]
             if not period:
                 return _box(slope * n + intercept, scale, e, f)
             slot = start + (n - start) % period
+        elif n < 0:
+            raise ValueError(f"enumeration index must be a natural number, got {n!r}")
         box = slots[slot]
         if box is None:
             p, q = _pair_at(spec, n)

@@ -1,25 +1,20 @@
 """Escape certificates: the computed value, why it is fixed, why it is missed.
 
 ``compute_escape`` runs the descent, whose settling step shows the result is
-a fixpoint of the weight map, cross-checks it against the supremum oracle,
-and then builds one verdict per place the enumeration could have produced it:
+a fixpoint of the weight map, and cross-checks it against the supremum
+oracle.  Its certificate keeps the settled trace, whose last iterate is x0,
+and one row (where, p, q) per place the enumeration could have produced x0,
+with its value reduced: each prefix index, then the tail places of
+``enumeration._tail_places`` -- one ``"tail"`` row per distinct block value
+of a periodic tail, in ascending order, or an affine tail's closest-approach
+index (the line is monotone, so no other tail value is nearer).  Those are
+every value that could equal x0, so a row equal to x0 is the one refusal of
+an enumerated x0: ``TheoremViolationError``, not a broken certificate.
 
-* each prefix index gets a verdict with the exact gap to the escape value;
-* a periodic tail (a constant, or a cycle of the prefix) gets one ``"tail"``
-  verdict per distinct value of its block, in ascending order;
-* an affine tail gets a verdict at its closest-approach index -- the tail is
-  strictly monotone in the index, so every other tail value is at least as
-  far away as the witnessed one.
-
-Every verdict compares by exact integer cross-multiplication: for a value
-p/q and x0 = n/d, diff = p*d - n*q gives the relation by its sign and the
-gap |diff| / (q*d), computed once per distinct value.  The tail's places
-come from ``enumeration._tail_places``, the one solver for which tail
-values could equal x0 (``tail_hits`` asks it too), so a zero diff is the
-one refusal of an enumerated x0: it raises ``TheoremViolationError``
-rather than producing a broken certificate.  The verdicts are integer rows
-(``VerdictRow``), the certificate's one stored form; ``_of_rows`` builds
-every certificate and audits each row again the same way.
+A verdict follows from a row and x0, and ``_verdict`` is its one formula:
+for x0 = n/d, diff = p*d - n*q gives the relation by its sign and the gap
+|diff| / (q*d).  The outputs derive each distinct value's verdict once, and
+``certificate_from_jsonable`` checks a document's verdicts against it.
 
 ``enclose_escape_traced`` brackets the escape value from interval queries.
 """
@@ -29,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterator, Union
 
 from .enumeration import (
@@ -42,7 +36,7 @@ from .enumeration import (
     check_exponent_bound,
 )
 from .fixpoint import FixpointTrace, descend_from_top, gfp_descend, sup_postfix_oracle
-from .numerics import RatInterval, as_fraction, dyadic_weight, format_pair, format_rational
+from .numerics import RatInterval, dyadic_weight, format_pair, format_rational
 from .weight_map import box_classifier, query_boxes
 
 __all__ = [
@@ -65,72 +59,65 @@ class DemoNotApplicableError(ValueError):
     """The requested demonstration has a precondition this input does not meet."""
 
 
-# (where, p, q, relation, gap_p, gap_q): one verdict, its value p/q and gap reduced, q and gap_q > 0
-VerdictRow = tuple[Union[int, str], int, int, str, int, int]
+# (where, p, q): a place the enumeration could have produced x0, and its value p/q, reduced, q > 0
+VerdictRow = tuple[Union[int, str], int, int]
+
+_UNSETTLED = "certificate: certificate trace must be a settled descent ending at the escape value"
 
 
 @dataclass(frozen=True, init=False)
 class EscapeCertificate:
     """Everything needed to audit one escape computation.
 
-    The trace must be a settled descent ending at ``x0``; the verdict rows
-    separate ``x0`` from every enumerated value.  A certificate comes from
-    ``compute_escape`` or ``certificate_from_jsonable``, both through
-    ``_of_rows``, which audits each row by exact integer cross-multiplication:
-    with x0 = n/d and diff = p*d - n*q, the diff is nonzero, its sign gives
-    the relation, and gap_p/gap_q = |diff|/(q*d).
+    A settled descent trace, whose last iterate is the escape value ``x0``,
+    and one row per place the enumeration could have produced x0 (``_verdicts``),
+    none equal to x0; a row's relation and gap follow from its value and x0
+    (``_verdict``).  Built only by ``_of_rows``, for ``compute_escape`` and
+    ``certificate_from_jsonable``.
     """
 
-    x0: Fraction
     trace: FixpointTrace
     oracle_agreement: bool
     rows: tuple[VerdictRow, ...]
 
+    @property
+    def x0(self) -> Fraction:
+        """The escape value: where the descent settled."""
+        return self.trace.iterates[-1]
+
     @classmethod
-    def _of_rows(cls, x0: Fraction, trace: FixpointTrace, rows: tuple[VerdictRow, ...],
+    def _of_rows(cls, trace: FixpointTrace, rows: tuple[VerdictRow, ...],
                  oracle_agreement: bool) -> "EscapeCertificate":
-        """The certificate of these rows, each audited."""
-        x0 = as_fraction(x0, "escape value")
-        if not trace.terminated or trace.iterates[-1] != x0:
-            raise ValueError("certificate trace must be a settled descent ending at the escape value")
-        num, den = x0.numerator, x0.denominator
-        for i, (_, p, q, relation, gap_p, gap_q) in enumerate(rows):
-            diff = p * den - num * q
-            expected = "below" if diff < 0 else "above"
-            if diff == 0 or relation != expected or gap_p * q * den != abs(diff) * gap_q:
-                raise ValueError(f"verdict {i} is inconsistent with escape value {format_rational(x0)}")
+        """The certificate of a settled trace and rows its caller has checked against x0."""
+        if not trace.terminated:
+            raise ValueError(_UNSETTLED)
         cert = object.__new__(cls)
-        for name, value in (("x0", x0), ("trace", trace), ("oracle_agreement", oracle_agreement), ("rows", rows)):
-            object.__setattr__(cert, name, value)
+        cert.__dict__.update(trace=trace, oracle_agreement=oracle_agreement, rows=rows)
         return cert
+
+
+def _verdict(p: int, q: int, x0: Fraction) -> tuple[str, int, int]:
+    """(relation, gap_p, gap_q) of p/q against x0, the gap reduced; 0/1 if p/q is x0."""
+    num, d = x0.numerator, x0.denominator
+    diff, gap_q = p * d - num * q, q * d
+    g = math.gcd(diff, gap_q)
+    return "below" if diff < 0 else "above", abs(diff) // g, gap_q // g
 
 
 def _verdicts(spec: EnumerationSpec, x0: Fraction) -> tuple[VerdictRow, ...]:
     """The row of each prefix index, then of each tail place ``_tail_places`` gives.
 
-    ``first`` maps each compared pair to its first row, so a value met
-    again, in the prefix or in a periodic tail's block, reuses its value,
-    relation and gap.  The tail places are every tail value that could
-    equal x0, so a zero diff anywhere means x0 is enumerated, and raises
-    ``TheoremViolationError`` naming the place.
+    One cross-multiplication per row shows x0 is not enumerated; a value
+    equal to x0 raises ``TheoremViolationError`` naming its place.
     """
     num, d = x0.numerator, x0.denominator
-    tail = ((where, pair) for pair, (where, _) in _tail_places(spec, num, d).items())
-    rows = []
-    first: dict[tuple[int, int], VerdictRow] = {}
-    for where, pair in chain(enumerate(spec.prefix_pairs), tail):
-        seen = first.get(pair)
-        if seen is None:
-            p, q = pair
-            diff = p * d - num * q
-            if diff == 0:
-                raise TheoremViolationError(
-                    f"escape value {format_rational(x0)} is the enumerated value at {where!r}")
-            gap_p, gap_q = abs(diff), q * d
-            g = math.gcd(gap_p, gap_q)
-            seen = first[pair] = (p, q, "below" if diff < 0 else "above", gap_p // g, gap_q // g)
-        rows.append((where,) + seen)
-    return tuple(rows)
+    rows = (*((n, p, q) for n, (p, q) in enumerate(spec.prefix_pairs)),
+            *((where, p, q) for (p, q), (where, _) in _tail_places(spec, num, d).items()))
+    for where, p, q in rows:
+        if p * d == num * q:
+            raise TheoremViolationError(
+                f"escape value {format_rational(x0)} is the enumerated value at {where!r}")
+    return rows
 
 
 def compute_escape(spec: EnumerationSpec) -> EscapeCertificate:
@@ -149,7 +136,7 @@ def compute_escape(spec: EnumerationSpec) -> EscapeCertificate:
     if oracle != x0:
         raise TheoremViolationError(
             f"descent found {format_rational(x0)} but the supremum oracle found {format_rational(oracle)}")
-    return EscapeCertificate._of_rows(x0, trace, _verdicts(spec, x0), True)
+    return EscapeCertificate._of_rows(trace, _verdicts(spec, x0), True)
 
 
 def adjoin_escape_demo(spec: EnumerationSpec) -> tuple[EscapeCertificate, EnumerationSpec, EscapeCertificate]:
@@ -214,13 +201,14 @@ def enclose_escape_traced(
 
 
 def _rendered_rows(cert: EscapeCertificate) -> Iterator[tuple[Union[int, str], str, str, str]]:
-    """(where, value text, relation, gap text) of each row, each distinct value formatted once."""
-    texts: dict[tuple[int, int], tuple[str, str]] = {}
-    for where, p, q, relation, gap_p, gap_q in cert.rows:
+    """(where, value text, relation, gap text) of each row, each distinct value's verdict derived once."""
+    x0, texts = cert.x0, {}
+    for where, p, q in cert.rows:
         text = texts.get((p, q))
         if text is None:
-            text = texts[p, q] = format_pair(p, q), format_pair(gap_p, gap_q)
-        yield where, text[0], relation, text[1]
+            relation, gap_p, gap_q = _verdict(p, q, x0)
+            text = texts[p, q] = format_pair(p, q), relation, format_pair(gap_p, gap_q)
+        yield (where, *text)
 
 
 def certificate_to_jsonable(cert: EscapeCertificate) -> dict:
@@ -239,10 +227,14 @@ def certificate_to_jsonable(cert: EscapeCertificate) -> dict:
 def certificate_from_jsonable(obj: object) -> EscapeCertificate:
     """Rebuild and re-validate a certificate from its JSON form.
 
-    Checks shape and internal consistency (trace settles at x0, every gap is
-    exact and positive).  Whether x0 is right for a particular enumeration is
-    a question about the enumeration, not the certificate, so pair this with
-    ``compute_escape`` when provenance matters.
+    Checks shape and internal consistency: the trace settles at x0, and each
+    verdict's relation and gap are ``_verdict``'s for its value.  Whether x0
+    is right for a particular enumeration is a question about the
+    enumeration, not the certificate, so pair this with ``compute_escape``
+    when provenance matters.  Numbers parse under the interpreter's int
+    digit limit (4300 digits by default), and a longer one is refused with
+    a ``ValueError`` naming its field: ``Affine(1/8191, 0)``'s certificate,
+    whose x0 has 4932 digits, reads back only under a raised limit.
     """
     try:
         return _certificate_from_dict(obj)
@@ -264,6 +256,8 @@ def _certificate_from_dict(obj: object) -> EscapeCertificate:
         trace = FixpointTrace(iterates)
     except ValueError as exc:
         raise ValueError(f"trace: {exc}") from None
+    if iterates[-1] != x0:
+        raise ValueError(_UNSETTLED)
     raw_verdicts = obj["verdicts"]
     if not isinstance(raw_verdicts, list):
         raise ValueError("verdicts: expected an array")
@@ -282,11 +276,11 @@ def _certificate_from_dict(obj: object) -> EscapeCertificate:
         gap = _rational_at(raw["gap"], f"{path}.gap")
         if gap <= 0:
             raise ValueError(f"{path}: gap must be positive, got {format_rational(gap)}")
-        rows.append((where, value.numerator, value.denominator, relation, gap.numerator, gap.denominator))
+        if _verdict(value.numerator, value.denominator, x0) != (relation, gap.numerator, gap.denominator):
+            # this refuses a value equal to x0 too: _verdict gives it gap 0, and this gap is positive
+            raise ValueError(f"certificate: verdict {i} is inconsistent with escape value {format_rational(x0)}")
+        rows.append((where, value.numerator, value.denominator))
     agreement = obj["oracle_agreement"]
     if not isinstance(agreement, bool):
         raise ValueError(f"oracle_agreement: expected true or false, got {agreement!r}")
-    try:
-        return EscapeCertificate._of_rows(x0, trace, tuple(rows), agreement)
-    except ValueError as exc:
-        raise ValueError(f"certificate: {exc}") from None
+    return EscapeCertificate._of_rows(trace, tuple(rows), agreement)

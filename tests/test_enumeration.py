@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction as F
 
@@ -321,6 +322,32 @@ class TestIntervalize:
     def test_deterministic(self):
         oracle = intervalize(corpus_spec(5))
         assert oracle(3, F(1, 10)) == oracle(3, F(1, 10))
+
+    @pytest.mark.parametrize("spec", [
+        EnumerationSpec((), Constant(F(-3, 7))),
+        EnumerationSpec((), Affine(F(2, 3), F(-1, 5))),
+        EnumerationSpec((F(1, 3), F(5, 2)), Constant(F(-3, 7))),
+        EnumerationSpec((F(1, 3), F(5, 2)), Cycle()),
+        EnumerationSpec((F(1, 3), F(5, 2)), Affine(F(2, 3), F(-1, 5))),
+    ], ids=["constant", "affine", "prefix and constant", "cycle", "prefix and affine"])
+    def test_a_negative_index_is_refused(self, spec):
+        # a slot list would wrap: index -1 would answer with f(L + P - 1)'s box
+        oracle = intervalize(spec)
+        for n in (-1, -2, -3):
+            with pytest.raises(ValueError) as err:
+                oracle(n, F(1, 100))
+            assert str(err.value) == f"enumeration index must be a natural number, got {n}"
+        assert oracle(0, F(1, 100)).width == F(1, 100)
+
+    def test_a_float_eps_is_refused_as_inexact(self):
+        oracle = intervalize(corpus_spec(5))
+        message = "eps must be an exact rational (Fraction or int), got 0.5"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            oracle(0, 0.5)
+        oracle(0, F(1, 2))
+        with pytest.raises(TypeError, match=re.escape(message)):
+            oracle(0, 0.5)  # equal to the eps last asked, but not exact
+        assert oracle(0, 1) == oracle(0, F(1))  # an int is exact
 
     def test_eps_at_the_exponent_bound_is_exact(self):
         # the finest eps a tail weight can be: a 2^MAX_EXACT_EXPONENT denominator

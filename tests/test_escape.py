@@ -39,6 +39,7 @@ from escapepoint import (
 )
 
 spec_indices = st.integers(min_value=0, max_value=2999)
+UNSETTLED = "certificate: certificate trace must be a settled descent ending at the escape value"
 
 SPEC1 = EnumerationSpec(prefix=(), tail=Affine(1, 0))
 SPEC2 = EnumerationSpec(prefix=(F(3, 2), F(1, 8)), tail=Constant(2))
@@ -48,10 +49,20 @@ def corpus_spec(index: int) -> EnumerationSpec:
     return random_spec(random.Random(index), index)
 
 
-def row(where, value, x0) -> tuple:
-    """The verdict row on ``value`` at ``where`` against ``x0``, by Fraction arithmetic."""
-    gap, relation = abs(value - x0), "below" if value < x0 else "above"
-    return (where, value.numerator, value.denominator, relation, gap.numerator, gap.denominator)
+def row(where, value) -> tuple:
+    """The certificate row of ``value`` at ``where``: the place and the reduced value."""
+    return (where, value.numerator, value.denominator)
+
+
+def verdict(where, value, x0) -> dict:
+    """The rendered verdict on ``value`` at ``where`` against ``x0``, by Fraction arithmetic."""
+    relation = "below" if value < x0 else "above"
+    return {"where": where, "value": str(value), "relation": relation, "gap": str(abs(value - x0))}
+
+
+def said(cert: EscapeCertificate) -> list[tuple]:
+    """(where, value, relation, gap) of each verdict the certificate renders."""
+    return [tuple(v.values()) for v in certificate_to_jsonable(cert)["verdicts"]]
 
 
 class TestComputeEscape:
@@ -61,33 +72,30 @@ class TestComputeEscape:
         assert cert.trace.iterates == (F(2), F(3, 2), F(3, 2))
         # nearest tail values are f(1) = 1 and f(2) = 2, both at gap 1/2;
         # ties resolve to the value below
-        assert cert.rows == ((1, 1, 1, "below", 1, 2),)
+        assert cert.rows == ((1, 1, 1),)
+        assert said(cert) == [(1, "1", "below", "1/2")]
 
     def test_prefix_constant_worked_example(self):
         cert = compute_escape(SPEC2)
         assert cert.x0 == F(1, 2)
         assert weight_below(SPEC2, cert.x0) == F(1, 2)
         assert cert.oracle_agreement
-        assert cert.rows == (
-            (0, 3, 2, "above", 1, 1),
-            (1, 1, 8, "below", 3, 8),
-            ("tail", 2, 1, "above", 3, 2),
-        )
+        assert cert.rows == ((0, 3, 2), (1, 1, 8), ("tail", 2, 1))
+        assert said(cert) == [(0, "3/2", "above", "1"), (1, "1/8", "below", "3/8"),
+                              ("tail", "2", "above", "3/2")]
 
     def test_constant_everywhere(self):
         cert = compute_escape(EnumerationSpec((), Constant(3)))
         assert cert.x0 == 0
-        assert cert.rows == (("tail", 3, 1, "above", 3, 1),)
+        assert cert.rows == (("tail", 3, 1),)
+        assert said(cert) == [("tail", "3", "above", "3")]
 
     def test_cycle_worked_example(self):
         cert = compute_escape(EnumerationSpec((F(0), F(1)), Cycle()))
         assert cert.x0 == 2
-        assert cert.rows == (
-            (0, 0, 1, "below", 2, 1),
-            (1, 1, 1, "below", 1, 1),
-            ("tail", 0, 1, "below", 2, 1),
-            ("tail", 1, 1, "below", 1, 1),
-        )
+        assert cert.rows == ((0, 0, 1), (1, 1, 1), ("tail", 0, 1), ("tail", 1, 1))
+        assert said(cert) == [(0, "0", "below", "2"), (1, "1", "below", "1"),
+                              ("tail", "0", "below", "2"), ("tail", "1", "below", "1")]
 
     @given(spec_indices)
     @settings(deadline=None)
@@ -106,10 +114,10 @@ class TestComputeEscape:
         if not isinstance(spec.tail, Affine):
             return
         cert = compute_escape(spec)
-        where, *_, gap_p, gap_q = cert.rows[-1]
-        assert isinstance(where, int) and where >= len(spec.prefix)
+        where, p, q = cert.rows[-1]
+        assert isinstance(where, int) and where >= len(spec.prefix) and value_at(spec, where) == F(p, q)
         for n in range(len(spec.prefix), len(spec.prefix) + 60):
-            assert abs(value_at(spec, n) - cert.x0) >= F(gap_p, gap_q)
+            assert abs(value_at(spec, n) - cert.x0) >= abs(F(p, q) - cert.x0)
 
     @given(st.lists(st.fractions(min_value=-3, max_value=5, max_denominator=40), min_size=1, max_size=12))
     @example([F(0), F(2), F(0), F(1, 3), F(2), F(-1)])
@@ -119,19 +127,20 @@ class TestComputeEscape:
         spec = EnumerationSpec(prefix=tuple(values + values[::2]), tail=Cycle())
         cert = compute_escape(spec)
         x0, length = cert.x0, len(spec.prefix)
-        # every row agrees with Fraction arithmetic
-        assert cert.rows == (*(row(n, v, x0) for n, v in enumerate(spec.prefix)),
-                             *(row("tail", v, x0) for v in sorted(set(spec.prefix))))
+        places = [*enumerate(spec.prefix), *(("tail", v) for v in sorted(set(spec.prefix)))]
+        assert cert.rows == tuple(row(where, v) for where, v in places)
+        # every verdict agrees with Fraction arithmetic
+        assert certificate_to_jsonable(cert)["verdicts"] == [verdict(where, v, x0) for where, v in places]
 
     def test_affine_verdict_clamped_at_prefix_length(self):
         # the line comes closest to x0 at a negative index, so the witness is
         # the first tail index L = 1
         rising = compute_escape(EnumerationSpec(prefix=(F(5),), tail=Affine(1, 10)))
         assert rising.x0 == 0
-        assert rising.rows[-1] == (1, 11, 1, "above", 11, 1)
+        assert rising.rows[-1] == (1, 11, 1) and said(rising)[-1] == (1, "11", "above", "11")
         falling = compute_escape(EnumerationSpec(prefix=(F(5),), tail=Affine(-1, -10)))
         assert falling.x0 == 1
-        assert falling.rows[-1] == (1, -11, 1, "below", 12, 1)
+        assert falling.rows[-1] == (1, -11, 1) and said(falling)[-1] == (1, "-11", "below", "12")
 
 
 class TestPlantedTailHit:
@@ -184,20 +193,29 @@ class TestExponentBound:
 
 class TestCertificateValidation:
     def test_trace_must_settle_at_x0(self):
-        trace = FixpointTrace((F(2), F(1), F(1)))
         with pytest.raises(ValueError, match="settled"):
-            EscapeCertificate._of_rows(F(1, 2), trace, (), True)
+            EscapeCertificate._of_rows(FixpointTrace((F(2), F(1))), (), True)
+        obj = certificate_to_jsonable(compute_escape(SPEC2))
+        obj.update(trace=["2", "1", "1"], verdicts=[])  # settled, but at 1, not at x0 = 1/2
+        assert refusal(obj) == UNSETTLED
 
     def test_verdicts_must_be_consistent(self):
-        trace = FixpointTrace((F(2), F(1), F(1)))
-        bad_gap = (0, 3, 1, "above", 1, 1)
-        with pytest.raises(ValueError, match="verdict"):
-            EscapeCertificate._of_rows(F(1), trace, (bad_gap,), True)
+        # x0 = 1 and the value 3 lies above it by 2, not by the stated 1
+        obj = {"x0": "1", "trace": ["2", "1", "1"], "oracle_agreement": True,
+               "verdicts": [{"where": 0, "value": "3", "relation": "above", "gap": "1"}]}
+        assert refusal(obj) == "certificate: verdict 0 is inconsistent with escape value 1"
+        obj["verdicts"][0]["gap"] = "2"
+        assert certificate_from_jsonable(obj).rows == ((0, 3, 1),)
+
+    def test_x0_is_where_the_trace_settles(self):
+        cert = compute_escape(SPEC2)
+        assert cert.x0 == cert.trace.iterates[-1] == F(1, 2)
+        assert [f.name for f in dataclasses.fields(cert)] == ["trace", "oracle_agreement", "rows"]
 
     def test_there_is_no_public_constructor(self):
         cert = compute_escape(SPEC2)
         with pytest.raises(TypeError):
-            EscapeCertificate(cert.x0, cert.trace, cert.rows, True)
+            EscapeCertificate(cert.trace, True, cert.rows)
         with pytest.raises(TypeError):
             dataclasses.replace(cert, oracle_agreement=False)
 
@@ -219,11 +237,7 @@ class TestCertificateValidation:
 
     @pytest.mark.parametrize("relation", ["below", "above"])
     def test_audit_rejects_a_verdict_at_the_escape_value(self, relation):
-        cert = compute_escape(SPEC2)
-        at_x0 = (0, cert.x0.numerator, cert.x0.denominator, relation, 1, 1)
-        with pytest.raises(ValueError, match="verdict 0 is inconsistent"):
-            EscapeCertificate._of_rows(cert.x0, cert.trace, (at_x0,) + cert.rows[1:], True)
-        obj = certificate_to_jsonable(cert)
+        obj = certificate_to_jsonable(compute_escape(SPEC2))
         obj["verdicts"][0].update(value=obj["x0"], relation=relation)
         with pytest.raises(ValueError, match="certificate: verdict 0 is inconsistent"):
             certificate_from_jsonable(obj)
@@ -232,27 +246,37 @@ class TestCertificateValidation:
 AFFINE_GRID = tuple(affine_grid())
 
 
-def reference_verdicts(spec: EnumerationSpec, x0: F) -> list[tuple]:
-    """The rows of the module docstring, from value_at and Fraction arithmetic."""
+def reference_verdicts(spec: EnumerationSpec, x0: F) -> list[dict]:
+    """The rendered verdicts of the module docstring, from value_at and Fraction arithmetic."""
     length = len(spec.prefix)
-    rows = [row(n, value_at(spec, n), x0) for n in range(length)]
+    prefix = [verdict(n, value_at(spec, n), x0) for n in range(length)]
     if isinstance(spec.tail, Affine):
         # the real index where a*n + b = x0, rounded both ways, clamped at the prefix length
         cross = (x0 - spec.tail.b) / spec.tail.a
         near = {max(length, math.floor(cross)), max(length, math.ceil(cross))}
         n = min(near, key=lambda n: (abs(value_at(spec, n) - x0), value_at(spec, n) > x0))
-        return rows + [row(n, value_at(spec, n), x0)]
+        return prefix + [verdict(n, value_at(spec, n), x0)]
     period = 1 if isinstance(spec.tail, Constant) else length
     block = {value_at(spec, n) for n in range(length, length + period)}
-    return rows + [row("tail", v, x0) for v in sorted(block)]
+    return prefix + [verdict("tail", v, x0) for v in sorted(block)]
 
 
 def rendered(cert: EscapeCertificate) -> bytes:
     return json.dumps(certificate_to_jsonable(cert), indent=2, sort_keys=True).encode()
 
 
+def refusal(obj: dict) -> str:
+    """The message ``certificate_from_jsonable`` refuses this document with."""
+    with pytest.raises(ValueError) as err:
+        certificate_from_jsonable(obj)
+    return str(err.value)
+
+
+certified_specs = st.one_of(spec_indices.map(corpus_spec), st.sampled_from(AFFINE_GRID))
+
+
 class TestVerdictRows:
-    """The certificate keeps one integer row per verdict, and every output reads the rows."""
+    """A row is a place and its value; the rendered verdicts and the reader derive the rest."""
 
     @pytest.mark.parametrize("spec", [corpus_spec(i) for i in range(40)] + list(AFFINE_GRID[::7]))
     def test_the_text_output_prints_one_line_per_row(self, spec, capsys):
@@ -260,27 +284,52 @@ class TestVerdictRows:
         cli._print_certificate(cert)
         assert capsys.readouterr().out.count("\n  ") == len(cert.rows)
 
-    @given(st.one_of(spec_indices.map(corpus_spec), st.sampled_from(AFFINE_GRID)))
+    @given(certified_specs)
     @settings(deadline=None, max_examples=150)
     def test_rows_are_the_per_index_verdicts(self, spec):
         cert = compute_escape(spec)
-        assert list(cert.rows) == reference_verdicts(spec, cert.x0)
-        rebuilt = certificate_from_jsonable(certificate_to_jsonable(cert))
+        obj = certificate_to_jsonable(cert)
+        reference = reference_verdicts(spec, cert.x0)
+        assert obj["verdicts"] == reference
+        assert cert.rows == tuple(row(v["where"], F(v["value"])) for v in reference)
+        rebuilt = certificate_from_jsonable(obj)
         assert rebuilt == cert and hash(rebuilt) == hash(cert) and rebuilt.rows == cert.rows
         assert rendered(rebuilt) == rendered(cert)
 
     @pytest.mark.parametrize("index", range(40))
     def test_audit_rejects_each_tampered_row(self, index):
+        # each row's value moved, its verdict left as it was: the stated gap no longer fits
         cert = compute_escape(corpus_spec(index))
+        obj = certificate_to_jsonable(cert)
+        inconsistent = "certificate: verdict {} is inconsistent with escape value " + obj["x0"]
+        for i, (where, p, q) in enumerate(cert.rows):
+            for moved in {F(p + 1, q), F(p - 1, q), F(p, q + 1), F(2 * p + 1, 2 * q)} - {F(p, q)}:
+                verdicts = [*obj["verdicts"][:i], {**obj["verdicts"][i], "value": str(moved)},
+                            *obj["verdicts"][i + 1:]]
+                assert refusal({**obj, "verdicts": verdicts}) == inconsistent.format(i)
+        assert certificate_from_jsonable(obj) == cert
+
+    @given(certified_specs)
+    @settings(deadline=None, max_examples=100)
+    def test_each_tampering_is_refused(self, spec):
+        cert = compute_escape(spec)
+        obj = certificate_to_jsonable(cert)
+        assert certificate_from_jsonable(obj) == cert
         flipped = {"below": "above", "above": "below"}
-        for i, (where, p, q, relation, gap_p, gap_q) in enumerate(cert.rows):
-            tampered = [(where, p, q, relation, gap, gap_q) for gap in (gap_p + 1, gap_p - 1) if gap > 0]
-            tampered.append((where, p, q, flipped[relation], gap_p, gap_q))
-            for bad in tampered:
-                rows = cert.rows[:i] + (bad,) + cert.rows[i + 1:]
-                with pytest.raises(ValueError, match=f"verdict {i} is inconsistent"):
-                    EscapeCertificate._of_rows(cert.x0, cert.trace, rows, True)
-        assert EscapeCertificate._of_rows(cert.x0, cert.trace, cert.rows, True) == cert
+        for change, message in [
+            ({"x0": str(cert.x0 + 1)}, UNSETTLED),
+            ({"trace": obj["trace"][:-1]}, UNSETTLED),  # the confirming step dropped
+        ]:
+            assert refusal({**obj, **change}) == message
+        inconsistent = "certificate: verdict {} is inconsistent with escape value " + obj["x0"]
+        for i, v in enumerate(obj["verdicts"]):
+            gap = F(v["gap"])
+            changes = [{"value": str(F(v["value"]) + 1)}, {"relation": flipped[v["relation"]]}]
+            changes += [{"gap": str(F(gap.numerator + k, gap.denominator))}
+                        for k in (1, -1) if gap.numerator + k > 0]
+            for change in changes:
+                verdicts = [*obj["verdicts"][:i], {**v, **change}, *obj["verdicts"][i + 1:]]
+                assert refusal({**obj, "verdicts": verdicts}) == inconsistent.format(i)
 
 
 class TestAdjoinDemo:
@@ -517,6 +566,27 @@ class TestCertificateJson:
         with pytest.raises(ValueError) as err:
             certificate_from_jsonable(obj)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("change, message", [
+        ({"x0": "1", "oracle_agreement": "yes"}, UNSETTLED),
+        ({"x0": "1", 1: {"where": -1}}, UNSETTLED),
+        ({0: {"gap": "2"}, 1: {"where": -1}}, "certificate: verdict 0 is inconsistent with escape value 1/2"),
+        ({0: {"gap": "2"}, "oracle_agreement": "yes"}, "certificate: verdict 0 is inconsistent with escape value 1/2"),
+        ({"trace": ["2", "3/2", "1/2"], 1: {"where": -1}},
+         "verdicts[1]: where must be a non-negative index or 'tail', got -1"),
+        ({"trace": ["2", "3/2", "1/2"], "oracle_agreement": "yes"},
+         "oracle_agreement: expected true or false, got 'yes'"),
+    ], ids=["x0, agreement", "x0, where", "gap, later where", "gap, agreement", "unsettled, where",
+            "unsettled, agreement"])
+    def test_of_two_faults_the_first_in_reading_order_is_named(self, change, message):
+        # x0 against the trace's end, then each verdict in full, then oracle_agreement, then the settling
+        obj = certificate_to_jsonable(compute_escape(SPEC2))
+        for key, value in change.items():
+            if isinstance(key, int):
+                obj["verdicts"][key].update(value)
+            else:
+                obj[key] = value
+        assert refusal(obj) == message
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda o: [], "certificate: expected an object, got list"),

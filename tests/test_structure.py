@@ -1,4 +1,4 @@
-"""Four decisions stay where they belong.
+"""Five decisions stay where they belong.
 
 Past the prefix, the library reads a tail as a periodic block
 (``EnumerationSpec.block_pairs``) or an affine line.  Only the spec's
@@ -6,10 +6,12 @@ construction, the tail's JSON form and the append demonstration may ask
 whether a tail is a ``Constant`` or a ``Cycle``.  The supremum sweep
 reads the map from its step structure alone.  Only the spec's
 construction takes an affine tail's cuts at 0 and 2 (``EnumerationSpec.window``);
-everything else reads them from the spec.  And in the escape module only
+everything else reads them from the spec.  In the escape module only
 the verdict pass reads enumerated values to compare them with x0: the
 prefix pairs, and the tail places of ``enumeration._tail_places``, so a
-tail hit is refused there and nowhere else.
+tail hit is refused there and nowhere else.  And a certificate row is a
+place and its value: only ``_verdict`` derives a relation or a gap from
+it, and the certificate's constructor reads no row.
 """
 
 import ast
@@ -198,3 +200,48 @@ def test_only_the_verdict_pass_reads_enumerated_values_in_escape():
     names = {node.id if isinstance(node, ast.Name) else node.attr
              for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
     assert names & {"block_pairs", "line", "window", "_cut"} == set() and "_tail_places" in names
+
+
+RELATIONS = {"below", "above"}
+
+
+def verdict_decisions(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(enclosing definition, what, line) of each gcd call and each choice between "below" and "above".
+
+    A choice is a conditional expression with a relation word for a branch;
+    a membership test against the words decides nothing, so it is not one.
+    """
+    found = []
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "gcd":
+                found.append((scope, "gcd", node.lineno))
+        elif isinstance(node, ast.IfExp):
+            branches = {getattr(branch, "value", None) for branch in (node.body, node.orelse)}
+            if branches & RELATIONS:
+                found.append((scope, "relation", node.lineno))
+    return found
+
+
+def test_the_verdict_walker_sees_gcds_and_relation_choices():
+    tree = ast.parse(
+        "def f(a, b):\n"
+        "    return math.gcd(a, b), gcd(b, a), 'below' if a < b else 'above'\n"
+        "class C:\n"
+        "    def m(self, d, r):\n"
+        "        return ('above' if d > 0 else r), r in ('below', 'above'), 'below', lcm(d, r)\n"
+    )
+    assert verdict_decisions(tree) == [("f", "gcd", 2), ("f", "gcd", 2), ("f", "relation", 2),
+                                       ("C.m", "relation", 5)]
+
+
+def test_only_the_verdict_formula_derives_a_relation_or_a_gap():
+    path = SOURCE / "escape.py"
+    tree = ast.parse(path.read_text(), str(path))
+    # the formula does both, so the walk reads the source
+    assert sorted({(scope, what) for scope, what, _ in verdict_decisions(tree)}) == [
+        ("_verdict", "gcd"), ("_verdict", "relation")]
+    # and the constructor takes the rows as they come, with no loop over them
+    of_rows = [node for scope, node in scoped_nodes(tree) if scope == "EscapeCertificate._of_rows"]
+    assert of_rows and not [node for node in of_rows if isinstance(node, (ast.For, ast.While, ast.comprehension))]
