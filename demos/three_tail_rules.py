@@ -2,7 +2,9 @@
 
 Three total enumerations: the naturals (affine tail), a two-value cycle, and
 a constant.  For each, the descent value must equal the supremum-of-
-postfixpoints value and the literal subset-sum fixpoint enumeration.
+postfixpoints value and the greatest fixpoint found by the plateau walk,
+which the subset oracle checks is the weight of its finite prefix subset
+plus its tail weight.
 """
 
 from fractions import Fraction as F

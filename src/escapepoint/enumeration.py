@@ -314,8 +314,9 @@ def intervalize(spec: EnumerationSpec) -> Callable[[int, Fraction], RatInterval]
     tail answer from L + P slots, slot n for n < L and L + (n - L) mod P
     after that.  A slot is filled on its first query, and the slots are
     kept for the last eps asked only.  An affine tail's boxes are built on
-    each query from its line, read once here, and never kept.  A negative
-    index raises ``ValueError``, and a new eps that is not exact ``TypeError``.
+    each query from its line, read once here, and never kept.  An index
+    that ``value_at`` refuses raises its ``ValueError``, and a new eps that
+    is not exact ``TypeError``.
     """
     start, period = len(spec.prefix), len(spec.block_pairs)
     slope, intercept, scale = spec.tail.line if not period else (0, 0, 1)  # unused for a periodic tail
@@ -330,13 +331,13 @@ def intervalize(spec: EnumerationSpec) -> Callable[[int, Fraction], RatInterval]
                 e, f = eps.numerator, 2 * eps.denominator
                 slots = [None] * (start + period)
             at_eps = eps
+        if n.__class__ is not int or n < 0:  # value_at refuses a bool, a non-int or a negative index
+            value_at(spec, n)
         slot = n
         if n >= start:
             if not period:
                 return _box(slope * n + intercept, scale, e, f)
             slot = start + (n - start) % period
-        elif n < 0:
-            raise ValueError(f"enumeration index must be a natural number, got {n!r}")
         box = slots[slot]
         if box is None:
             p, q = _pair_at(spec, n)

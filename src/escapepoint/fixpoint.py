@@ -16,11 +16,11 @@ top down as it is iterated, so neither oracle holds a list of breaks:
 * ``sup_postfix_oracle`` sweeps the map's plateau values on [0, 2] from the
   top down, by one comparison with a break each, and stops at the first
   postfixpoint, the largest (the supremum construction);
-* ``subset_fixpoint_oracle`` reads the map literally as a supremum over
-  finite index sets: every candidate is the weight of a prefix subset S
-  plus a tail state, and the largest candidate fixed by the map wins.  The map
-  is constant on each plateau, so its tail part is too, and one tail state
-  per plateau covers them all.
+* ``subset_fixpoint_oracle`` walks the same plateaus for the first one
+  holding its own value, the greatest fixpoint (Tarski: the supremum of the
+  postfixpoints is the greatest fixpoint), and checks that value exactly
+  as the map's literal reading: the weight of the finite prefix subset
+  below it plus the tail's weight below it.
 
 ``escapepoint.selftest`` runs the descent's settle loop (``_settle``) on
 random finite lattices, so the engine itself is fuzzed against brute force.
@@ -28,17 +28,15 @@ random finite lattices, so the engine itself is fuzzed against brute force.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .enumeration import EnumerationSpec, tail_weight_sum
+from .enumeration import EnumerationSpec, eligible_prefix_indices, tail_weight_sum
 from .numerics import dyadic_weight, format_rational
 from .weight_map import step_structure, weight_below
 
 __all__ = [
-    "SUBSET_MAX_PREFIX",
     "BudgetExceededError",
     "OracleScopeError",
     "FixpointTrace",
@@ -47,9 +45,6 @@ __all__ = [
     "sup_postfix_oracle",
     "subset_fixpoint_oracle",
 ]
-
-# Longest prefix the subset oracle accepts; its candidates are the 2^L subset sums.
-SUBSET_MAX_PREFIX = 12
 
 _TWO = Fraction(2)
 
@@ -186,40 +181,28 @@ def sup_postfix_oracle(spec: EnumerationSpec) -> Fraction:
 
 
 def subset_fixpoint_oracle(spec: EnumerationSpec) -> Fraction:
-    """The escape value by literal enumeration of finite-subset candidates.
+    """The escape value as the greatest fixpoint, checked as a finite-subset weight.
 
-    Every candidate has the form w + t for w the weight of a prefix subset
-    S and a realizable tail state t.  Since prefix weights are the full dyadic
-    ladder, subset sums are exactly {k * 2^-(L-1) : 0 <= k < 2^L}, so each
-    (tail state, map plateau) pair admits a single divisibility test instead
-    of a 2^L loop; the candidate set and the returned maximum fixpoint are
-    identical to the naive enumeration.  The realizable tail states are the
-    tail weights at the plateaus, one per plateau.  Only plateaus holding
-    their own value are tried, from the top down, so the first hit is the
-    largest.  Scope guard: prefix length <= ``SUBSET_MAX_PREFIX``, checked
-    before any plateau is built; ``step_structure`` refuses an affine tail
-    past ``check_exponent_bound``, which bounds its tail states too.
+    Walks the plateaus from the top down, keeping the break above each (2
+    for the top one).  A plateau (break below, break above] holds its own
+    value v = t / den when one integer cross-multiplication per side says
+    so; the bottom plateau is closed at 0.  The first such v is the greatest
+    fixpoint, so it must equal the sum of 2^-n over the prefix indices n
+    with f(n) < v plus ``tail_weight_sum(spec, v)``.  That is checked once,
+    exactly; a v that fails it, or a walk that finds none, raises
+    ``RuntimeError``.  ``step_structure`` refuses an affine tail past
+    ``check_exponent_bound`` before any plateau.
     """
-    length = len(spec.prefix)
-    if length > SUBSET_MAX_PREFIX:
-        raise OracleScopeError(
-            f"prefix length {length} exceeds the oracle bound SUBSET_MAX_PREFIX={SUBSET_MAX_PREFIX}"
-        )
     steps = step_structure(spec)
-    plateaus = list(steps.plateaus())
-    # the breaks from the top down; a plateau ends at the break below the one above it, the top one at 2
-    lows = [Fraction(*below) for _, below in plateaus[:-1]]
-    highs = [_TWO, *lows]
-    # ascending, as the tail weight is monotone in x; a state above a value needs a negative multiple
-    states = [tail_weight_sum(spec, hi) for hi in reversed(highs)]
-    # with no prefix the only subset sum is 0, which any unit divides
-    unit = dyadic_weight(length - 1) if length else Fraction(1)
-    # the bottom plateau starts at 0 and is closed there, and its value is at least 0
-    for (t, _), lo, hi in zip(plateaus, [*lows, None], highs):
-        value = steps.fraction(t)
-        if (lo is None or lo < value) and value <= hi:
-            for state in reversed(states[:bisect_right(states, value)]):
-                multiple = (value - state) / unit
-                if multiple.denominator == 1 and 0 <= multiple < 1 << length:
-                    return value
-    raise RuntimeError("subset enumeration found no fixpoint; map evaluation is inconsistent")
+    den = steps.den
+    above = (2, 1)
+    for t, below in steps.plateaus():
+        if (below is None or below[0] * den < t * below[1]) and t * above[1] <= above[0] * den:
+            value = steps.fraction(t)
+            subset = sum(map(dyadic_weight, eligible_prefix_indices(spec, value)))
+            if subset + tail_weight_sum(spec, value) != value:
+                raise RuntimeError(f"fixpoint {format_rational(value)} is not the weight of its "
+                                   "prefix subset plus its tail weight")
+            return value
+        above = below
+    raise RuntimeError("the plateau walk found no fixpoint; the step structure is inconsistent")

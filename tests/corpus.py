@@ -1,8 +1,8 @@
 """Randomized spec corpus shared across test modules.
 
-Prefix lengths stay within the subset oracle's comfort zone (<= 12) so the
-same corpus can feed the three-route equivalence checks; values mix small
-fractions (which collide and build interesting plateaus) with full-range
+Prefix lengths stay at 12 or below, which keeps each spec cheap and the
+golden digests fixed; the three routes themselves run at any length.  Values
+mix small fractions (which collide and build interesting plateaus) with full-range
 numerators and denominators up to 1000.  Affine slopes keep |a| >= 1/16 so
 the number of tail breakpoints stays small.  ``formula_box`` is the
 reference box of an index, centred or off-centre.

@@ -285,9 +285,10 @@ class TestInvariantBattery:
     @pytest.mark.parametrize("spec, name, note", [
         (EnumerationSpec((), Constant(0)), "no-postfix-above",
          "escape value is the top element; nothing above to probe"),  # every value is below 2
-        (EnumerationSpec(tuple(Fraction(k, 7) for k in range(13)), Constant(2)), "proof-equivalence",
-         "subset oracle skipped: prefix length 13 exceeds the oracle bound SUBSET_MAX_PREFIX=12"),
-    ], ids=["top element", "subset oracle out of scope"])
+        # the subset oracle has no prefix bound: all three routes run, with no note
+        (EnumerationSpec(tuple(Fraction(k, 7) for k in range(13)), Constant(2)), "proof-equivalence", ""),
+        (EnumerationSpec(tuple(Fraction(k, 37) for k in range(1, 67)), Cycle()), "proof-equivalence", ""),
+    ], ids=["top element", "subset oracle on 13 values", "subset oracle on a 66-value cycle"])
     def test_a_passing_check_carries_its_note(self, spec, name, note):
         results = selftest.run_invariant_battery(spec)
         assert [r for r in results if not r[1]] == []

@@ -339,6 +339,23 @@ class TestIntervalize:
             assert str(err.value) == f"enumeration index must be a natural number, got {n}"
         assert oracle(0, F(1, 100)).width == F(1, 100)
 
+    @pytest.mark.parametrize("spec", [
+        EnumerationSpec((F(1, 3),), Constant(F(-3, 7))),
+        EnumerationSpec((F(1, 3), F(5, 2)), Cycle()),
+        EnumerationSpec((F(1, 3),), Affine(F(2, 3), F(-1, 5))),
+    ], ids=["constant", "cycle", "affine"])
+    @pytest.mark.parametrize("n", [True, False, 1.0, F(1), -1], ids=repr)
+    def test_an_index_value_at_refuses_is_refused_alike(self, spec, n):
+        # a bool would answer as 0 or 1, and a float or Fraction fail on the slot list
+        oracle = intervalize(spec)
+        for ask in (lambda: value_at(spec, n), lambda: oracle(n, F(1, 100))):
+            with pytest.raises(ValueError) as err:
+                ask()
+            assert str(err.value) == f"enumeration index must be a natural number, got {n!r}"
+        oracle(1, F(1, 100))  # a kept box answers a plain int after the refusal too
+        with pytest.raises(ValueError, match="natural number"):
+            oracle(n, F(1, 100))
+
     def test_a_float_eps_is_refused_as_inexact(self):
         oracle = intervalize(corpus_spec(5))
         message = "eps must be an exact rational (Fraction or int), got 0.5"

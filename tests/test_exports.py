@@ -57,7 +57,7 @@ def test_top_level_names_are_their_home_objects():
 
 @pytest.mark.parametrize("home, name", [
     ("numerics", "weight_sum"), ("enumeration", "affine_cut"), ("enumeration", "IntervalEnumeration"),
-    ("escape", "Verdict"),
+    ("escape", "Verdict"), ("fixpoint", "SUBSET_MAX_PREFIX"),
 ])
 def test_a_retired_name_stays_retired(home, name):
     module = importlib.import_module(f"escapepoint.{home}")

@@ -1,5 +1,7 @@
 import random
+import re
 import resource
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 from corpus import build_corpus, random_spec
 from escapepoint import fixpoint
 from escapepoint import (
-    SUBSET_MAX_PREFIX,
     Affine,
     BudgetExceededError,
     Constant,
@@ -21,11 +22,12 @@ from escapepoint import (
     EnumerationSpec,
     ExponentBoundError,
     FixpointTrace,
-    OracleScopeError,
     StepStructure,
     TheoremViolationError,
     compute_escape,
     descend_from_top,
+    dyadic_weight,
+    format_rational,
     gfp_descend,
     step_structure,
     subset_fixpoint_oracle,
@@ -46,6 +48,22 @@ from escapepoint.selftest import (
 from test_golden import affine_grid
 
 spec_indices = st.integers(min_value=0, max_value=2999)
+AFFINE_GRID = tuple(affine_grid())
+walk_values = st.fractions(min_value=-3, max_value=5, max_denominator=40)
+walk_slopes = st.one_of(
+    st.sampled_from([F(1, 512), F(-1, 512)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=16).filter(bool),
+)
+
+
+@st.composite
+def walk_specs(draw) -> EnumerationSpec:
+    """A prefix of 0-80 values, in and out of [0, 2], and any tail kind, slopes +-1/512 among them."""
+    prefix = tuple(draw(st.lists(walk_values, max_size=80)))
+    tails = [st.builds(Constant, walk_values), st.builds(Affine, walk_slopes, walk_values)]
+    if prefix:
+        tails.append(st.just(Cycle()))
+    return EnumerationSpec(prefix, draw(st.one_of(tails)))
 
 SPEC2 = EnumerationSpec(prefix=(F(3, 2), F(1, 8)), tail=Constant(2))
 
@@ -242,18 +260,53 @@ class TestOracles:
         assert subset_fixpoint_oracle(spec) == x0
 
     def test_subset_oracle_scope_guards(self):
-        longest = EnumerationSpec(tuple(F(n, 12) for n in range(12)), Constant(3))
-        assert SUBSET_MAX_PREFIX == 12
-        assert subset_fixpoint_oracle(longest) == gfp_descend(longest)[0]
+        # no bound on the prefix: 13 values, and a random cycle of 1024
         long_prefix = EnumerationSpec(tuple(F(n, 13) for n in range(13)), Constant(3))
-        with pytest.raises(OracleScopeError, match="prefix length 13 exceeds .*SUBSET_MAX_PREFIX=12"):
-            subset_fixpoint_oracle(long_prefix)
+        assert subset_fixpoint_oracle(long_prefix) == gfp_descend(long_prefix)[0]
+        rng = random.Random(1024)
+        prefix = tuple(F(rng.randint(0, 2000), rng.randint(1, 1000)) for _ in range(1024))
+        cycle = EnumerationSpec(prefix, Cycle())
+        assert subset_fixpoint_oracle(cycle) == gfp_descend(cycle)[0]
+        # the affine tail's exponent bound still holds
         flat = EnumerationSpec((), Affine(F(1, 10**5), 0))
         with pytest.raises(ExponentBoundError):
             subset_fixpoint_oracle(flat)
 
+    @given(st.one_of(walk_specs(), st.sampled_from(AFFINE_GRID)))
+    @settings(deadline=None)
+    def test_subset_oracle_equals_the_descent(self, spec):
+        assert subset_fixpoint_oracle(spec) == gfp_descend(spec)[0]
+
+    @pytest.mark.parametrize("spec", [
+        SPEC2,
+        *map(corpus_spec, range(0, 3000, 250)),
+        EnumerationSpec(tuple(F(k, 37) for k in range(1, 67)), Cycle()),
+        EnumerationSpec((F(1, 3), F(5, 4)), Affine(F(-1, 512), 2)),
+    ])
+    def test_a_fixpoint_that_is_no_subset_weight_is_refused(self, spec, monkeypatch):
+        # a tail weight off by 2^-(L+3) breaks the subset identity at the fixpoint the walk finds
+        skew = dyadic_weight(len(spec.prefix) + 3)
+        tail_weight_sum = fixpoint.tail_weight_sum
+        monkeypatch.setattr(fixpoint, "tail_weight_sum", lambda spec, x: tail_weight_sum(spec, x) + skew)
+        x0 = format_rational(gfp_descend(spec)[0])
+        with pytest.raises(RuntimeError, match=f"^fixpoint {re.escape(x0)} is not the weight"):
+            subset_fixpoint_oracle(spec)
+
+    @pytest.mark.parametrize("tail", [Affine(F(1, 8191), 0), Affine(F(-1, 8191), 2)])
+    def test_subset_oracle_holds_no_plateau_list(self, tail):
+        # 16 383 plateaus; one list of their breaks or tail states would pass 1 MB
+        spec = EnumerationSpec((), tail)
+        tracemalloc.start()
+        try:
+            x0 = subset_fixpoint_oracle(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x0 == gfp_descend(spec)[0]
+        assert peak <= 1 << 20, peak
+
     @pytest.mark.parametrize("oracle", [sup_postfix_oracle, subset_fixpoint_oracle])
-    # cuts at 2 * 10^6, and at 10^8 and 10^8 + 2 (three tail states), past MAX_TAIL_CUT
+    # cuts at 2 * 10^6, and at 10^8 and 10^8 + 2 (three plateaus), past MAX_TAIL_CUT
     @pytest.mark.parametrize("tail", [Affine(F(1, 10**6), 0), Affine(1, -10**8)])
     def test_oversized_affine_tails_are_refused_before_any_plateau(self, oracle, tail):
         with memory_cap(), pytest.raises(ExponentBoundError, match="past the bound"):
@@ -261,7 +314,7 @@ class TestOracles:
 
     @pytest.mark.parametrize("slope, intercept", [
         *((slope, intercept) for slope in (F(1, 256), F(-1, 256)) for intercept in (0, 1, 2)),
-        # 16 383 plateaus and tail states, inside MAX_TAIL_CUT
+        # 16 383 plateaus, inside MAX_TAIL_CUT
         (F(1, 8191), 0), (F(-1, 8191), 2),
     ])
     @pytest.mark.parametrize("prefix", [(), (F(1, 3), F(5, 4))])
