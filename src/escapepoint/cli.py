@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from .enumeration import EnumerationSpec, SpecError, intervalize, spec_from_jsonable, spec_to_jsonable
 from .escape import (
     EscapeCertificate,
-    _rendered_rows,
     adjoin_escape_demo,
     certificate_to_jsonable,
     compute_escape,
@@ -67,9 +66,9 @@ def _print_certificate(cert: EscapeCertificate) -> None:
     print(f"descent: {_render_trace(cert.trace)}")
     print(f"oracle agreement: {'yes' if cert.oracle_agreement else 'no'}")
     print("verdicts:")
-    for where, value, relation, gap in _rendered_rows(cert):
-        where = "all tail indices" if where == "tail" else f"index {where}"
-        print(f"  {where}: {value}, {relation} by {gap}")
+    for verdict in certificate_to_jsonable(cert)["verdicts"]:
+        where = "all tail indices" if verdict["where"] == "tail" else f"index {verdict['where']}"
+        print(f"  {where}: {verdict['value']}, {verdict['relation']} by {verdict['gap']}")
 
 
 def _cmd_escape(args: argparse.Namespace) -> int:

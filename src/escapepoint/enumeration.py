@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
-from typing import Callable, Collection, Optional, Union
+from functools import cached_property
+from typing import Callable, Collection, Optional, Sequence, Union
 
 from .numerics import (
     MAX_EXACT_EXPONENT,
@@ -31,8 +31,9 @@ from .numerics import (
     RatInterval,
     RationalLike,
     as_fraction,
+    format_pair,
     format_rational,
-    parse_rational,
+    parse_pair,
 )
 
 __all__ = [
@@ -106,13 +107,15 @@ class Affine:
 TailRule = Union[Constant, Cycle, Affine]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EnumerationSpec:
     """A total map f : N -> Q: finite prefix f(0..L-1) plus a tail rule.
 
-    ``prefix_pairs`` holds each prefix value as its reduced (numerator,
-    denominator) pair, read once here, so that order questions about the
-    prefix are answered by integer cross-multiplication.  ``block_pairs`` is
+    ``prefix_pairs`` is the stored form of the prefix: each value as its
+    reduced (numerator, denominator) pair, so that order questions about
+    the prefix are answered by integer cross-multiplication, and ``==`` and
+    ``hash`` compare the pairs and the tail.  ``prefix`` is the same values
+    as Fractions, built on first read.  ``block_pairs`` is
     the periodic tail's block in the same form: f(n) = block[(n - L) mod P]
     for n >= L.  It is (c,) for ``Constant(c)``, ``prefix_pairs`` for
     ``Cycle()``, and empty for an affine tail, whose rule is its line.
@@ -120,38 +123,48 @@ class EnumerationSpec:
     taken here once and nowhere else; None for a periodic tail.
     """
 
-    prefix: tuple[Fraction, ...]
+    prefix: tuple[Fraction, ...] = field(compare=False)
     tail: TailRule
-    prefix_pairs: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    prefix_pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     block_pairs: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
     window: Optional[tuple[int, int]] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, prefix: Sequence[RationalLike], tail: TailRule) -> None:
         values = tuple(v if isinstance(v, Fraction) else as_fraction(v, f"prefix[{i}]")
-                       for i, v in enumerate(self.prefix))  # a Fraction is kept, with no path built
-        pairs = tuple((v.numerator, v.denominator) for v in values)
-        tail = self.tail
+                       for i, v in enumerate(prefix))  # a Fraction is kept, with no path built
+        spec = self._of_pairs(tuple((v.numerator, v.denominator) for v in values), tail)
+        self.__dict__.update(spec.__dict__, prefix=values)  # already built: the first read finds them
+
+    @classmethod
+    def _of_pairs(cls, pairs: tuple[tuple[int, int], ...], tail: TailRule) -> "EnumerationSpec":
+        """The spec of prefix values given as reduced pairs, denominators positive."""
         if isinstance(tail, Affine) and tail.a == 0:
             tail = Constant(tail.b)  # degenerate slope: same map, simpler rule
         if isinstance(tail, Constant):
             block = ((tail.value.numerator, tail.value.denominator),)
         elif isinstance(tail, Cycle):
-            if not values:
+            if not pairs:
                 raise SpecError("cycle tail needs a nonempty prefix")
             block = pairs
         elif isinstance(tail, Affine):
             block = ()
         else:
             raise SpecError(f"unknown tail rule {tail!r}")
-        for name, value in (("prefix", values), ("tail", tail), ("prefix_pairs", pairs), ("block_pairs", block)):
-            object.__setattr__(self, name, value)
-        window = None if block else tuple(sorted((_cut(self, 0, 1), _cut(self, 2, 1))))
-        object.__setattr__(self, "window", window)
+        spec = object.__new__(cls)
+        spec.__dict__.update(tail=tail, prefix_pairs=pairs, block_pairs=block)
+        spec.__dict__["window"] = None if block else tuple(sorted((_cut(spec, 0, 1), _cut(spec, 2, 1))))
+        return spec
+
+    def __getattr__(self, name: str) -> tuple[Fraction, ...]:  # only for a name not set: a prefix not yet built
+        if name != "prefix":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        prefix = self.__dict__["prefix"] = tuple(Fraction(p, q) for p, q in self.prefix_pairs)
+        return prefix
 
     @cached_property
     def _block_places(self) -> dict[tuple[int, int], tuple[str, int]]:
         """A periodic tail's places for ``_tail_places``, sorted once, on first read."""
-        start, block = len(self.prefix), self.block_pairs
+        start, block = len(self.prefix_pairs), self.block_pairs
         index = dict(zip(block, range(start, start + len(block))))
         return {pair: ("tail", index[pair]) for pair in _ascending(index)}
 
@@ -168,7 +181,7 @@ def _pair_at(spec: EnumerationSpec, n: int) -> tuple[int, int]:
 
     Reduced, except an affine tail's (A*n + B, D) from ``Affine.line``.
     """
-    length = len(spec.prefix)
+    length = len(spec.prefix_pairs)
     if n < length:
         return spec.prefix_pairs[n]
     block = spec.block_pairs
@@ -199,7 +212,7 @@ def _cut(spec: EnumerationSpec, p: int, q: int) -> int:
     den = q * slope
     # the ceiling when a > 0; the floor plus one when a < 0
     cut = -(-num // den) if den > 0 else num // den + 1
-    return max(len(spec.prefix), cut)
+    return max(len(spec.prefix_pairs), cut)
 
 
 def _line_index(spec: EnumerationSpec, p: int, q: int) -> tuple[int, bool]:
@@ -224,7 +237,7 @@ def _tail_places(spec: EnumerationSpec, p: int, q: int) -> dict[tuple[int, int],
     """
     if spec.block_pairs:
         return spec._block_places
-    start = len(spec.prefix)
+    start = len(spec.prefix_pairs)
     slope, intercept, scale = spec.tail.line
     cut = _cut(spec, p, q)
     diffs = {n: (slope * n + intercept) * q - p * scale for n in (max(start, cut - 1), cut)}
@@ -244,12 +257,14 @@ def check_exponent_bound(spec: EnumerationSpec) -> None:
 
 
 def _ascending(pairs: Collection[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Distinct (numerator, denominator) pairs, denominators positive, by ascending value.
+    """(numerator, denominator) pairs, denominators positive, by ascending value; a stable sort.
 
-    Each comparison is one integer cross-multiplication: p/q sorts before
-    r/s when p*s < r*q.
+    The key of p/q is floor(p/q * 2^2B), B the largest denominator's bit length:
+    two distinct values p/q and r/s differ by at least 1/(qs) > 2^-2B, so their
+    keys differ, and equal values get equal keys.
     """
-    return sorted(pairs, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    shift = 2 * max((q for _, q in pairs), default=1).bit_length()
+    return sorted(pairs, key=lambda pair: (pair[0] << shift) // pair[1])
 
 
 def tail_weight_sum(spec: EnumerationSpec, x: RationalLike) -> Fraction:
@@ -278,7 +293,7 @@ def _plus_tail(spec: EnumerationSpec, p: int, q: int, num: int) -> tuple[int, in
     (a < 0), over 2^cut, or raises ``ExponentBoundError`` past
     ``MAX_EXACT_EXPONENT``, before 2^cut is built.
     """
-    start = len(spec.prefix)
+    start = len(spec.prefix_pairs)
     block = spec.block_pairs
     if block:
         lap = (1 << len(block)) - 1
@@ -318,7 +333,7 @@ def intervalize(spec: EnumerationSpec) -> Callable[[int, Fraction], RatInterval]
     that ``value_at`` refuses raises its ``ValueError``, and a new eps that
     is not exact ``TypeError``.
     """
-    start, period = len(spec.prefix), len(spec.block_pairs)
+    start, period = len(spec.prefix_pairs), len(spec.block_pairs)
     slope, intercept, scale = spec.tail.line if not period else (0, 0, 1)  # unused for a periodic tail
     at_eps = e = f = None  # the eps last asked, and its e and 2d
     slots: list = []
@@ -364,9 +379,9 @@ def _box(p: int, q: int, e: int, f: int) -> RatInterval:
 # explicit.  Errors carry the offending position.
 
 
-def _rational_at(obj: object, where: str, index: Optional[int] = None) -> Fraction:
+def _read_pair(obj: object, where: str, index: Optional[int] = None) -> tuple[int, int]:
     try:
-        return parse_rational(obj)
+        return parse_pair(obj)
     except (TypeError, ValueError) as exc:  # a refusal names where, or where[index], built only now
         problem = exc if isinstance(obj, str) else f"expected a rational string 'p/q', got {obj!r}"
     raise SpecError(f"{where}: {problem}" if index is None else f"{where}[{index}]: {problem}")
@@ -386,13 +401,13 @@ def tail_from_jsonable(obj: object) -> TailRule:
     kind = obj.get("kind")
     if kind == "constant":
         _expect_keys(obj, {"kind", "value"}, "tail")
-        return Constant(_rational_at(obj.get("value"), "tail.value"))
+        return Constant(Fraction(*_read_pair(obj.get("value"), "tail.value")))
     if kind == "cycle":
         _expect_keys(obj, {"kind"}, "tail")
         return Cycle()
     if kind == "affine":
         _expect_keys(obj, {"kind", "a", "b"}, "tail")
-        return Affine(_rational_at(obj.get("a"), "tail.a"), _rational_at(obj.get("b"), "tail.b"))
+        return Affine(Fraction(*_read_pair(obj.get("a"), "tail.a")), Fraction(*_read_pair(obj.get("b"), "tail.b")))
     raise SpecError(f"tail.kind: unknown tail kind {kind!r}")
 
 
@@ -407,7 +422,7 @@ def _expect_keys(obj: dict, allowed: set, where: str) -> None:
 
 def spec_to_jsonable(spec: EnumerationSpec) -> dict:
     return {
-        "prefix": [format_rational(v) for v in spec.prefix],
+        "prefix": [format_pair(p, q) for p, q in spec.prefix_pairs],
         "tail": tail_to_jsonable(spec.tail),
     }
 
@@ -419,9 +434,9 @@ def spec_from_jsonable(obj: object) -> EnumerationSpec:
     raw_prefix = obj["prefix"]
     if not isinstance(raw_prefix, list):
         raise SpecError(f"prefix: expected a list, got {raw_prefix!r}")
-    prefix = tuple(_rational_at(v, "prefix", i) for i, v in enumerate(raw_prefix))
+    pairs = tuple([_read_pair(v, "prefix", i) for i, v in enumerate(raw_prefix)])
     tail = tail_from_jsonable(obj["tail"])
     try:
-        return EnumerationSpec(prefix, tail)
+        return EnumerationSpec._of_pairs(pairs, tail)
     except SpecError as exc:
         raise SpecError(f"tail: {exc}") from None

@@ -13,7 +13,9 @@ an enumerated x0: ``TheoremViolationError``, not a broken certificate.
 
 A verdict follows from a row and x0, and ``_verdict`` is its one formula:
 for x0 = n/d, diff = p*d - n*q gives the relation by its sign and the gap
-|diff| / (q*d).  The outputs derive each distinct value's verdict once, and
+|diff| / (q*d), from x0's integers.  ``certificate_to_jsonable`` is the one
+renderer: one loop builds the verdict dicts, each distinct value's verdict
+and texts once, and the CLI's text output reads the same dicts.
 ``certificate_from_jsonable`` checks a document's verdicts against it.
 
 ``enclose_escape_traced`` brackets the escape value from interval queries.
@@ -24,14 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 from .enumeration import (
     Constant,
     EnumerationSpec,
     SpecError,
     _expect_keys,
-    _rational_at,
+    _read_pair,
     _tail_places,
     check_exponent_bound,
 )
@@ -96,9 +98,8 @@ class EscapeCertificate:
         return cert
 
 
-def _verdict(p: int, q: int, x0: Fraction) -> tuple[str, int, int]:
-    """(relation, gap_p, gap_q) of p/q against x0, the gap reduced; 0/1 if p/q is x0."""
-    num, d = x0.numerator, x0.denominator
+def _verdict(p: int, q: int, num: int, d: int) -> tuple[str, int, int]:
+    """(relation, gap_p, gap_q) of p/q against x0 = num/d, the gap reduced; 0/1 if p/q is x0."""
     diff, gap_q = p * d - num * q, q * d
     g = math.gcd(diff, gap_q)
     return "below" if diff < 0 else "above", abs(diff) // g, gap_q // g
@@ -200,26 +201,21 @@ def enclose_escape_traced(
     return RatInterval(lo, hi), lo_trace, hi_trace
 
 
-def _rendered_rows(cert: EscapeCertificate) -> Iterator[tuple[Union[int, str], str, str, str]]:
-    """(where, value text, relation, gap text) of each row, each distinct value's verdict derived once."""
-    x0, texts = cert.x0, {}
+def certificate_to_jsonable(cert: EscapeCertificate) -> dict:
+    """Certificate as JSON-ready primitives; inverse of certificate_from_jsonable."""
+    num, d = cert.x0.numerator, cert.x0.denominator
+    texts, verdicts = {}, []
     for where, p, q in cert.rows:
         text = texts.get((p, q))
         if text is None:
-            relation, gap_p, gap_q = _verdict(p, q, x0)
+            relation, gap_p, gap_q = _verdict(p, q, num, d)
             text = texts[p, q] = format_pair(p, q), relation, format_pair(gap_p, gap_q)
-        yield (where, *text)
-
-
-def certificate_to_jsonable(cert: EscapeCertificate) -> dict:
-    """Certificate as JSON-ready primitives; inverse of certificate_from_jsonable."""
+        value, relation, gap = text
+        verdicts.append({"where": where, "value": value, "relation": relation, "gap": gap})
     return {
-        "x0": format_rational(cert.x0),
-        "trace": [format_rational(v) for v in cert.trace.iterates],
-        "verdicts": [
-            {"where": where, "value": value, "relation": relation, "gap": gap}
-            for where, value, relation, gap in _rendered_rows(cert)
-        ],
+        "x0": format_pair(num, d),
+        "trace": [format_pair(v.numerator, v.denominator) for v in cert.trace.iterates],
+        "verdicts": verdicts,
         "oracle_agreement": cert.oracle_agreement,
     }
 
@@ -247,16 +243,16 @@ def _certificate_from_dict(obj: object) -> EscapeCertificate:
     if not isinstance(obj, dict):
         raise ValueError(f"certificate: expected an object, got {type(obj).__name__}")
     _expect_keys(obj, {"x0", "trace", "verdicts", "oracle_agreement"}, "certificate")
-    x0 = _rational_at(obj["x0"], "x0")
+    num, d = _read_pair(obj["x0"], "x0")
     raw_trace = obj["trace"]
     if not isinstance(raw_trace, list) or not raw_trace:
         raise ValueError("trace: expected a non-empty array of rationals")
-    iterates = tuple(_rational_at(v, "trace", i) for i, v in enumerate(raw_trace))
+    iterates = tuple(Fraction(*_read_pair(v, "trace", i)) for i, v in enumerate(raw_trace))
     try:
         trace = FixpointTrace(iterates)
     except ValueError as exc:
         raise ValueError(f"trace: {exc}") from None
-    if iterates[-1] != x0:
+    if iterates[-1] != Fraction(num, d):
         raise ValueError(_UNSETTLED)
     raw_verdicts = obj["verdicts"]
     if not isinstance(raw_verdicts, list):
@@ -272,14 +268,14 @@ def _certificate_from_dict(obj: object) -> EscapeCertificate:
             raise ValueError(f"{path}: where must be a non-negative index or 'tail', got {where!r}")
         if relation not in ("below", "above"):
             raise ValueError(f"{path}: relation must be 'below' or 'above', got {relation!r}")
-        value = _rational_at(raw["value"], f"{path}.value")
-        gap = _rational_at(raw["gap"], f"{path}.gap")
-        if gap <= 0:
-            raise ValueError(f"{path}: gap must be positive, got {format_rational(gap)}")
-        if _verdict(value.numerator, value.denominator, x0) != (relation, gap.numerator, gap.denominator):
+        p, q = _read_pair(raw["value"], f"{path}.value")
+        gap = _read_pair(raw["gap"], f"{path}.gap")
+        if gap[0] <= 0:
+            raise ValueError(f"{path}: gap must be positive, got {format_pair(*gap)}")
+        if _verdict(p, q, num, d) != (relation, *gap):
             # this refuses a value equal to x0 too: _verdict gives it gap 0, and this gap is positive
-            raise ValueError(f"certificate: verdict {i} is inconsistent with escape value {format_rational(x0)}")
-        rows.append((where, value.numerator, value.denominator))
+            raise ValueError(f"certificate: verdict {i} is inconsistent with escape value {format_pair(num, d)}")
+        rows.append((where, p, q))
     agreement = obj["oracle_agreement"]
     if not isinstance(agreement, bool):
         raise ValueError(f"oracle_agreement: expected true or false, got {agreement!r}")

@@ -148,7 +148,7 @@ def _step_bound(spec: EnumerationSpec) -> int:
     ``spec.window`` = (lo, hi).  With B such breaks the map takes at most
     B + 1 values there, so the descent settles within B + 2 applications.
     """
-    breaks = len(spec.prefix) + sum(0 <= p < 2 * q for p, q in spec.block_pairs)
+    breaks = len(spec.prefix_pairs) + sum(0 <= p < 2 * q for p, q in spec.block_pairs)
     if spec.window:
         breaks += spec.window[1] - spec.window[0]
     return breaks + 2

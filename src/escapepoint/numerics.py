@@ -20,6 +20,7 @@ from typing import Union
 __all__ = [
     "RatInterval",
     "as_fraction",
+    "parse_pair",
     "parse_rational",
     "format_rational",
     "format_pair",
@@ -31,7 +32,7 @@ __all__ = [
 
 RationalLike = Union[Fraction, int]
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
@@ -43,17 +44,28 @@ def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
     raise TypeError(f"{what} must be an exact rational (Fraction or int), got {value!r}")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (optional leading '-').  No decimals, no whitespace, no zero q."""
+def parse_pair(text: str) -> tuple[int, int]:
+    """Parse "p/q" or "p" (optional leading '-') to (p, q), reduced, q > 0.
+
+    No decimals, no whitespace, no zero q, and no number past the int digit limit.
+    """
     if not isinstance(text, str):
         raise TypeError(f"rational text must be a string, got {text!r}")
-    if not _RATIONAL_RE.fullmatch(text):
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"not an exact rational (expected 'p/q' or 'p'): {text!r}")
-    num, _, den = text.partition("/")
+    num, den = match.groups()
     q = int(den) if den else 1
     if q == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(num), q)
+    p = int(num)
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def parse_rational(text: str) -> Fraction:
+    """``parse_pair``'s value as a Fraction."""
+    return Fraction(*parse_pair(text))
 
 
 def format_rational(value: RationalLike) -> str:

@@ -64,7 +64,7 @@ def run_invariant_battery(spec: EnumerationSpec, seed: int = 0) -> list[tuple[st
     """
     check_exponent_bound(spec)
     rng = random.Random(seed)
-    length = len(spec.prefix)
+    length = len(spec.prefix_pairs)
     points = _sample_points(spec, rng)
     window = range(length, length + 65)
     x0_box: list[Optional[Fraction]] = [None]

@@ -65,8 +65,8 @@ def weight_below(spec: EnumerationSpec, x: RationalLike) -> Fraction:
     x = as_fraction(x, "x")
     p, q = x.numerator, x.denominator
     num = _below(spec.prefix_pairs, p, q)
-    if spec.prefix and spec.block_pairs is spec.prefix_pairs:  # a cycle; with no prefix, () is () too
-        return Fraction(num, (1 << len(spec.prefix)) - 1)
+    if spec.prefix_pairs and spec.block_pairs is spec.prefix_pairs:  # a cycle; with no prefix, () is () too
+        return Fraction(num, (1 << len(spec.prefix_pairs)) - 1)
     return Fraction(*_plus_tail(spec, p, q, num))
 
 
@@ -219,7 +219,7 @@ def step_structure(spec: EnumerationSpec) -> StepStructure:
     one integer key each, and placed on the run by their cut.
     """
     check_exponent_bound(spec)
-    start = len(spec.prefix)
+    start = len(spec.prefix_pairs)
     block = spec.block_pairs
     line, run, top = (0, 0, 1), range(0), start  # a periodic tail has no run
     if not block:

@@ -1,17 +1,22 @@
 import json
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from corpus import random_spec
 from escapepoint import (
     MAX_EXACT_EXPONENT, Affine, Constant, Cycle, DemoNotApplicableError, EnumerationSpec, ExponentBoundError,
     FixpointTrace, RatInterval, TheoremViolationError, adjoin_escape_demo, certificate_to_jsonable, cli,
-    compute_escape, dyadic_tail_weight, escape, format_rational, selftest, tail_hits, value_at, weight_below,
+    compute_escape, dyadic_tail_weight, escape, format_rational, parse_rational, selftest, spec_to_jsonable,
+    tail_from_jsonable, tail_hits, value_at, weight_below,
 )
-from escapepoint.cli import main
+from escapepoint.cli import main, parse_spec
 
 SPEC2_TEXT = '{"prefix": ["3/2", "1/8"], "tail": {"kind": "constant", "value": "2"}}'
 AFFINE_TEXT = '{"prefix": [], "tail": {"kind": "affine", "a": "1", "b": "0"}}'
@@ -175,6 +180,15 @@ class TestDigitLimit:
         assert err.startswith("error: prefix[0]: Exceeds the limit")
         assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
 
+    def test_a_value_past_the_limit_is_refused_in_full(self, tmp_path, capsys):
+        with pytest.raises(ValueError) as refused:
+            int("7" * 5000)
+        assert str(refused.value).startswith("Exceeds the limit (4300")
+        path = tmp_path / "huge.json"
+        path.write_text('{"prefix": ["' + "7" * 5000 + '"], "tail": {"kind": "cycle"}}', encoding="utf-8")
+        assert main(["escape", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: prefix[0]: {refused.value}\n")
+
     @pytest.mark.parametrize("output", ["structured", "text"])
     def test_denominator_past_the_limit_still_prints(self, tmp_path, capsys, output):
         # the weights reach 2^-16383, a denominator of 4932 digits
@@ -243,6 +257,61 @@ class TestDigitLimit:
         # an internal inconsistency crashes the CLI instead of exiting 1
         with pytest.raises(TheoremViolationError):
             main(["escape", flat_file(tmp_path, FLAT_TAILS[0])])
+
+
+# spellings of 1/2, -2, 0 and 7/10 that are not in lowest terms, or carry a sign or leading zeros
+ODD_SPELLINGS = ["2/4", "-6/3", "-0/5", "007/010"]
+
+
+class TestParseSpec:
+    """``parse_spec`` reads prefix values as integer pairs, with no Fraction per value."""
+
+    @given(st.integers(min_value=0, max_value=2999),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=12), st.sampled_from(ODD_SPELLINGS)),
+                    max_size=6))
+    def test_the_parse_is_the_fraction_parse(self, index, inserts):
+        obj = spec_to_jsonable(random_spec(random.Random(index), index))  # every tail kind
+        for at, text in inserts:
+            obj["prefix"].insert(min(at, len(obj["prefix"])), text)
+        got = parse_spec(json.dumps(obj))
+        want = EnumerationSpec(tuple(parse_rational(v) for v in obj["prefix"]), tail_from_jsonable(obj["tail"]))
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert got.prefix == want.prefix and all(type(v) is Fraction for v in got.prefix)
+        assert (got.prefix_pairs, got.block_pairs, got.window) == (want.prefix_pairs, want.block_pairs, want.window)
+
+    @pytest.mark.parametrize("value, problem", [
+        ('"1/0"', "zero denominator in '1/0'"),
+        ('"1.5"', "not an exact rational (expected 'p/q' or 'p'): '1.5'"),
+        ('" 1"', "not an exact rational (expected 'p/q' or 'p'): ' 1'"),
+        ("1.5", "expected a rational string 'p/q', got 1.5"),
+        ("true", "expected a rational string 'p/q', got True"),
+        ("null", "expected a rational string 'p/q', got None"),
+    ])
+    def test_each_refusal_is_named_in_full(self, tmp_path, capsys, value, problem):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"prefix": [{value}], "tail": {{"kind": "cycle"}}}}', encoding="utf-8")
+        assert main(["escape", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: prefix[0]: {problem}\n")
+
+    @pytest.mark.parametrize("tail", [{"kind": "cycle"}, {"kind": "constant", "value": "3"}])
+    def test_the_exact_path_builds_no_fraction_per_prefix_value(self, monkeypatch, tail):
+        # a Fraction per prefix value would make the count grow with L
+        def fractions_built(length: int) -> int:
+            text = json.dumps({"prefix": [f"{k}/{length + 1}" for k in range(1, length + 1)], "tail": tail})
+            built = 0
+            new = Fraction.__new__
+
+            def counting(cls, *args, **kwargs):
+                nonlocal built
+                built += 1
+                return new(cls, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", staticmethod(counting))
+                certificate_to_jsonable(compute_escape(parse_spec(text)))
+            return built
+
+        assert 0 < fractions_built(16) == fractions_built(64)
 
 
 class TestCheckCommand:

@@ -65,12 +65,16 @@ class TestConstruction:
         with pytest.raises(SpecError):
             EnumerationSpec(prefix=(), tail="constant")
 
-    def test_prefix_pairs_are_reduced_and_not_compared(self):
+    def test_prefix_pairs_are_reduced_and_stored(self):
         spec = EnumerationSpec(prefix=(2, F(2, 4), F(-6, 3)), tail=Cycle())
         assert spec.prefix_pairs == ((2, 1), (1, 2), (-2, 1))
         assert "prefix_pairs" not in repr(spec)
         same = EnumerationSpec(prefix=(F(4, 2), F(1, 2), -2), tail=Cycle())
         assert same == spec and hash(same) == hash(spec)
+        # a parsed spec keeps only the pairs, and builds its Fractions on first read
+        parsed = spec_from_jsonable({"prefix": ["4/2", "2/4", "-2"], "tail": {"kind": "cycle"}})
+        assert "prefix" not in vars(parsed) and parsed == spec and hash(parsed) == hash(spec)
+        assert parsed.prefix == spec.prefix and "prefix" in vars(parsed) and repr(parsed) == repr(spec)
         shorter = dataclasses.replace(spec, prefix=spec.prefix[:1])
         assert shorter.prefix_pairs == ((2, 1),)
 
@@ -148,6 +152,22 @@ class TestAscendingPairs:
         values = {F(rng.getrandbits(4096) - (1 << 4095), rng.getrandbits(4096) | 1) for _ in range(64)}
         pairs = [(v.numerator, v.denominator) for v in values]
         assert enumeration._ascending(pairs) == [(v.numerator, v.denominator) for v in sorted(values)]
+
+    @given(st.lists(st.tuples(
+        # a denominator up to 1000, or past 4300 digits, and a value p/q near t in [-3, 3]
+        st.one_of(st.integers(min_value=1, max_value=1000),
+                  st.integers(min_value=10**4300, max_value=10**4300 + 2**64)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=64),
+        st.integers(min_value=-2**64, max_value=2**64),
+        st.integers(min_value=1, max_value=4),
+    ), max_size=8))
+    def test_integer_keys_sort_like_fractions(self, draws):
+        # each draw adds p/q, an unreduced spelling kp/kq of it, and its neighbours (p +/- 1)/q and p/(q + 1)
+        pairs = []
+        for q, t, offset, k in draws:
+            p = t.numerator * q // t.denominator + offset
+            pairs += [(p, q), (k * p, k * q), (p + 1, q), (p - 1, q), (p, q + 1)]
+        assert enumeration._ascending(pairs) == sorted(pairs, key=lambda pair: F(*pair))
 
 
 class TestAffineCut:

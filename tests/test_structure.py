@@ -21,7 +21,7 @@ from pathlib import Path
 import escapepoint
 
 SOURCE = Path(escapepoint.__file__).parent
-ALLOWED = {"EnumerationSpec.__post_init__", "tail_to_jsonable", "adjoin_escape_demo"}
+ALLOWED = {"EnumerationSpec._of_pairs", "tail_to_jsonable", "adjoin_escape_demo"}
 PERIODIC_RULES = {"Constant", "Cycle"}
 CLOSED_FORM = {"weight_below", "_plus_tail", "_below", "tail_weight_sum"}  # the map's evaluators
 # what reads an enumerated value: the spec's pairs, the tail's line, and the helpers that answer from them
@@ -162,7 +162,7 @@ def test_only_the_spec_takes_the_window_cuts():
     for path in sorted(SOURCE.glob("*.py")):
         found += window_cuts(ast.parse(path.read_text(), str(path)))
     # both cuts, in the one place that takes them, so the walk reads the source
-    assert [scope for scope, _ in found] == ["EnumerationSpec.__post_init__"] * 2
+    assert [scope for scope, _ in found] == ["EnumerationSpec._of_pairs"] * 2
 
 
 def enumerated_reads(tree: ast.AST) -> list[tuple[str, str, int]]:
